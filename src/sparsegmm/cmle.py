@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DataMatrix
+from .core import DataMatrix, cluster_sums
 from .errors import ConfigError
 
 
@@ -52,30 +52,32 @@ def sparsify_rows(mu: np.ndarray, s: int, sizes: np.ndarray | None = None) -> np
 
 
 def _objective(values: np.ndarray, mu: np.ndarray, z: np.ndarray) -> float:
-    resid = values - mu[:, z - 1]
-    return float(np.sum(resid * resid))
+    """||values - mu[:, z - 1]||_F^2 in one C-ordered p x n buffer."""
+    resid = np.take(mu, z - 1, axis=1)
+    np.subtract(values, resid, out=resid)
+    np.multiply(resid, resid, out=resid)
+    return float(np.sum(resid))
 
 
-def _assign(values: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """Nearest center per observation, ties to the lowest index."""
-    d2 = (
-        (values * values).sum(axis=0)[:, None]
-        - 2.0 * values.T @ mu
-        + (mu * mu).sum(axis=0)[None, :]
-    )
+def _assign(values: np.ndarray, sq_norms: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Nearest center per observation, ties to the lowest index.
+
+    ``sq_norms`` holds the squared norm of each observation (column).
+    """
+    d2 = sq_norms[:, None] - 2.0 * values.T @ mu + (mu * mu).sum(axis=0)[None, :]
     return d2.argmin(axis=1) + 1
 
 
 def _single_run(
     values: np.ndarray, config: CmleConfig, init_centers: np.ndarray, max_iters: int
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    p, n = values.shape
     k = config.k
+    sq_norms = (values * values).sum(axis=0)
     mu = init_centers.copy()
     z_prev = None
     best = (None, None, np.inf)
     for _ in range(max_iters):
-        z = _assign(values, mu)
+        z = _assign(values, sq_norms, mu)
         # re-seed empty clusters at the worst-fit observation (bounded:
         # duplicated observations can make a reseed futile)
         sizes = np.bincount(z, minlength=k + 1)[1:]
@@ -86,10 +88,9 @@ def _single_run(
             worst = int(np.argmax(resid))
             empty = int(np.flatnonzero(sizes == 0)[0])
             mu[:, empty] = values[:, worst]
-            z = _assign(values, mu)
+            z = _assign(values, sq_norms, mu)
             sizes = np.bincount(z, minlength=k + 1)[1:]
-        sums = np.zeros((p, k))
-        np.add.at(sums.T, z - 1, values.T)
+        sums = cluster_sums(values, z, k).T
         nonempty = sizes > 0
         new_mu = mu.copy()
         new_mu[:, nonempty] = sums[:, nonempty] / sizes[nonempty][None, :]
@@ -142,9 +143,7 @@ def fit_cmle(
                 z0[config.k :] = rng.integers(1, config.k + 1, size=n - config.k)
                 rng.shuffle(z0)
                 sizes = np.bincount(z0, minlength=config.k + 1)[1:]
-                sums = np.zeros((p, config.k))
-                np.add.at(sums.T, z0 - 1, values.T)
-                centers = sums / sizes[None, :]
+                centers = cluster_sums(values, z0, config.k).T / sizes[None, :]
         mu, z, obj = _single_run(values, config, centers, config.max_iters)
         if obj < best[2]:
             best = (mu, z, obj)

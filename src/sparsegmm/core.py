@@ -175,6 +175,27 @@ def default_hyperparams(p: int, ssl_mode: str = JOINT_SSL) -> Hyperparams:
     )
 
 
+def cluster_sums(values: np.ndarray, z: np.ndarray, k: int) -> np.ndarray:
+    """(k, p) per-cluster sums of the observations (columns) of a p x n matrix.
+
+    Row c sums the observations labelled c + 1, starting from 0 and adding
+    them in ascending order, exactly as ``np.add.at(out, z - 1, values.T)``
+    does, so the result is bitwise the same; an empty cluster sums to 0.
+    Reducing the (m, p) block of a cluster along its first axis adds row by
+    row; at p = 1 that axis is the contiguous one, where numpy would sum
+    pairwise, so the running sum is taken instead.
+    """
+    obs = values.T
+    out = np.zeros((k, values.shape[0]))
+    for c in range(k):
+        members = obs[z == c + 1]
+        if obs.shape[1] > 1:
+            np.add.reduce(members, axis=0, out=out[c], initial=0.0)
+        elif members.size:
+            out[c] += np.add.accumulate(members[:, 0])[-1]
+    return out
+
+
 @dataclass
 class ModelState:
     """One Gibbs-sampler state.

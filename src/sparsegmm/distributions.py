@@ -207,10 +207,12 @@ def sample_categorical_log(log_weights, rng: np.random.Generator) -> int:
     uniform from ``rng``.
     """
     lw = np.asarray(log_weights, dtype=float)
-    m = np.max(lw)
-    if not np.isfinite(m):
+    m = np.maximum.reduce(lw)
+    if not math.isfinite(m):
         raise AllWeightsNegInfiniteError("no finite log-weight")
-    w = np.exp(lw - m)
-    cdf = np.cumsum(w)
+    cdf = np.subtract(lw, m)
+    np.exp(cdf, out=cdf)
+    np.add.accumulate(cdf, out=cdf)
     u = rng.random() * cdf[-1]
-    return int(min(np.searchsorted(cdf, u, side="right"), lw.size - 1))
+    j = int(cdf.searchsorted(u, side="right"))
+    return j if j < lw.size else lw.size - 1

@@ -14,6 +14,13 @@ consumes randomness in this order:
 4. indicator update (one uniform block, features ascending; per cluster
    in column mode);
 5. one Beta draw for theta.
+
+This order is a contract.  A change that keeps it, and computes every
+weight and statistic with the same floating-point operations, gives
+byte-identical traces at equal seeds; ``scripts/trace_digest.py`` prints
+digests of fixed-seed traces to compare two versions.  A change to it
+changes every trace and must pass the Geweke joint-distribution checks in
+both SSL modes.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from __future__ import annotations
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -35,11 +42,12 @@ from .core import (
     ModelState,
     Snapshot,
     TraceMeta,
+    cluster_sums,
     validate_dataset,
 )
 from .errors import InvalidKError
 from .ssl import build_context, update_mu, update_phi, update_theta, update_xi
-from .urn import VnTable, build_vn_table, reseat_observation
+from .urn import ReseatWorkspace, VnTable, build_vn_table, reseat_observation
 
 SINGLE_CLUSTER = "single"
 RANDOM_K = "random_k"
@@ -112,8 +120,7 @@ def _compact_labels(z: np.ndarray, k: int) -> tuple[np.ndarray, int]:
 
 
 def _means_for_labels(data: DataMatrix, z: np.ndarray, k: int) -> np.ndarray:
-    sums = np.zeros((k, data.p))
-    np.add.at(sums, z - 1, data.values.T)
+    sums = cluster_sums(data.values, z, k)
     sizes = np.bincount(z, minlength=k + 1)[1:]
     return sums / sizes[:, None]
 
@@ -225,8 +232,10 @@ def sweep(
     rng: np.random.Generator,
 ) -> ModelState:
     """One full iteration: reseat all observations, then mu, phi, xi, theta."""
+    workspace = ReseatWorkspace(state, data, vn, hyper)
     for i in range(data.n):
-        reseat_observation(i, state, vn, data, hyper, rng)
+        reseat_observation(i, state, vn, data, hyper, rng, workspace)
+    del workspace  # frees its transposed copy of the data before the sums
     ctx = build_context(state, data, hyper)
     update_mu(state, ctx, hyper, rng)
     update_phi(state, hyper, rng)
@@ -270,15 +279,7 @@ def run_chain(
             np.random.SeedSequence(config.seed).spawn(n_streams)[chain_id]
         )
     k_max = _effective_k_max(hyper, data.n)
-    hyper_run = hyper if k_max == hyper.k_max else Hyperparams(
-        lambda0=hyper.lambda0,
-        lambda1=hyper.lambda1,
-        beta_theta=hyper.beta_theta,
-        alpha=hyper.alpha,
-        poisson_lambda=hyper.poisson_lambda,
-        k_max=k_max,
-        ssl_mode=hyper.ssl_mode,
-    )
+    hyper_run = hyper if k_max == hyper.k_max else replace(hyper, k_max=k_max)
     vn = build_vn_table(data.n, hyper_run)
     state = init_state(data, hyper_run, config, rng)
     total = config.n_burn + config.n_keep * config.thin

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import JOINT_SSL, DataMatrix, Hyperparams, ModelState
+from .core import JOINT_SSL, DataMatrix, Hyperparams, ModelState, cluster_sums
 from .distributions import sample_gig_half_vector
 from .errors import LengthMismatchError
 
@@ -42,9 +42,7 @@ class SslConditionalContext:
 
 def build_context(state: ModelState, data: DataMatrix, hyper: Hyperparams) -> SslConditionalContext:
     """Recompute cluster sums/sizes from scratch (avoids incremental drift)."""
-    k = state.k_active
-    sums = np.zeros((k, data.p))
-    np.add.at(sums, state.z - 1, data.values.T)
+    sums = cluster_sums(data.values, state.z, state.k_active)
     sizes = state.cluster_sizes()
     if sizes.sum() != data.n:
         raise LengthMismatchError("cluster sizes do not sum to n")
@@ -171,8 +169,17 @@ def sample_prior_phi(p: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def sample_prior_mu(
-    xi_row: np.ndarray, phi: np.ndarray, hyper: Hyperparams, rng: np.random.Generator
+    xi_row: np.ndarray,
+    phi: np.ndarray,
+    hyper: Hyperparams,
+    rng: np.random.Generator,
+    lam_sq: np.ndarray | None = None,
 ) -> np.ndarray:
-    """mu_j ~ N(0, phi_j / lambda_{xi_j}^2), one normal block ascending."""
-    lam_sq = np.where(xi_row == 1, hyper.lambda1**2, hyper.lambda0**2)
+    """mu_j ~ N(0, phi_j / lambda_{xi_j}^2), one normal block ascending.
+
+    ``lam_sq``, if given, is lambda_{xi_j}^2 for ``xi_row`` already
+    computed (the reseat pass reuses one row for every candidate).
+    """
+    if lam_sq is None:
+        lam_sq = np.where(xi_row == 1, hyper.lambda1**2, hyper.lambda0**2)
     return rng.standard_normal(phi.size) * np.sqrt(phi / lam_sq)

@@ -82,14 +82,17 @@ def build_vn_table(n: int, hyper: Hyperparams, mode: str = EXACT) -> VnTable:
     return VnTable(table=out, n=n, alpha=alpha, k_max=k_max, mode=mode)
 
 
-def gaussian_loglik(y: np.ndarray, mu: np.ndarray) -> np.ndarray:
+def gaussian_loglik(y: np.ndarray, mu: np.ndarray, diff: np.ndarray | None = None) -> np.ndarray:
     """-(1/2) ||y - mu_k||^2 for each row mu_k of a (K, p) array.
 
     The -(p/2) log(2 pi) constant is common to every reseating weight and
-    is omitted from all of them simultaneously.
+    is omitted from all of them simultaneously.  ``diff``, if given, is a
+    (K, p) buffer for the differences.
     """
-    d = mu - y
-    return -0.5 * np.einsum("kp,kp->k", d, d)
+    d = np.subtract(mu, y, out=diff)
+    ll = np.einsum("kp,kp->k", d, d)
+    ll *= -0.5
+    return ll
 
 
 def reseat_log_weights(
@@ -113,12 +116,69 @@ def reseat_log_weights(
     return logw
 
 
-def _remove_cluster(state: ModelState, c: int, column_mode: bool) -> None:
-    state.mu = np.delete(state.mu, c, axis=0)
-    state.phi = np.delete(state.phi, c, axis=0)
-    if column_mode:
-        state.xi = np.delete(state.xi, c, axis=0)
-    state.z = np.where(state.z > c + 1, state.z - 1, state.z)
+class ReseatWorkspace:
+    """Working buffers shared by the reseat calls of one pass over the observations.
+
+    Building one moves ``state.mu`` and ``state.phi`` (and ``state.xi`` in
+    column mode) into capacity-``k_max`` buffers and rebinds the state's
+    arrays to their leading K rows, so the state keeps its one
+    representation while clusters open and close without reallocation.
+    It also holds the cluster sizes, kept as they change, and what stays
+    fixed during the pass: the observations as contiguous rows, the
+    lambda^2 row of the shared indicators (joint mode) and the log weight
+    log(alpha) + log V_n(t+1) - log V_n(t) of opening cluster t+1.  It is
+    valid until the state changes other than through ``reseat_observation``.
+    """
+
+    __slots__ = ("k", "mu", "phi", "xi", "sizes", "log_prior", "diff", "obs", "lam_sq", "log_open")
+
+    def __init__(self, state: ModelState, data: DataMatrix, vn: VnTable, hyper: Hyperparams):
+        k, p = state.mu.shape
+        cap = max(vn.k_max, k)
+        self.k = k
+        self.mu = np.empty((cap, p))
+        self.mu[:k] = state.mu
+        state.mu = self.mu[:k]
+        self.phi = np.empty((cap, p))
+        self.phi[:k] = state.phi
+        state.phi = self.phi[:k]
+        if hyper.ssl_mode == COLUMN_SSL:
+            self.xi = np.empty((cap, p), dtype=state.xi.dtype)
+            self.xi[:k] = state.xi
+            state.xi = self.xi[:k]
+            self.lam_sq = None
+        else:
+            self.xi = None
+            self.lam_sq = np.where(state.xi == 1, hyper.lambda1**2, hyper.lambda0**2)
+        self.sizes = np.zeros(cap)
+        self.sizes[:k] = np.bincount(state.z, minlength=k + 1)[1:]
+        self.log_prior = np.empty(cap)
+        self.diff = np.empty((cap, p))
+        self.obs = np.ascontiguousarray(data.values.T)
+        self.log_open = np.full(cap, -np.inf)
+        self.log_open[1 : vn.k_max] = np.log(hyper.alpha) + (vn.table[1:] - vn.table[:-1])
+
+    def close(self, state: ModelState, c: int) -> None:
+        """Remove cluster c (0-based), keep labels dense, and park its
+        parameters in row K-1 of the buffers, where a candidate goes."""
+        k = self.k
+        for buf in (self.mu, self.phi) if self.xi is None else (self.mu, self.phi, self.xi):
+            row = buf[c].copy()
+            buf[c : k - 1] = buf[c + 1 : k]
+            buf[k - 1] = row
+        self.sizes[c : k - 1] = self.sizes[c + 1 : k]
+        self.sizes[k - 1] = 0.0
+        z = state.z
+        z[z > c + 1] -= 1
+        self.k = k - 1
+
+    def bind(self, state: ModelState) -> None:
+        """Point the state's arrays at the first K rows of the buffers."""
+        k = self.k
+        state.mu = self.mu[:k]
+        state.phi = self.phi[:k]
+        if self.xi is not None:
+            state.xi = self.xi[:k]
 
 
 def reseat_observation(
@@ -128,6 +188,7 @@ def reseat_observation(
     data: DataMatrix,
     hyper: Hyperparams,
     rng: np.random.Generator,
+    workspace: ReseatWorkspace | None = None,
 ) -> ModelState:
     """Remove observation i (0-based) from its cluster and reseat it.
 
@@ -138,52 +199,51 @@ def reseat_observation(
     candidate option is suppressed, and no candidate draws are consumed,
     when the active count without i already equals k_max.  Emptied
     clusters are removed and labels stay dense.
-    """
-    column_mode = hyper.ssl_mode == COLUMN_SSL
-    y = data.observation(i)
-    old_label = int(state.z[i])
-    counts = state.cluster_sizes()
 
-    singleton = counts[old_label - 1] == 1
-    if singleton:
-        mu_cand = state.mu[old_label - 1].copy()
-        phi_cand = state.phi[old_label - 1].copy()
-        xi_cand = state.xi[old_label - 1].copy() if column_mode else None
-        _remove_cluster(state, old_label - 1, column_mode)
-        counts = np.delete(counts, old_label - 1)
+    The weights are those of ``reseat_log_weights``, computed with the same
+    operations in the same order.  ``workspace`` carries state between the
+    calls of one pass (see ``ReseatWorkspace``); without one, a fresh one
+    is built for this call.
+    """
+    ws = workspace if workspace is not None else ReseatWorkspace(state, data, vn, hyper)
+    sizes = ws.sizes
+    old = int(state.z[i]) - 1
+    k = ws.k
+    if sizes[old] == 1.0:
+        ws.close(state, old)
+        t = k - 1
         allow_candidate = True
     else:
-        counts[old_label - 1] -= 1
-        allow_candidate = state.k_active < vn.k_max
-        xi_cand = None
+        sizes[old] -= 1.0
+        t = k
+        allow_candidate = t < vn.k_max
         if allow_candidate:
-            if column_mode:
-                xi_cand = (rng.random(state.p) < state.theta).astype(np.int8)
-                xi_for_draw = xi_cand
+            if ws.xi is None:
+                xi_row, lam_sq = state.xi, ws.lam_sq
             else:
-                xi_for_draw = state.xi
+                xi_row = (rng.random(state.p) < state.theta).astype(np.int8)
+                ws.xi[t] = xi_row
+                lam_sq = None
             phi_cand = sample_prior_phi(state.p, rng)
-            mu_cand = sample_prior_mu(xi_for_draw, phi_cand, hyper, rng)
-        else:
-            phi_cand = mu_cand = None
+            ws.phi[t] = phi_cand
+            ws.mu[t] = sample_prior_mu(xi_row, phi_cand, hyper, rng, lam_sq)
 
-    t = state.k_active
-    logw = reseat_log_weights(
-        y,
-        state.mu,
-        counts.astype(float),
-        hyper.alpha,
-        vn.log_ratio(t) if allow_candidate else -np.inf,
-        mu_cand if allow_candidate else None,
-    )
+    # log(n_k^- + alpha) - ||y - mu_k||^2 / 2 for k < t, then the candidate's
+    # log(alpha) + log V_n(t+1) - log V_n(t) - ||y - mu_cand||^2 / 2
+    m = t + 1 if allow_candidate else t
+    log_prior = ws.log_prior[:m]
+    np.add(sizes[:t], hyper.alpha, out=log_prior[:t])
+    np.log(log_prior[:t], out=log_prior[:t])
+    if allow_candidate:
+        log_prior[t] = ws.log_open[t]
+    logw = gaussian_loglik(ws.obs[i], ws.mu[:m], ws.diff[:m])
+    np.add(log_prior, logw, out=logw)
     choice = sample_categorical_log(logw, rng)
 
+    state.z[i] = choice + 1
+    sizes[choice] += 1.0
     if choice == t:
-        state.mu = np.vstack([state.mu, mu_cand[None, :]])
-        state.phi = np.vstack([state.phi, phi_cand[None, :]])
-        if column_mode:
-            state.xi = np.vstack([state.xi, xi_cand[None, :]])
-        state.z[i] = t + 1
-    else:
-        state.z[i] = choice + 1
+        ws.k = t + 1
+    if ws.k != k:
+        ws.bind(state)
     return state

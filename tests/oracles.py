@@ -3,7 +3,9 @@
 Everything here is deliberately naive: direct sums, exhaustive
 enumeration, quadrature.  None of it shares code with the package paths
 it verifies.  ``centre_error`` is the one loss the tests use that the
-package does not provide.
+package does not provide.  ``reference_sweep`` and ``reference_kmeans``
+keep the sampler's reseat pass and the k-means Lloyd loop in their first,
+allocation-heavy form, as bitwise references for the lean ones.
 """
 
 from itertools import permutations, product
@@ -12,6 +14,14 @@ from math import comb, factorial, inf, log
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import linear_sum_assignment
+
+from sparsegmm.ssl import (
+    SslConditionalContext,
+    update_mu,
+    update_phi,
+    update_theta,
+    update_xi,
+)
 
 
 def gig_moment_quad(zeta: float, chi: float, tau: float, order: int) -> float:
@@ -157,3 +167,145 @@ def permute_snapshot_labels(z, mu, perm):
     z_new = perm[np.asarray(z) - 1]
     order = np.argsort(perm)
     return z_new, np.asarray(mu)[order]
+
+
+def _reference_reseat(i, state, vn, data, hyper, rng):
+    """Reseat observation i the way the urn step was first written.
+
+    Cluster sizes by a bincount per call, emptied clusters removed with
+    np.delete, opened ones appended with np.vstack; the prior candidate
+    and the categorical draw made from raw generator calls.
+    """
+    column = hyper.ssl_mode == "column"
+    p = data.p
+    y = data.values[:, i]
+    old = int(state.z[i])
+    counts = np.bincount(state.z, minlength=state.k_active + 1)[1:]
+    if counts[old - 1] == 1:
+        mu_c, phi_c = state.mu[old - 1].copy(), state.phi[old - 1].copy()
+        xi_c = state.xi[old - 1].copy() if column else None
+        state.mu = np.delete(state.mu, old - 1, axis=0)
+        state.phi = np.delete(state.phi, old - 1, axis=0)
+        if column:
+            state.xi = np.delete(state.xi, old - 1, axis=0)
+        state.z = np.where(state.z > old, state.z - 1, state.z)
+        counts = np.delete(counts, old - 1)
+        allow = True
+    else:
+        counts[old - 1] -= 1
+        allow = state.k_active < vn.k_max
+        if allow:
+            xi_row = state.xi
+            if column:
+                xi_c = xi_row = (rng.random(p) < state.theta).astype(np.int8)
+            phi_c = rng.exponential(2.0, size=p)
+            lam_sq = np.where(xi_row == 1, hyper.lambda1**2, hyper.lambda0**2)
+            mu_c = rng.standard_normal(p) * np.sqrt(phi_c / lam_sq)
+
+    t = state.k_active
+    d = state.mu - y
+    logw = np.log(counts.astype(float) + hyper.alpha) + -0.5 * np.einsum("kp,kp->k", d, d)
+    if allow:
+        log_ratio = float(vn.table[t]) - float(vn.table[t - 1])
+        dc = mu_c[None, :] - y
+        cand = np.log(hyper.alpha) + log_ratio + (-0.5 * np.einsum("kp,kp->k", dc, dc))[0]
+        logw = np.append(logw, cand)
+    w = np.exp(logw - np.max(logw))
+    cdf = np.cumsum(w)
+    u = rng.random() * cdf[-1]
+    choice = int(min(np.searchsorted(cdf, u, side="right"), logw.size - 1))
+
+    if choice == t:
+        state.mu = np.vstack([state.mu, mu_c[None, :]])
+        state.phi = np.vstack([state.phi, phi_c[None, :]])
+        if column:
+            state.xi = np.vstack([state.xi, xi_c[None, :]])
+    state.z[i] = choice + 1
+
+
+def reference_sweep(state, data, vn, hyper, rng):
+    """One sweep with the naive reseat pass and np.add.at cluster sums.
+
+    The mean, scale, indicator and theta updates are the package's own;
+    what this checks is the reseat pass and the sufficient statistics.
+    """
+    for i in range(data.n):
+        _reference_reseat(i, state, vn, data, hyper, rng)
+    k = state.k_active
+    sums = np.zeros((k, data.p))
+    np.add.at(sums, state.z - 1, data.values.T)
+    ctx = SslConditionalContext(
+        cluster_sums=sums,
+        cluster_sizes=np.bincount(state.z, minlength=k + 1)[1:],
+        lambda0=hyper.lambda0,
+        lambda1=hyper.lambda1,
+        beta_theta=hyper.beta_theta,
+    )
+    update_mu(state, ctx, hyper, rng)
+    update_phi(state, hyper, rng)
+    update_xi(state, hyper, rng)
+    update_theta(state, hyper, rng)
+    return state
+
+
+def reference_kmeans(values, k, seed=0, n_restarts=8, max_iters=100):
+    """(mu, z, objective, reseeds): k-means with the Lloyd loop first written.
+
+    The same restarts as ``fit_kmeans`` (even: k observations drawn without
+    replacement; odd: means of a random partition), np.add.at sums, the
+    squared norms recomputed at every assignment, and ``reseeds`` counting
+    the empty clusters re-seeded at the worst-fit observation.
+    """
+    p, n = values.shape
+    streams = np.random.SeedSequence(seed).spawn(n_restarts)
+
+    def assign(mu):
+        d2 = (
+            (values * values).sum(axis=0)[:, None]
+            - 2.0 * values.T @ mu
+            + (mu * mu).sum(axis=0)[None, :]
+        )
+        return d2.argmin(axis=1) + 1
+
+    best = (None, None, inf)
+    reseeds = 0
+    for r in range(n_restarts):
+        rng = np.random.default_rng(streams[r])
+        if r % 2 == 0:
+            mu = values[:, rng.choice(n, size=k, replace=False)].copy()
+        else:
+            z0 = np.empty(n, dtype=int)
+            z0[:k] = np.arange(1, k + 1)
+            z0[k:] = rng.integers(1, k + 1, size=n - k)
+            rng.shuffle(z0)
+            sums = np.zeros((p, k))
+            np.add.at(sums.T, z0 - 1, values.T)
+            mu = sums / np.bincount(z0, minlength=k + 1)[1:][None, :]
+        z_prev = None
+        run_best = (None, None, inf)
+        for _ in range(max_iters):
+            z = assign(mu)
+            sizes = np.bincount(z, minlength=k + 1)[1:]
+            for _attempt in range(k):
+                if not (sizes == 0).any():
+                    break
+                resid = ((values - mu[:, z - 1]) ** 2).sum(axis=0)
+                mu[:, int(np.flatnonzero(sizes == 0)[0])] = values[:, int(np.argmax(resid))]
+                reseeds += 1
+                z = assign(mu)
+                sizes = np.bincount(z, minlength=k + 1)[1:]
+            sums = np.zeros((p, k))
+            np.add.at(sums.T, z - 1, values.T)
+            nonempty = sizes > 0
+            mu = mu.copy()
+            mu[:, nonempty] = sums[:, nonempty] / sizes[nonempty][None, :]
+            resid = values - mu[:, z - 1]
+            obj = float(np.sum(resid * resid))
+            if obj < run_best[2]:
+                run_best = (mu.copy(), z.copy(), obj)
+            if z_prev is not None and np.array_equal(z, z_prev):
+                break
+            z_prev = z
+        if run_best[2] < best[2]:
+            best = run_best
+    return best + (reseeds,)

@@ -1,0 +1,106 @@
+"""Bitwise equality of the lean sampler paths with their naive references.
+
+The reseat pass, the cluster sums and the k-means Lloyd loop were
+rewritten to do less work with the same random draws and the same
+arithmetic.  These tests hold them to the first versions kept in
+``oracles.py``: every array must be equal bit for bit, not close.
+"""
+
+import numpy as np
+import pytest
+
+import sparsegmm.gibbs as gibbs
+from oracles import reference_kmeans, reference_sweep
+from sparsegmm.cmle import fit_kmeans
+from sparsegmm.core import DataMatrix, Hyperparams, cluster_sums
+from sparsegmm.gibbs import InitSpec, RunConfig, init_state, sweep
+from sparsegmm.synthetic import ScenarioSpec, generate
+from sparsegmm.urn import build_vn_table
+
+
+def _churning_design(ssl_mode):
+    """Two groups at p=3, n=24, with a prior that favours more clusters:
+    small clusters keep opening and closing, and K often reaches k_max=4."""
+    rng = np.random.default_rng(1)
+    lab = rng.integers(0, 2, size=24)
+    centres = np.array([[2.0, -2.0], [1.0, -1.0], [0.0, 0.0]])
+    data = DataMatrix(centres[:, lab] + rng.standard_normal((3, 24)))
+    hyper = Hyperparams(lambda0=2.0, lambda1=1.0, beta_theta=2.0, alpha=1.0,
+                        poisson_lambda=6.0, k_max=4, ssl_mode=ssl_mode)
+    return data, hyper
+
+
+@pytest.mark.parametrize("ssl_mode", ["joint", "column"])
+def test_sweep_matches_reference_sweep_bitwise(ssl_mode, monkeypatch):
+    data, hyper = _churning_design(ssl_mode)
+    vn = build_vn_table(data.n, hyper)
+    state = init_state(data, hyper, RunConfig(init=InitSpec("random_k", 2)),
+                       np.random.default_rng(1))
+    ref = state.copy()
+
+    moves = {"opened": 0, "closed": 0, "at_k_max": 0}
+    reseat = gibbs.reseat_observation
+
+    def counting_reseat(i, st, *args, **kwargs):
+        before = st.k_active
+        out = reseat(i, st, *args, **kwargs)
+        moves["opened"] += st.k_active > before
+        moves["closed"] += st.k_active < before
+        moves["at_k_max"] += before == hyper.k_max
+        return out
+
+    monkeypatch.setattr(gibbs, "reseat_observation", counting_reseat)
+    rng, rng_ref = np.random.default_rng(101), np.random.default_rng(101)
+    for s in range(30):
+        sweep(state, data, vn, hyper, rng)
+        reference_sweep(ref, data, vn, hyper, rng_ref)
+        assert np.array_equal(state.z, ref.z), s
+        assert np.array_equal(state.mu, ref.mu), s
+        assert np.array_equal(state.phi, ref.phi), s
+        assert np.array_equal(state.xi, ref.xi), s
+        assert state.theta == ref.theta, s
+    # the paths that matter ran: clusters opened and closed, and reseats
+    # started at K = k_max, where a non-singleton gets no candidate
+    assert moves["opened"] >= 5 and moves["closed"] >= 5, moves
+    assert moves["at_k_max"] >= 50, moves
+
+
+@pytest.mark.parametrize("p", [1, 2, 7, 64])
+def test_cluster_sums_match_add_at_bitwise(p):
+    rng = np.random.default_rng(p)
+    n, k = 300, 5
+    # magnitudes over 16 decades, so a different order of addition shows
+    values = rng.standard_normal((p, n)) * 10.0 ** rng.integers(-8, 8, size=(p, n))
+    z = rng.permutation(np.repeat(np.arange(1, k + 1), n // k))
+    z[z == 4] = 3  # leave label 4 empty
+    expected = np.zeros((k, p))
+    np.add.at(expected, z - 1, values.T)
+    got = cluster_sums(values, z, k)
+    assert np.array_equal(got, expected)
+    assert not got[3].any()
+
+
+@pytest.mark.parametrize("scenario,seed", [("one", 1), ("one", 2), ("two", 1), ("two", 3)])
+def test_fit_kmeans_matches_reference_kmeans_bitwise(scenario, seed):
+    spec = ScenarioSpec(scenario=scenario, p=60, n=120, s=6 if scenario == "one" else None,
+                        mean_scale=1.5, seed=seed)
+    data = generate(spec)[0]
+    mu, z, obj = fit_kmeans(data, 3, seed=seed)
+    mu_ref, z_ref, obj_ref, _ = reference_kmeans(data.values, 3, seed=seed)
+    assert np.array_equal(mu, mu_ref)
+    assert np.array_equal(z, z_ref)
+    assert obj == obj_ref
+
+
+def test_fit_kmeans_matches_reference_through_empty_cluster_reseed():
+    # eight centres for 12 observations in three tight groups: starts at the
+    # means of a random partition leave clusters empty, and they are re-seeded
+    rng = np.random.default_rng(4)
+    values = np.repeat(np.array([[0.0, 5.0, 10.0]]), 4, axis=1) + 0.1 * rng.standard_normal((1, 12))
+    values = np.vstack([values, 0.1 * rng.standard_normal((1, 12))])
+    mu, z, obj = fit_kmeans(DataMatrix(values), 8, seed=3)
+    mu_ref, z_ref, obj_ref, reseeds = reference_kmeans(values, 8, seed=3)
+    assert reseeds > 0
+    assert np.array_equal(mu, mu_ref)
+    assert np.array_equal(z, z_ref)
+    assert obj == obj_ref
