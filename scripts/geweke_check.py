@@ -6,6 +6,12 @@ states from a chain that alternates data regeneration with one sampler
 sweep.  If every conditional update is correct the two agree; a bug in
 any update shows up as a drift measured in Monte-Carlo standard errors.
 
+Statistics: theta, K, the first coordinate of cluster 1's mean (mu11)
+and its square, the same coordinate of observation 1's cluster mean
+squared (label-invariant: forward states label clusters by first
+appearance, the chain's label 1 is its oldest surviving cluster), and
+P(K=k) for each k.
+
 Example:
     python3 scripts/geweke_check.py --rounds 50000 --ssl-mode column
 """
@@ -21,6 +27,14 @@ from sparsegmm.core import Hyperparams
 from sparsegmm.gibbs import sweep
 from sparsegmm.priorsim import batch_means_se, forward_prior_state, regenerate_data
 from sparsegmm.urn import build_vn_table
+
+
+STATS = ("theta", "K", "mu11", "mu11^2", "mu_z1^2")
+
+
+def _stats(st):
+    own = st.mu[st.z[0] - 1, 0]
+    return st.theta, st.k_active, st.mu[0, 0], st.mu[0, 0] ** 2, own * own
 
 
 def main(argv=None):
@@ -44,24 +58,23 @@ def main(argv=None):
     )
     rounds = args.rounds
     rng_f = np.random.default_rng(args.seed)
-    fwd = np.empty((rounds, 4))
+    fwd = np.empty((rounds, len(STATS)))
     for r in range(rounds):
-        st = forward_prior_state(args.n, args.p, hyper, rng_f)
-        fwd[r] = (st.theta, st.k_active, st.mu[0, 0], st.mu[0, 0] ** 2)
+        fwd[r] = _stats(forward_prior_state(args.n, args.p, hyper, rng_f))
 
     rng_c = np.random.default_rng(args.seed + 1)
     st = forward_prior_state(args.n, args.p, hyper, rng_c)
     vn = build_vn_table(args.n, hyper)
-    chain = np.empty((rounds, 4))
+    chain = np.empty((rounds, len(STATS)))
     t0 = time.time()
     for r in range(rounds):
         data = regenerate_data(st, rng_c)
         sweep(st, data, vn, hyper, rng_c)
-        chain[r] = (st.theta, st.k_active, st.mu[0, 0], st.mu[0, 0] ** 2)
+        chain[r] = _stats(st)
     print(f"chain side: {time.time() - t0:.1f}s for {rounds} rounds")
 
     worst = 0.0
-    for j, name in enumerate(("theta", "K", "mu11", "mu11^2")):
+    for j, name in enumerate(STATS):
         se = math.hypot(fwd[:, j].std(ddof=1) / math.sqrt(rounds),
                         batch_means_se(chain[:, j]))
         z = abs(fwd[:, j].mean() - chain[:, j].mean()) / se

@@ -13,7 +13,7 @@ Designs (data seed = chain seed):
   large_joint    scenario I, p=n=1000, s=6, mean_scale 1.5, seed 1001;
                  one joint-mode chain, 10 + 30 sweeps
   chains_column  scenario II, p=400, n=200, s=8, seed 1; four column-mode
-                 chains of 15 + 35 sweeps, on 1 worker and on 2
+                 chains of 15 + 35 sweeps
 
 Example:
     PYTHONPATH=src python3 scripts/trace_digest.py
@@ -58,9 +58,7 @@ def design_chains_column():
     data = _data("two", 400, 200, 8, 1.0, 1)
     hyper = sg.default_hyperparams(400, ssl_mode="column")
     config = sg.RunConfig(n_burn=15, n_keep=35, n_chains=4, seed=1, store_dense_mu=True)
-    for workers in (1, 2):
-        yield (f"chains_column {workers} worker{'s' if workers > 1 else ''}",
-               sg.run_chains(data, hyper, config, n_workers=workers))
+    yield "chains_column", sg.run_chains(data, hyper, config)
 
 
 DESIGNS = {

@@ -27,7 +27,6 @@ from .experiment import (
     run_experiment,
     save_matrix_csv,
 )
-from .gibbs import default_workers
 from .preprocess import preprocess_scrna
 from .summarize import psrf_report
 from .synthetic import ScenarioSpec, generate
@@ -71,7 +70,6 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--sparsity", type=int, help="row-sparsity budget for cmle")
     fit.add_argument("--truth", help="JSON sidecar with z_true/mu_true")
     fit.add_argument("--out", required=True, help="output directory")
-    fit.add_argument("--workers", type=int, default=None)
     fit.add_argument("--quiet", action="store_true")
 
     ev = sub.add_parser("evaluate", help="score an estimate against truth")
@@ -88,7 +86,6 @@ def _build_parser() -> argparse.ArgumentParser:
     rp = sub.add_parser("report", help="run a full experiment from a config file")
     rp.add_argument("--config", required=True, help="experiment JSON config")
     rp.add_argument("--out", help="override the config's output directory")
-    rp.add_argument("--workers", type=int, default=None)
     rp.add_argument("--quiet", action="store_true")
     return top
 
@@ -178,7 +175,6 @@ def _cmd_fit(args) -> int:
     bundle = run_experiment(
         config,
         config_dict=cfg_dict,
-        n_workers=args.workers if args.workers is not None else default_workers(),
         progress=_progress_printer(args.quiet),
     )
     print(f"k_hat={bundle.estimate.k_hat} -> {config.output_dir}")
@@ -229,7 +225,6 @@ def _cmd_report(args) -> int:
     bundle = run_experiment(
         config,
         config_dict=cfg_dict,
-        n_workers=args.workers if args.workers is not None else default_workers(),
         progress=_progress_printer(args.quiet),
     )
     summary = {"k_hat": bundle.estimate.k_hat, "output_dir": config.output_dir}

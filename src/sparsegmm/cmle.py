@@ -64,7 +64,7 @@ def _assign(values: np.ndarray, sq_norms: np.ndarray, mu: np.ndarray) -> np.ndar
 
     ``sq_norms`` holds the squared norm of each observation (column).
     """
-    d2 = sq_norms[:, None] - 2.0 * values.T @ mu + (mu * mu).sum(axis=0)[None, :]
+    d2 = sq_norms[:, None] - 2.0 * (values.T @ mu) + (mu * mu).sum(axis=0)[None, :]
     return d2.argmin(axis=1) + 1
 
 

@@ -7,7 +7,9 @@ the truncated Poisson pmf, and log-domain categorical sampling.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
@@ -204,15 +206,17 @@ def sample_categorical_log(log_weights, rng: np.random.Generator) -> int:
     """Index j with probability exp(lw_j - logsumexp(lw)).
 
     Stable for weights separated by hundreds of nats; draws exactly one
-    uniform from ``rng``.
+    uniform from ``rng``.  Written for the reseat step's few weights (at
+    most k_max + 1): on Python floats, a handful cost less than the numpy
+    calls that a vectorized version makes.
     """
-    lw = np.asarray(log_weights, dtype=float)
-    m = np.maximum.reduce(lw)
+    lw = np.asarray(log_weights, dtype=float).tolist()
+    m = max(lw)
     if not math.isfinite(m):
         raise AllWeightsNegInfiniteError("no finite log-weight")
-    cdf = np.subtract(lw, m)
-    np.exp(cdf, out=cdf)
-    np.add.accumulate(cdf, out=cdf)
-    u = rng.random() * cdf[-1]
-    j = int(cdf.searchsorted(u, side="right"))
-    return j if j < lw.size else lw.size - 1
+    exp = math.exp
+    cdf = list(accumulate([exp(w - m) for w in lw]))
+    if not cdf[-1] >= 1.0:  # a NaN after the first weight, which max() passes over
+        raise AllWeightsNegInfiniteError("a log-weight is NaN")
+    j = bisect_right(cdf, rng.random() * cdf[-1])
+    return j if j < len(cdf) else len(cdf) - 1

@@ -253,7 +253,6 @@ def _manifest(config_dict: dict, data: DataMatrix) -> dict:
 def run_experiment(
     config: ExperimentConfig,
     config_dict: dict | None = None,
-    n_workers: int | None = None,
     progress=None,
 ) -> ReportBundle:
     """simulate/ingest -> fit -> align -> estimate -> metrics -> diagnostics.
@@ -278,7 +277,7 @@ def run_experiment(
     diagnostics = None
     if config.method == METHOD_BAYESIAN:
         hyper = resolve_hyperparams(data.p, config.hyper_overrides)
-        traces = run_chains(data, hyper, config.run, n_workers=n_workers, progress=progress)
+        traces = run_chains(data, hyper, config.run, progress=progress)
         for t in traces:
             (out_dir / f"trace_chain{t.meta.chain_id}.ndjson").write_text(
                 trace_to_ndjson(t)

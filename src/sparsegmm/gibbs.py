@@ -3,10 +3,14 @@
 Draw order within a chain is fixed for reproducibility.  One sweep
 consumes randomness in this order:
 
-1. reseating, observations i = 1..n ascending (per observation: in
-   column mode a candidate indicator block, then candidate auxiliaries,
-   then candidate mean, all skipped for departing singletons or when
-   the candidate is suppressed; then one categorical uniform);
+1. reseating, observations i = 1..n ascending.  Before the first
+   observation of each block of B = min(n, max(1, 2^16 // p))
+   observations (the last block shorter), the block's candidate means:
+   in column mode a B x p block of uniforms for the indicators, then a
+   B x p standard exponential block and a B x p block of uniforms for
+   the signs.  Per observation: one categorical uniform; then, only if
+   it opens a cluster from its candidate, one GIG block for the new
+   cluster's auxiliaries;
 2. mean update, clusters ascending, one normal block per cluster in
    coordinate order;
 3. auxiliary update, clusters ascending (inverse-Gaussian block then
@@ -25,9 +29,7 @@ both SSL modes.
 
 from __future__ import annotations
 
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -235,7 +237,6 @@ def sweep(
     workspace = ReseatWorkspace(state, data, vn, hyper)
     for i in range(data.n):
         reseat_observation(i, state, vn, data, hyper, rng, workspace)
-    del workspace  # frees its transposed copy of the data before the sums
     ctx = build_context(state, data, hyper)
     update_mu(state, ctx, hyper, rng)
     update_phi(state, hyper, rng)
@@ -312,43 +313,17 @@ def run_chain(
     return ChainTrace(snapshots=snaps, meta=meta)
 
 
-def default_workers() -> int:
-    env = os.environ.get("SPARSEGMM_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
-
-
 def run_chains(
     data: DataMatrix,
     hyper: Hyperparams,
     config: RunConfig,
-    n_workers: int | None = None,
     progress: ProgressCallback | None = None,
 ) -> list[ChainTrace]:
-    """Run config.n_chains independent chains.
+    """Run config.n_chains independent chains, one after another.
 
-    Each chain owns a generator spawned from the master seed, so results
-    are identical whatever the worker count; output is ordered by chain id.
+    Chain c owns the generator of the c-th stream spawned from the master
+    seed, so it equals ``run_chain(..., chain_id=c)``; output is ordered
+    by chain id.
     """
-    seeds = np.random.SeedSequence(config.seed).spawn(config.n_chains)
-    workers = n_workers if n_workers is not None else default_workers()
-
-    def job(cid: int) -> ChainTrace:
-        return run_chain(
-            data,
-            hyper,
-            config,
-            chain_id=cid,
-            rng=np.random.default_rng(seeds[cid]),
-            progress=progress,
-        )
-
-    ids = range(config.n_chains)
-    if workers <= 1 or config.n_chains == 1:
-        return [job(cid) for cid in ids]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(job, ids))
+    return [run_chain(data, hyper, config, chain_id=cid, progress=progress)
+            for cid in range(config.n_chains)]

@@ -169,17 +169,8 @@ def sample_prior_phi(p: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def sample_prior_mu(
-    xi_row: np.ndarray,
-    phi: np.ndarray,
-    hyper: Hyperparams,
-    rng: np.random.Generator,
-    lam_sq: np.ndarray | None = None,
+    xi_row: np.ndarray, phi: np.ndarray, hyper: Hyperparams, rng: np.random.Generator
 ) -> np.ndarray:
-    """mu_j ~ N(0, phi_j / lambda_{xi_j}^2), one normal block ascending.
-
-    ``lam_sq``, if given, is lambda_{xi_j}^2 for ``xi_row`` already
-    computed (the reseat pass reuses one row for every candidate).
-    """
-    if lam_sq is None:
-        lam_sq = np.where(xi_row == 1, hyper.lambda1**2, hyper.lambda0**2)
+    """mu_j ~ N(0, phi_j / lambda_{xi_j}^2), one normal block ascending."""
+    lam_sq = np.where(xi_row == 1, hyper.lambda1**2, hyper.lambda0**2)
     return rng.standard_normal(phi.size) * np.sqrt(phi / lam_sq)

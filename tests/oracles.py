@@ -3,9 +3,10 @@
 Everything here is deliberately naive: direct sums, exhaustive
 enumeration, quadrature.  None of it shares code with the package paths
 it verifies.  ``centre_error`` is the one loss the tests use that the
-package does not provide.  ``reference_sweep`` and ``reference_kmeans``
-keep the sampler's reseat pass and the k-means Lloyd loop in their first,
-allocation-heavy form, as bitwise references for the lean ones.
+package does not provide.  ``reference_sweep`` writes the sampler's
+reseat pass plainly (direct distances, per-call allocation) and
+``reference_kmeans`` keeps the k-means Lloyd loop in its first form, as
+bitwise references for the lean ones.
 """
 
 from itertools import permutations, product
@@ -15,6 +16,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import linear_sum_assignment
 
+from sparsegmm.distributions import sample_gig_half_vector
 from sparsegmm.ssl import (
     SslConditionalContext,
     update_mu,
@@ -169,53 +171,66 @@ def permute_snapshot_labels(z, mu, perm):
     return z_new, np.asarray(mu)[order]
 
 
-def _reference_reseat(i, state, vn, data, hyper, rng):
-    """Reseat observation i the way the urn step was first written.
+def _reference_candidates(rows, state, data, hyper, rng):
+    """Candidate means for the next ``rows`` observations, drawn as one
+    block: in column mode the indicators from a block of uniforms, then
+    sign * E / lambda with E standard exponential and the sign from a
+    block of uniforms."""
+    shape = (rows, data.p)
+    if hyper.ssl_mode == "column":
+        xi = (rng.random(shape) < state.theta).astype(np.int8)
+    else:
+        xi = np.broadcast_to(state.xi, shape)
+    lam = np.where(xi == 1, hyper.lambda1, hyper.lambda0)
+    e = rng.standard_exponential(shape)
+    sign = np.where(rng.random(shape) < 0.5, -1.0, 1.0)
+    return sign * e / lam, xi
 
-    Cluster sizes by a bincount per call, emptied clusters removed with
-    np.delete, opened ones appended with np.vstack; the prior candidate
-    and the categorical draw made from raw generator calls.
+
+def _reference_reseat(i, state, vn, data, hyper, rng, cand_mu, cand_xi):
+    """Reseat observation i with one auxiliary cluster, written plainly;
+    ``cand_mu`` and ``cand_xi`` are i's drawn candidate.
+
+    Cluster sizes by a bincount per call, a departing singleton's cluster
+    removed with np.delete (its parameters are the candidate), an opened
+    one appended with np.vstack, and the distances ||y - mu||^2 computed
+    directly.  Draws: one categorical uniform; on opening from the drawn
+    candidate, the package's GIG(1/2) sampler for the scales.
     """
     column = hyper.ssl_mode == "column"
-    p = data.p
     y = data.values[:, i]
     old = int(state.z[i])
     counts = np.bincount(state.z, minlength=state.k_active + 1)[1:]
-    if counts[old - 1] == 1:
-        mu_c, phi_c = state.mu[old - 1].copy(), state.phi[old - 1].copy()
-        xi_c = state.xi[old - 1].copy() if column else None
+    drawn = counts[old - 1] > 1
+    if drawn:
+        counts[old - 1] -= 1
+        mu_c, xi_c, phi_c = cand_mu, cand_xi, None
+    else:
+        mu_c, phi_c = state.mu[old - 1], state.phi[old - 1]
+        xi_c = state.xi[old - 1] if column else None
         state.mu = np.delete(state.mu, old - 1, axis=0)
         state.phi = np.delete(state.phi, old - 1, axis=0)
         if column:
             state.xi = np.delete(state.xi, old - 1, axis=0)
         state.z = np.where(state.z > old, state.z - 1, state.z)
         counts = np.delete(counts, old - 1)
-        allow = True
-    else:
-        counts[old - 1] -= 1
-        allow = state.k_active < vn.k_max
-        if allow:
-            xi_row = state.xi
-            if column:
-                xi_c = xi_row = (rng.random(p) < state.theta).astype(np.int8)
-            phi_c = rng.exponential(2.0, size=p)
-            lam_sq = np.where(xi_row == 1, hyper.lambda1**2, hyper.lambda0**2)
-            mu_c = rng.standard_normal(p) * np.sqrt(phi_c / lam_sq)
 
     t = state.k_active
     d = state.mu - y
-    logw = np.log(counts.astype(float) + hyper.alpha) + -0.5 * np.einsum("kp,kp->k", d, d)
-    if allow:
+    logw = np.log(counts.astype(float) + hyper.alpha) - 0.5 * np.sum(d * d, axis=1)
+    if not drawn or t < vn.k_max:
         log_ratio = float(vn.table[t]) - float(vn.table[t - 1])
-        dc = mu_c[None, :] - y
-        cand = np.log(hyper.alpha) + log_ratio + (-0.5 * np.einsum("kp,kp->k", dc, dc))[0]
-        logw = np.append(logw, cand)
+        new = np.log(hyper.alpha) + log_ratio - 0.5 * np.sum((mu_c - y) ** 2)
+        logw = np.append(logw, new)
     w = np.exp(logw - np.max(logw))
     cdf = np.cumsum(w)
     u = rng.random() * cdf[-1]
     choice = int(min(np.searchsorted(cdf, u, side="right"), logw.size - 1))
 
     if choice == t:
+        if drawn:
+            lam = np.where(xi_c == 1, hyper.lambda1, hyper.lambda0)
+            phi_c = sample_gig_half_vector((lam * mu_c) ** 2, 1.0, rng)
         state.mu = np.vstack([state.mu, mu_c[None, :]])
         state.phi = np.vstack([state.phi, phi_c[None, :]])
         if column:
@@ -223,14 +238,22 @@ def _reference_reseat(i, state, vn, data, hyper, rng):
     state.z[i] = choice + 1
 
 
-def reference_sweep(state, data, vn, hyper, rng):
-    """One sweep with the naive reseat pass and np.add.at cluster sums.
+def reference_sweep(state, data, vn, hyper, rng, block_elements=1 << 16):
+    """One sweep with the plain reseat pass and np.add.at cluster sums.
 
-    The mean, scale, indicator and theta updates are the package's own;
-    what this checks is the reseat pass and the sufficient statistics.
+    Candidates are drawn a block at a time, as the kernel does: a block of
+    max(1, block_elements // p) observations, at most n, drawn before the
+    first observation it covers and between the reseats of the block
+    before it.  The mean, scale, indicator and theta updates, and the
+    GIG(1/2) sampler a new cluster's scales come from, are the package's
+    own; what this checks is the reseat pass and the sufficient statistics.
     """
-    for i in range(data.n):
-        _reference_reseat(i, state, vn, data, hyper, rng)
+    block = min(max(1, block_elements // data.p), data.n)
+    for start in range(0, data.n, block):
+        rows = min(block, data.n - start)
+        cand_mu, cand_xi = _reference_candidates(rows, state, data, hyper, rng)
+        for r in range(rows):
+            _reference_reseat(start + r, state, vn, data, hyper, rng, cand_mu[r], cand_xi[r])
     k = state.k_active
     sums = np.zeros((k, data.p))
     np.add.at(sums, state.z - 1, data.values.T)

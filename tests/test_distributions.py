@@ -150,6 +150,12 @@ def test_categorical_all_neg_infinite():
         sample_categorical_log([-np.inf, -np.inf], np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("lw", [[0.0, np.nan], [np.nan, 0.0], [0.0, np.nan, -1.0]])
+def test_categorical_nan_weight_raises(lw):
+    with pytest.raises(AllWeightsNegInfiniteError):
+        sample_categorical_log(lw, np.random.default_rng(0))
+
+
 def test_categorical_shift_invariant_draws():
     lw = np.array([-3.0, 0.5, -700.0])
     a = [sample_categorical_log(lw, np.random.default_rng(7)) for _ in range(500)]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import trunc_poisson_pmf_direct, vn_bruteforce
-from sparsegmm.core import COLUMN_SSL, DataMatrix, Hyperparams
+from sparsegmm.core import COLUMN_SSL, DataMatrix, Hyperparams, trace_to_ndjson
 from sparsegmm.core import default_hyperparams as sg_default
 from sparsegmm.errors import InvalidKError
 from sparsegmm.gibbs import (
@@ -118,91 +118,104 @@ def test_sweep_identical_observations_kmax_one():
 
 
 def test_sweep_matches_hand_trace_at_toy_scale():
-    """Replay one sweep at p=1, n=2 with an independent re-derivation.
+    """Replay sweeps at p=1, n=2 with an independent re-derivation.
 
-    Every formula (weights, conditershals, draw order) is recomputed here
-    from scratch; only the raw generator stream is shared.
+    Every formula (weights, the candidate's prior and the new cluster's
+    scales, conditionals, draw order) is recomputed here from scratch; only
+    the raw generator stream is shared.  Seeds 6 and 75 open a cluster from
+    a drawn candidate; then seed 6 closes it and seed 75 keeps it as the
+    departing singleton's own candidate.
     """
     hyper = Hyperparams(lambda0=4.0, lambda1=1.0, beta_theta=2.0, alpha=1.0,
                         poisson_lambda=2.0, k_max=2)
     y = np.array([[0.8, -0.6]])
     data = DataMatrix(y)
     vn = build_vn_table(2, hyper)
-
-    state = init_state(data, hyper, RunConfig(init=InitSpec("single")), np.random.default_rng(0))
-    sweep(state, data, vn, hyper, np.random.default_rng(123))
-
-    # --- independent replay -------------------------------------------------
-    rng = np.random.default_rng(123)
     pk = trunc_poisson_pmf_direct(2.0, 2)
     log_ratio_t1 = math.log(vn_bruteforce(2, 2, 1.0, pk) / vn_bruteforce(2, 1, 1.0, pk))
-
-    mu = [y.mean()]          # single init cluster at the sample mean
-    phi = [1.0]
-    z = [1, 1]
-    xi = 0
-    theta = 1.0 / 3.0        # prior mean with beta_theta = 2
     lam = [hyper.lambda0, hyper.lambda1]
+    opened = closed = 0
 
-    def categorical(logw):
-        logw = np.asarray(logw)
-        w = np.exp(logw - logw.max())
-        cdf = np.cumsum(w)
-        u = rng.random() * cdf[-1]
-        return int(min(np.searchsorted(cdf, u, side="right"), logw.size - 1))
+    for seed in (123, 6, 75):
+        state = init_state(data, hyper, RunConfig(init=InitSpec("single")),
+                           np.random.default_rng(0))
+        sweep(state, data, vn, hyper, np.random.default_rng(seed))
 
-    for i in (0, 1):
-        sizes = [z.count(c + 1) for c in range(len(mu))]
-        if sizes[z[i] - 1] == 1:
-            cand_mu, cand_phi = mu[z[i] - 1], phi[z[i] - 1]
-            del mu[z[i] - 1], phi[z[i] - 1]
-            znew = []
-            for v in z:
-                znew.append(v - 1 if v > z[i] else v)
-            z = znew
-            sizes = [z.count(c + 1) for c in range(len(mu)) ]
-        else:
-            sizes[z[i] - 1] -= 1
-            cand_phi = float(rng.exponential(2.0, size=1)[0])
-            cand_mu = float(rng.standard_normal(1)[0]) * math.sqrt(cand_phi / lam[xi] ** 2)
-        t = len(mu)
-        logw = [
-            math.log(sizes[c] + 1.0) - 0.5 * (y[0, i] - mu[c]) ** 2 for c in range(t)
-        ]
-        if t < 2:
-            logw.append(math.log(1.0) + log_ratio_t1 - 0.5 * (y[0, i] - cand_mu) ** 2)
-        choice = categorical(logw)
-        if choice == t:
-            mu.append(cand_mu)
-            phi.append(cand_phi)
-            z[i] = t + 1
-        else:
+        # --- independent replay ---------------------------------------------
+        rng = np.random.default_rng(seed)
+        mu = [y.mean()]          # single init cluster at the sample mean
+        phi = [1.0]
+        z = [1, 1]
+        xi = 0
+        theta = 1.0 / 3.0        # prior mean with beta_theta = 2
+
+        def categorical(logw):
+            logw = np.asarray(logw)
+            w = np.exp(logw - logw.max())
+            cdf = np.cumsum(w)
+            u = rng.random() * cdf[-1]
+            return int(min(np.searchsorted(cdf, u, side="right"), logw.size - 1))
+
+        # the block of both candidates first (p = 1): exponentials, then
+        # uniforms for their signs, scaled by 1 / lambda_xi
+        e = rng.standard_exponential((2, 1))[:, 0]
+        u = rng.random((2, 1))[:, 0]
+        cand = [(-1.0 if u[j] < 0.5 else 1.0) * e[j] / lam[xi] for j in (0, 1)]
+        for i in (0, 1):
+            yi = y[0, i]
+            sizes = [z.count(c + 1) for c in range(len(mu))]
+            drawn = sizes[z[i] - 1] > 1
+            if drawn:
+                sizes[z[i] - 1] -= 1
+                cand_mu, cand_phi = cand[i], None
+            else:
+                # a departing singleton offers its own parameters
+                cand_mu, cand_phi = mu[z[i] - 1], phi[z[i] - 1]
+                del mu[z[i] - 1], phi[z[i] - 1]
+                z = [v - 1 if v > z[i] else v for v in z]
+                sizes = [z.count(c + 1) for c in range(len(mu))]
+                closed += 1
+            t = len(mu)
+            logw = [math.log(sizes[c] + 1.0) - 0.5 * (yi - mu[c]) ** 2 for c in range(t)]
+            if not drawn or t < 2:
+                logw.append(math.log(1.0) + log_ratio_t1 - 0.5 * (yi - cand_mu) ** 2)
+            choice = categorical(logw)
+            if choice == t:
+                if drawn:
+                    # phi ~ GIG(1/2, (lam mu)^2, 1), its prior given the mean
+                    chi = (lam[xi] * cand_mu) ** 2
+                    assert chi > 1e-8  # the inverse-Gaussian branch
+                    cand_phi = float(1.0 / rng.wald(np.sqrt(1.0 / np.array([chi])), 1.0)[0])
+                    opened += 1
+                mu.append(cand_mu)
+                phi.append(cand_phi)
             z[i] = choice + 1
 
-    for c in range(len(mu)):
-        members = [y[0, j] for j in range(2) if z[j] == c + 1]
-        prec = len(members) + lam[xi] ** 2 / phi[c]
-        mu[c] = sum(members) / prec + float(rng.standard_normal(1)[0]) / math.sqrt(prec)
-    for c in range(len(mu)):
-        chi = mu[c] ** 2 * lam[xi] ** 2
-        if chi > 1e-300:
-            phi[c] = float(1.0 / rng.wald(np.sqrt(1.0 / chi), 1.0))
-        else:
-            phi[c] = float(rng.gamma(0.5, 2.0, size=1)[0])
-    k_active = len(mu)
-    sq = sum(mu[c] ** 2 / phi[c] for c in range(k_active))
-    log_slab = k_active * math.log(lam[1]) - 0.5 * lam[1] ** 2 * sq + math.log(theta)
-    log_spike = k_active * math.log(lam[0]) - 0.5 * lam[0] ** 2 * sq + math.log(1 - theta)
-    prob = 1.0 / (1.0 + math.exp(-(log_slab - log_spike)))
-    xi = int(rng.random(1)[0] < prob)
-    a, b = 1.0 + xi, 2.0 + 1 - xi
-    theta = float(rng.beta(a, b))
+        for c in range(len(mu)):
+            members = [y[0, j] for j in range(2) if z[j] == c + 1]
+            prec = len(members) + lam[xi] ** 2 / phi[c]
+            mu[c] = sum(members) / prec + float(rng.standard_normal(1)[0]) / math.sqrt(prec)
+        for c in range(len(mu)):
+            chi = mu[c] ** 2 * lam[xi] ** 2
+            if chi > 1e-300:
+                phi[c] = float(1.0 / rng.wald(np.sqrt(1.0 / chi), 1.0))
+            else:
+                phi[c] = float(rng.gamma(0.5, 2.0, size=1)[0])
+        k_active = len(mu)
+        sq = sum(mu[c] ** 2 / phi[c] for c in range(k_active))
+        log_slab = k_active * math.log(lam[1]) - 0.5 * lam[1] ** 2 * sq + math.log(theta)
+        log_spike = k_active * math.log(lam[0]) - 0.5 * lam[0] ** 2 * sq + math.log(1 - theta)
+        prob = 1.0 / (1.0 + math.exp(-(log_slab - log_spike)))
+        xi = int(rng.random(1)[0] < prob)
+        a, b = 1.0 + xi, 2.0 + 1 - xi
+        theta = float(rng.beta(a, b))
 
-    assert np.array_equal(state.z, np.array(z))
-    assert state.mu[:, 0] == pytest.approx(np.array(mu), abs=0, rel=0)
-    assert state.phi[:, 0] == pytest.approx(np.array(phi), abs=0, rel=0)
-    assert state.xi[0] == xi
-    assert state.theta == theta
+        assert np.array_equal(state.z, np.array(z)), seed
+        assert state.mu[:, 0] == pytest.approx(np.array(mu), abs=0, rel=0), seed
+        assert state.phi[:, 0] == pytest.approx(np.array(phi), abs=0, rel=0), seed
+        assert state.xi[0] == xi, seed
+        assert state.theta == theta, seed
+    assert opened and closed, (opened, closed)
 
 
 def test_run_chain_counts_snapshots():
@@ -251,17 +264,15 @@ def test_run_chains_single_equals_run_chain():
         assert np.array_equal(a.z, b.z) and a.theta == b.theta
 
 
-def test_run_chains_worker_count_does_not_change_output():
+def test_run_chains_match_run_chain_per_chain_id():
+    """Chain c of run_chains is run_chain(..., chain_id=c), bit for bit."""
     data, _ = _blobs(seed=10, n_per=5)
-    cfg = RunConfig(n_burn=1, n_keep=5, seed=33, n_chains=4)
-    serial = run_chains(data, _hyper(), cfg, n_workers=1)
-    parallel = run_chains(data, _hyper(), cfg, n_workers=4)
-    assert [t.meta.chain_id for t in parallel] == [0, 1, 2, 3]
-    for a, b in zip(serial, parallel):
-        for sa, sb in zip(a.snapshots, b.snapshots):
-            assert np.array_equal(sa.z, sb.z)
-            assert sa.theta == sb.theta
-            assert np.array_equal(sa.mu_support, sb.mu_support)
+    cfg = RunConfig(n_burn=1, n_keep=5, seed=33, n_chains=4, store_dense_mu=True)
+    chains = run_chains(data, _hyper(), cfg)
+    assert [t.meta.chain_id for t in chains] == [0, 1, 2, 3]
+    for cid, multi in enumerate(chains):
+        solo = run_chain(data, _hyper(), cfg, chain_id=cid)
+        assert trace_to_ndjson(solo) == trace_to_ndjson(multi)
 
 
 def test_run_chains_five_chains_agree_on_separated_blobs():

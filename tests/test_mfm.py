@@ -2,17 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
+import sparsegmm.urn as urn
 from oracles import trunc_poisson_pmf_direct, vn_bruteforce
-from sparsegmm.core import DataMatrix, Hyperparams, ModelState
+from sparsegmm.core import COLUMN_SSL, DataMatrix, Hyperparams, ModelState
 from sparsegmm.distributions import sample_categorical_log
-from sparsegmm.urn import (
-    STIRLING,
-    build_vn_table,
-    gaussian_loglik,
-    reseat_log_weights,
-    reseat_observation,
-)
+from sparsegmm.urn import STIRLING, ReseatWorkspace, build_vn_table, reseat_observation
 
 
 def _hyper(alpha=1.0, rate=2.0, k_max=5, **kw):
@@ -66,57 +62,86 @@ def test_vn_stirling_mode_differs_from_exact():
     assert not np.allclose(exact.table, approx.table)
 
 
-def test_reseat_weights_two_identical_clusters():
-    y = np.array([0.3, -0.2])
-    mus = np.zeros((2, 2))
-    logw = reseat_log_weights(y, mus, np.array([3.0, 3.0]), 1.0, -np.inf, None)
-    p = np.exp(logw - logw.max())
-    p /= p.sum()
-    assert p == pytest.approx([0.5, 0.5])
+def _reseat_weights(monkeypatch, i, state, data, hyper, seed=0):
+    """The log weights the reseat kernel hands to its categorical draw, and
+    the workspace, which holds observation i's candidate."""
+    seen = []
+
+    def spy(logw, rng):
+        seen.append(np.array(logw, copy=True))
+        return sample_categorical_log(logw, rng)
+
+    monkeypatch.setattr(urn, "sample_categorical_log", spy)
+    vn = build_vn_table(data.n, hyper)
+    ws = ReseatWorkspace(state, data, vn, hyper)
+    reseat_observation(i, state, vn, data, hyper, np.random.default_rng(seed), ws)
+    assert len(seen) == 1
+    return seen[0], ws
 
 
-def test_reseat_weights_match_hand_oracle():
-    # two clusters at p=1 plus one candidate; hand-normalized three-term weights
-    y = np.array([0.7])
-    mus = np.array([[0.0], [2.0]])
-    sizes = np.array([1.0, 2.0])
-    alpha = 1.3
-    log_ratio = math.log(0.4)  # stands in for V_n(t+1)/V_n(t)
-    mu_cand = np.array([1.0])
-    logw = reseat_log_weights(y, mus, sizes, alpha, log_ratio, mu_cand)
-
-    def loglik(mu):
-        return -0.5 * (y[0] - mu) ** 2
-
-    hand = np.array(
-        [
-            math.log(1.0 + alpha) + loglik(0.0),
-            math.log(2.0 + alpha) + loglik(2.0),
-            math.log(alpha) + log_ratio + loglik(1.0),
-        ]
-    )
-    hand_p = np.exp(hand - hand.max())
-    hand_p /= hand_p.sum()
-    p = np.exp(logw - logw.max())
-    p /= p.sum()
-    assert p == pytest.approx(hand_p, abs=1e-12)
+def _probs(logw):
+    w = np.exp(np.asarray(logw) - np.max(logw))
+    return w / w.sum()
 
 
-def test_reseat_weights_shift_invariance():
-    y = np.array([0.7])
-    mus = np.array([[0.0], [2.0]])
-    logw = reseat_log_weights(y, mus, np.array([1.0, 2.0]), 1.0, 0.0, np.array([1.0]))
+def test_reseat_weights_two_identical_clusters(monkeypatch):
+    # obs 0 leaves cluster 1; both clusters then hold 3 members at mean 0
+    data = DataMatrix(np.array([[0.3, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [-0.2] * 7]))
+    state = ModelState(z=np.array([1, 1, 1, 1, 2, 2, 2]), mu=np.zeros((2, 2)),
+                       phi=np.ones((2, 2)), xi=np.zeros(2, dtype=np.int8), theta=0.1)
+    logw, _ = _reseat_weights(monkeypatch, 0, state, data, _hyper())
+    assert logw.size == 3
+    assert logw[0] == pytest.approx(logw[1], abs=1e-12)
+
+
+def test_reseat_weights_match_hand_oracle(monkeypatch):
+    # p=1: two clusters plus the candidate mean c drawn for obs 0;
+    # hand-normalized three-term weights, the V_n ratio by brute force
+    alpha, y = 1.3, 0.7
+    pk = trunc_poisson_pmf_direct(2.0, 5)
+    ratio = vn_bruteforce(4, 3, alpha, pk) / vn_bruteforce(4, 2, alpha, pk)
+
+    def gauss(mu):
+        return math.exp(-0.5 * (y - mu) ** 2)
+
+    for ssl_mode in ("joint", "column"):
+        column = ssl_mode == COLUMN_SSL
+        hyper = Hyperparams(lambda0=4.0, lambda1=1.0, beta_theta=3.0, alpha=alpha,
+                            poisson_lambda=2.0, k_max=5, ssl_mode=ssl_mode)
+        data = DataMatrix(np.array([[y, 0.1, 1.9, 2.2]]))
+        xi = np.array([[0], [1]], dtype=np.int8) if column else np.array([1], dtype=np.int8)
+        state = ModelState(z=np.array([1, 1, 2, 2]), mu=np.array([[0.0], [2.0]]),
+                           phi=np.ones((2, 1)), xi=xi, theta=0.25)
+        logw, ws = _reseat_weights(monkeypatch, 0, state, data, hyper)
+        cand = float(ws.cand_mu[0, 0])
+        hand = np.array([(1 + alpha) * gauss(0.0), (2 + alpha) * gauss(2.0),
+                         alpha * ratio * gauss(cand)])
+        assert _probs(logw) == pytest.approx(hand / hand.sum(), abs=1e-12), ssl_mode
+
+
+def test_reseat_weights_shift_invariance(monkeypatch):
+    data = DataMatrix(np.array([[0.7, 0.1, 1.9, 2.2]]))
+    state = ModelState(z=np.array([1, 1, 2, 2]), mu=np.array([[0.0], [2.0]]),
+                       phi=np.ones((2, 1)), xi=np.zeros(1, dtype=np.int8), theta=0.1)
+    logw, _ = _reseat_weights(monkeypatch, 0, state, data, _hyper())
     a = [sample_categorical_log(logw, np.random.default_rng(5)) for _ in range(400)]
     b = [sample_categorical_log(logw + 55.5, np.random.default_rng(5)) for _ in range(400)]
     assert a == b
 
 
-def test_gaussian_loglik_drops_shared_constant_only():
-    y = np.zeros(3)
-    mus = np.stack([np.zeros(3), np.ones(3)])
-    ll = gaussian_loglik(y, mus)
-    assert ll[0] == 0.0
-    assert ll[1] == pytest.approx(-1.5)
+def test_gaussian_loglik_drops_shared_constant_only(monkeypatch):
+    # y = 0 at p = 3: every weight omits the same -(3/2) log(2 pi) and is
+    # shifted by the same ||y||^2 / 2, so the differences are the hand ones
+    hyper = _hyper(alpha=1.0, k_max=5)
+    data = DataMatrix(np.zeros((3, 5)))
+    state = ModelState(z=np.array([1, 1, 1, 2, 2]), mu=np.stack([np.zeros(3), np.ones(3)]),
+                       phi=np.ones((2, 3)), xi=np.ones(3, dtype=np.int8), theta=0.1)
+    logw, ws = _reseat_weights(monkeypatch, 0, state, data, hyper)
+    cand = ws.cand_mu[0]
+    vn = build_vn_table(5, hyper)
+    assert logw[1] - logw[0] == pytest.approx(-1.5, abs=1e-12)
+    new_minus_first = vn.log_ratio(2) - 0.5 * float(cand @ cand) - math.log(3.0)
+    assert logw[2] - logw[0] == pytest.approx(new_minus_first, abs=1e-12)
 
 
 def _toy_state():
@@ -176,6 +201,84 @@ def test_departing_singleton_keeps_its_parameters_bitwise():
     assert state.z[0] == 2
     assert np.array_equal(state.mu[1], mu_singleton)
     assert np.array_equal(state.phi[1], phi_singleton)
+
+
+def _laplace_cdf(lam):
+    def cdf(x):
+        x = np.asarray(x, dtype=float)
+        return np.where(x < 0, 0.5 * np.exp(lam * np.minimum(x, 0.0)),
+                        1.0 - 0.5 * np.exp(-lam * np.maximum(x, 0.0)))
+    return cdf
+
+
+@pytest.mark.parametrize("ssl_mode", ["joint", "column"])
+def test_candidates_follow_the_prior(ssl_mode):
+    """Candidate means are Laplace(lambda_{xi_j}) draws (KS per rate); in
+    column mode the candidate indicators are Bernoulli(theta)."""
+    column = ssl_mode == COLUMN_SSL
+    hyper = Hyperparams(lambda0=100.0, lambda1=1.0, beta_theta=3.0, k_max=4, ssl_mode=ssl_mode)
+    p, n, theta = 4, 5000, 0.3
+    data = DataMatrix(np.zeros((p, n)))
+    xi = np.ones((1, p), dtype=np.int8) if column else np.array([0, 1, 0, 1], dtype=np.int8)
+    state = ModelState(z=np.ones(n, dtype=int), mu=np.zeros((1, p)), phi=np.ones((1, p)),
+                       xi=xi, theta=theta)
+    ws = ReseatWorkspace(state, data, build_vn_table(n, hyper), hyper)
+    ws.candidate(0, np.random.default_rng(17))
+    mu = ws.cand_mu
+    assert mu.shape == (n, p)
+    if column:
+        ones = ws.cand_xi.mean()
+        assert abs(ones - theta) / math.sqrt(theta * (1 - theta) / (n * p)) < 4
+        slab = ws.cand_xi == 1
+    else:
+        slab = np.broadcast_to(xi == 1, mu.shape)
+    for draws, lam in ((mu[~slab], hyper.lambda0), (mu[slab], hyper.lambda1)):
+        assert stats.kstest(draws, _laplace_cdf(lam)).pvalue > 1e-3, lam
+
+
+@pytest.mark.parametrize("ssl_mode", ["joint", "column"])
+def test_inner_product_distances_match_direct(ssl_mode, monkeypatch):
+    """The workspace's ||y_i||^2 + ||mu_k||^2 - 2 G_ik equal ||y_i - mu_k||^2,
+    also after a pass that opened and closed clusters, and its candidate
+    weights ||y_i||^2 / 2 - ||y_i - c_i||^2 / 2 those computed directly."""
+    rng = np.random.default_rng(2)
+    p, n = 200, 60
+    values = rng.standard_normal((p, n)) + 3.0 * rng.integers(-2, 3, size=(p, 1))
+    data = DataMatrix(values)
+    hyper = Hyperparams(lambda0=4.0, lambda1=1.0, beta_theta=2.0, poisson_lambda=8.0,
+                        k_max=8, ssl_mode=ssl_mode)
+    k = 3
+    xi = np.ones((k, p) if ssl_mode == COLUMN_SSL else p, dtype=np.int8)
+    state = ModelState(z=rng.integers(1, k + 1, size=n), mu=rng.standard_normal((k, p)),
+                       phi=np.ones((k, p)), xi=xi, theta=0.5)
+    state.z[:k] = np.arange(1, k + 1)
+    vn = build_vn_table(n, hyper)
+    sq_norms = (values * values).sum(axis=0)
+    # blocks of 16 candidates, so a pass crosses block boundaries (the last one short)
+    monkeypatch.setattr(urn, "_CHUNK_ELEMENTS", 16 * p)
+    moves = 0
+
+    def check(ws):
+        kk = ws.k
+        got = sq_norms[:, None] + 2.0 * ws.half_sq[None, :kk] - 2.0 * ws.g[:, :kk]
+        want = ((values.T[:, None, :] - state.mu[None, :, :]) ** 2).sum(axis=2)
+        assert got == pytest.approx(want, rel=1e-9, abs=0)
+
+    for _ in range(3):
+        ws = ReseatWorkspace(state, data, vn, hyper)
+        assert ws.cand_mu.shape[0] == 16
+        check(ws)
+        for i in range(n):
+            before = ws.k
+            reseat_observation(i, state, vn, data, hyper, rng, ws)
+            moves += ws.k != before
+            a, rows = ws.start, ws.cand_w.size
+            y = values[:, a : a + rows].T
+            got = sq_norms[a : a + rows] - 2.0 * ws.cand_w
+            want = ((y - ws.cand_mu[:rows]) ** 2).sum(axis=1)
+            assert got == pytest.approx(want, rel=1e-9, abs=0)
+        check(ws)
+    assert moves > 0
 
 
 def test_emptied_cluster_labels_stay_dense():

@@ -1,15 +1,18 @@
 """Bitwise equality of the lean sampler paths with their naive references.
 
-The reseat pass, the cluster sums and the k-means Lloyd loop were
-rewritten to do less work with the same random draws and the same
-arithmetic.  These tests hold them to the first versions kept in
-``oracles.py``: every array must be equal bit for bit, not close.
+The cluster sums and the k-means Lloyd loop were rewritten to do less
+work with the same random draws and the same arithmetic; the reseat pass
+computes its distances from inner products, which changes the weights by
+rounding only, and the weights only steer categorical draws.  These tests
+hold them to the plain versions kept in ``oracles.py``: every array must
+be equal bit for bit, not close.
 """
 
 import numpy as np
 import pytest
 
 import sparsegmm.gibbs as gibbs
+import sparsegmm.urn as urn
 from oracles import reference_kmeans, reference_sweep
 from sparsegmm.cmle import fit_kmeans
 from sparsegmm.core import DataMatrix, Hyperparams, cluster_sums
@@ -30,9 +33,13 @@ def _churning_design(ssl_mode):
     return data, hyper
 
 
-@pytest.mark.parametrize("ssl_mode", ["joint", "column"])
-def test_sweep_matches_reference_sweep_bitwise(ssl_mode, monkeypatch):
+def _check_sweeps_match_reference(ssl_mode, rows, monkeypatch):
+    """40 sweeps of the kernel and of the reference from equal streams,
+    with candidate blocks of ``rows`` observations (None: the kernel's own
+    size, one block for all 24 here)."""
     data, hyper = _churning_design(ssl_mode)
+    block_elements = urn._CHUNK_ELEMENTS if rows is None else rows * data.p
+    monkeypatch.setattr(urn, "_CHUNK_ELEMENTS", block_elements)
     vn = build_vn_table(data.n, hyper)
     state = init_state(data, hyper, RunConfig(init=InitSpec("random_k", 2)),
                        np.random.default_rng(1))
@@ -51,18 +58,31 @@ def test_sweep_matches_reference_sweep_bitwise(ssl_mode, monkeypatch):
 
     monkeypatch.setattr(gibbs, "reseat_observation", counting_reseat)
     rng, rng_ref = np.random.default_rng(101), np.random.default_rng(101)
-    for s in range(30):
+    for s in range(40):
         sweep(state, data, vn, hyper, rng)
-        reference_sweep(ref, data, vn, hyper, rng_ref)
+        reference_sweep(ref, data, vn, hyper, rng_ref, block_elements)
         assert np.array_equal(state.z, ref.z), s
         assert np.array_equal(state.mu, ref.mu), s
         assert np.array_equal(state.phi, ref.phi), s
         assert np.array_equal(state.xi, ref.xi), s
         assert state.theta == ref.theta, s
     # the paths that matter ran: clusters opened and closed, and reseats
-    # started at K = k_max, where a non-singleton gets no candidate
+    # started at K = k_max, where a non-singleton is offered no new cluster
     assert moves["opened"] >= 5 and moves["closed"] >= 5, moves
     assert moves["at_k_max"] >= 50, moves
+
+
+@pytest.mark.parametrize("ssl_mode", ["joint", "column"])
+def test_sweep_matches_reference_sweep_bitwise(ssl_mode, monkeypatch):
+    _check_sweeps_match_reference(ssl_mode, None, monkeypatch)
+
+
+@pytest.mark.parametrize("rows", [5, 1])
+@pytest.mark.parametrize("ssl_mode", ["joint", "column"])
+def test_sweep_matches_reference_sweep_bitwise_across_blocks(ssl_mode, rows, monkeypatch):
+    # blocks of 5 with a short last one, and one candidate at a time: the
+    # draw order across block boundaries, which every large run crosses
+    _check_sweeps_match_reference(ssl_mode, rows, monkeypatch)
 
 
 @pytest.mark.parametrize("p", [1, 2, 7, 64])
