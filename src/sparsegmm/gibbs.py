@@ -4,16 +4,14 @@ Draw order within a chain is fixed for reproducibility.  One sweep
 consumes randomness in this order:
 
 1. reseating, observations i = 1..n ascending.  Before the first
-   observation of each block of B = min(n, max(1, 2^16 // p))
-   observations (the last block shorter), the block's candidate means:
-   in column mode a B x p block of uniforms for the indicators, then a
-   B x p standard exponential block and a B x p block of uniforms for
-   the signs.  Per observation: one categorical uniform; then, only if
-   it opens a cluster from its candidate, one GIG block for the new
-   cluster's auxiliaries;
+   observation, the pass's auxiliary cluster: in column mode a block of
+   p uniforms for its indicators, then a block of p exponentials for its
+   scales and a block of p standard normals for its mean.  Per
+   observation: one categorical uniform; then, only if it opens a
+   cluster, the same three blocks for a fresh auxiliary;
 2. mean update, clusters ascending, one normal block per cluster in
    coordinate order;
-3. auxiliary update, clusters ascending (inverse-Gaussian block then
+3. scale update, clusters ascending (inverse-Gaussian block then
    Gamma block per cluster);
 4. indicator update (one uniform block, features ascending; per cluster
    in column mode);
@@ -234,7 +232,7 @@ def sweep(
     rng: np.random.Generator,
 ) -> ModelState:
     """One full iteration: reseat all observations, then mu, phi, xi, theta."""
-    workspace = ReseatWorkspace(state, data, vn, hyper)
+    workspace = ReseatWorkspace(state, data, vn, hyper, rng)
     for i in range(data.n):
         reseat_observation(i, state, vn, data, hyper, rng, workspace)
     ctx = build_context(state, data, hyper)

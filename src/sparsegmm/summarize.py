@@ -14,10 +14,15 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
-from .assignment import solve_assignment
 from .core import ChainTrace, ClusterEstimate, DataMatrix, Snapshot
 from .errors import LengthMismatchError
+
+
+def solve_assignment(cost: np.ndarray) -> np.ndarray:
+    """Column index assigned to each row of a square cost matrix, minimizing total cost."""
+    return linear_sum_assignment(cost)[1]
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import linear_sum_assignment
 
-from sparsegmm.distributions import sample_gig_half_vector
 from sparsegmm.ssl import (
     SslConditionalContext,
     update_mu,
@@ -171,56 +170,56 @@ def permute_snapshot_labels(z, mu, perm):
     return z_new, np.asarray(mu)[order]
 
 
-def _reference_candidates(rows, state, data, hyper, rng):
-    """Candidate means for the next ``rows`` observations, drawn as one
-    block: in column mode the indicators from a block of uniforms, then
-    sign * E / lambda with E standard exponential and the sign from a
-    block of uniforms."""
-    shape = (rows, data.p)
+def _reference_auxiliary(state, hyper, rng):
+    """(mu, phi, xi) of a fresh auxiliary cluster drawn from the prior: in
+    column mode indicators from p uniforms against theta, then phi from p
+    Exp(rate 1/2) draws and mu from p standard normals scaled by
+    sqrt(phi) / lambda_xi."""
+    p = state.p
     if hyper.ssl_mode == "column":
-        xi = (rng.random(shape) < state.theta).astype(np.int8)
+        xi = (rng.random(p) < state.theta).astype(np.int8)
     else:
-        xi = np.broadcast_to(state.xi, shape)
+        xi = state.xi.copy()
+    phi = rng.exponential(2.0, size=p)
     lam = np.where(xi == 1, hyper.lambda1, hyper.lambda0)
-    e = rng.standard_exponential(shape)
-    sign = np.where(rng.random(shape) < 0.5, -1.0, 1.0)
-    return sign * e / lam, xi
+    mu = rng.standard_normal(p) * np.sqrt(phi / lam**2)
+    return mu, phi, xi
 
 
-def _reference_reseat(i, state, vn, data, hyper, rng, cand_mu, cand_xi):
+def _reference_reseat(i, state, vn, data, hyper, rng, aux):
     """Reseat observation i with one auxiliary cluster, written plainly;
-    ``cand_mu`` and ``cand_xi`` are i's drawn candidate.
+    ``aux`` is the (mu, phi, xi) the pass carries, and the one it carries
+    on is returned.
 
     Cluster sizes by a bincount per call, a departing singleton's cluster
-    removed with np.delete (its parameters are the candidate), an opened
-    one appended with np.vstack, and the distances ||y - mu||^2 computed
-    directly.  Draws: one categorical uniform; on opening from the drawn
-    candidate, the package's GIG(1/2) sampler for the scales.
+    removed with np.delete (its parameters replace the auxiliary), an
+    opened one appended with np.vstack, and the distances ||y - mu||^2
+    computed directly.  Draws: one categorical uniform; after an open, a
+    fresh auxiliary.
     """
     column = hyper.ssl_mode == "column"
     y = data.values[:, i]
     old = int(state.z[i])
     counts = np.bincount(state.z, minlength=state.k_active + 1)[1:]
-    drawn = counts[old - 1] > 1
-    if drawn:
-        counts[old - 1] -= 1
-        mu_c, xi_c, phi_c = cand_mu, cand_xi, None
-    else:
-        mu_c, phi_c = state.mu[old - 1], state.phi[old - 1]
-        xi_c = state.xi[old - 1] if column else None
+    singleton = counts[old - 1] == 1
+    if singleton:
+        aux = (state.mu[old - 1].copy(), state.phi[old - 1].copy(),
+               state.xi[old - 1].copy() if column else state.xi.copy())
         state.mu = np.delete(state.mu, old - 1, axis=0)
         state.phi = np.delete(state.phi, old - 1, axis=0)
         if column:
             state.xi = np.delete(state.xi, old - 1, axis=0)
         state.z = np.where(state.z > old, state.z - 1, state.z)
         counts = np.delete(counts, old - 1)
+    else:
+        counts[old - 1] -= 1
 
     t = state.k_active
     d = state.mu - y
     logw = np.log(counts.astype(float) + hyper.alpha) - 0.5 * np.sum(d * d, axis=1)
-    if not drawn or t < vn.k_max:
+    if t < vn.k_max:
         log_ratio = float(vn.table[t]) - float(vn.table[t - 1])
-        new = np.log(hyper.alpha) + log_ratio - 0.5 * np.sum((mu_c - y) ** 2)
+        new = np.log(hyper.alpha) + log_ratio - 0.5 * np.sum((aux[0] - y) ** 2)
         logw = np.append(logw, new)
     w = np.exp(logw - np.max(logw))
     cdf = np.cumsum(w)
@@ -228,32 +227,29 @@ def _reference_reseat(i, state, vn, data, hyper, rng, cand_mu, cand_xi):
     choice = int(min(np.searchsorted(cdf, u, side="right"), logw.size - 1))
 
     if choice == t:
-        if drawn:
-            lam = np.where(xi_c == 1, hyper.lambda1, hyper.lambda0)
-            phi_c = sample_gig_half_vector((lam * mu_c) ** 2, 1.0, rng)
-        state.mu = np.vstack([state.mu, mu_c[None, :]])
-        state.phi = np.vstack([state.phi, phi_c[None, :]])
+        mu_a, phi_a, xi_a = aux
+        state.mu = np.vstack([state.mu, mu_a[None, :]])
+        state.phi = np.vstack([state.phi, phi_a[None, :]])
         if column:
-            state.xi = np.vstack([state.xi, xi_c[None, :]])
+            state.xi = np.vstack([state.xi, xi_a[None, :]])
     state.z[i] = choice + 1
+    if choice == t:
+        aux = _reference_auxiliary(state, hyper, rng)
+    return aux
 
 
-def reference_sweep(state, data, vn, hyper, rng, block_elements=1 << 16):
+def reference_sweep(state, data, vn, hyper, rng):
     """One sweep with the plain reseat pass and np.add.at cluster sums.
 
-    Candidates are drawn a block at a time, as the kernel does: a block of
-    max(1, block_elements // p) observations, at most n, drawn before the
-    first observation it covers and between the reseats of the block
-    before it.  The mean, scale, indicator and theta updates, and the
-    GIG(1/2) sampler a new cluster's scales come from, are the package's
-    own; what this checks is the reseat pass and the sufficient statistics.
+    The reseat pass keeps one auxiliary cluster: drawn from the prior
+    before the first observation, replaced by a departing singleton's
+    parameters, redrawn after it opens a cluster, dropped at the end.
+    The mean, scale, indicator and theta updates are the package's own;
+    what this checks is the reseat pass and the sufficient statistics.
     """
-    block = min(max(1, block_elements // data.p), data.n)
-    for start in range(0, data.n, block):
-        rows = min(block, data.n - start)
-        cand_mu, cand_xi = _reference_candidates(rows, state, data, hyper, rng)
-        for r in range(rows):
-            _reference_reseat(start + r, state, vn, data, hyper, rng, cand_mu[r], cand_xi[r])
+    aux = _reference_auxiliary(state, hyper, rng)
+    for i in range(data.n):
+        aux = _reference_reseat(i, state, vn, data, hyper, rng, aux)
     k = state.k_active
     sums = np.zeros((k, data.p))
     np.add.at(sums, state.z - 1, data.values.T)

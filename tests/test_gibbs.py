@@ -117,78 +117,59 @@ def test_sweep_identical_observations_kmax_one():
         assert state.k_active == 1
 
 
-def test_sweep_matches_hand_trace_at_toy_scale():
-    """Replay sweeps at p=1, n=2 with an independent re-derivation.
-
-    Every formula (weights, the candidate's prior and the new cluster's
-    scales, conditionals, draw order) is recomputed here from scratch; only
-    the raw generator stream is shared.  Seeds 6 and 75 open a cluster from
-    a drawn candidate; then seed 6 closes it and seed 75 keeps it as the
-    departing singleton's own candidate.
-    """
-    hyper = Hyperparams(lambda0=4.0, lambda1=1.0, beta_theta=2.0, alpha=1.0,
-                        poisson_lambda=2.0, k_max=2)
-    y = np.array([[0.8, -0.6]])
-    data = DataMatrix(y)
-    vn = build_vn_table(2, hyper)
-    pk = trunc_poisson_pmf_direct(2.0, 2)
-    log_ratio_t1 = math.log(vn_bruteforce(2, 2, 1.0, pk) / vn_bruteforce(2, 1, 1.0, pk))
+def _replay_toy_sweeps(seed, hyper, y, log_ratio_t1, n_sweeps, events):
+    """Replay ``n_sweeps`` sweeps at p=1, n=2 from the single-cluster start,
+    computing every formula from scratch; only the raw generator stream is
+    shared with the package.  Returns (z, mu, phi, xi, theta) and counts in
+    ``events`` the auxiliary's uses: an open from a fresh prior draw, a
+    departing singleton reopening its own parameters, and an observation
+    weighing another one's closed singleton."""
+    rng = np.random.default_rng(seed)
     lam = [hyper.lambda0, hyper.lambda1]
-    opened = closed = 0
+    mu = [y.mean()]          # single init cluster at the sample mean
+    phi = [1.0]
+    z = [1, 1]
+    xi = 0
+    theta = 1.0 / 3.0        # prior mean with beta_theta = 2
 
-    for seed in (123, 6, 75):
-        state = init_state(data, hyper, RunConfig(init=InitSpec("single")),
-                           np.random.default_rng(0))
-        sweep(state, data, vn, hyper, np.random.default_rng(seed))
+    def categorical(logw):
+        logw = np.asarray(logw)
+        w = np.exp(logw - logw.max())
+        cdf = np.cumsum(w)
+        u = rng.random() * cdf[-1]
+        return int(min(np.searchsorted(cdf, u, side="right"), logw.size - 1))
 
-        # --- independent replay ---------------------------------------------
-        rng = np.random.default_rng(seed)
-        mu = [y.mean()]          # single init cluster at the sample mean
-        phi = [1.0]
-        z = [1, 1]
-        xi = 0
-        theta = 1.0 / 3.0        # prior mean with beta_theta = 2
+    def prior_cluster():
+        # phi ~ Exp(rate 1/2), then mu ~ N(0, phi / lambda_xi^2): Laplace(lambda_xi)
+        ph = float(rng.exponential(2.0, 1)[0])
+        return float(rng.standard_normal(1)[0]) * math.sqrt(ph / lam[xi] ** 2), ph, None
 
-        def categorical(logw):
-            logw = np.asarray(logw)
-            w = np.exp(logw - logw.max())
-            cdf = np.cumsum(w)
-            u = rng.random() * cdf[-1]
-            return int(min(np.searchsorted(cdf, u, side="right"), logw.size - 1))
-
-        # the block of both candidates first (p = 1): exponentials, then
-        # uniforms for their signs, scaled by 1 / lambda_xi
-        e = rng.standard_exponential((2, 1))[:, 0]
-        u = rng.random((2, 1))[:, 0]
-        cand = [(-1.0 if u[j] < 0.5 else 1.0) * e[j] / lam[xi] for j in (0, 1)]
+    for _ in range(n_sweeps):
+        aux = prior_cluster()     # (mu, phi, whose singleton it was; None if drawn)
         for i in (0, 1):
             yi = y[0, i]
             sizes = [z.count(c + 1) for c in range(len(mu))]
-            drawn = sizes[z[i] - 1] > 1
-            if drawn:
-                sizes[z[i] - 1] -= 1
-                cand_mu, cand_phi = cand[i], None
-            else:
-                # a departing singleton offers its own parameters
-                cand_mu, cand_phi = mu[z[i] - 1], phi[z[i] - 1]
-                del mu[z[i] - 1], phi[z[i] - 1]
-                z = [v - 1 if v > z[i] else v for v in z]
+            if sizes[z[i] - 1] == 1:
+                # a departing singleton's parameters replace the auxiliary
+                c = z[i] - 1
+                aux = (mu.pop(c), phi.pop(c), i)
+                z = [v - 1 if v > c + 1 else v for v in z]
                 sizes = [z.count(c + 1) for c in range(len(mu))]
-                closed += 1
+            else:
+                sizes[z[i] - 1] -= 1
+                if aux[2] is not None:
+                    events["closed_weighed"] += 1
             t = len(mu)
             logw = [math.log(sizes[c] + 1.0) - 0.5 * (yi - mu[c]) ** 2 for c in range(t)]
-            if not drawn or t < 2:
-                logw.append(math.log(1.0) + log_ratio_t1 - 0.5 * (yi - cand_mu) ** 2)
+            if t < 2:
+                logw.append(math.log(1.0) + log_ratio_t1 - 0.5 * (yi - aux[0]) ** 2)
             choice = categorical(logw)
             if choice == t:
-                if drawn:
-                    # phi ~ GIG(1/2, (lam mu)^2, 1), its prior given the mean
-                    chi = (lam[xi] * cand_mu) ** 2
-                    assert chi > 1e-8  # the inverse-Gaussian branch
-                    cand_phi = float(1.0 / rng.wald(np.sqrt(1.0 / np.array([chi])), 1.0)[0])
-                    opened += 1
-                mu.append(cand_mu)
-                phi.append(cand_phi)
+                events["fresh_open" if aux[2] is None else
+                       "own_reopen" if aux[2] == i else "closed_open"] += 1
+                mu.append(aux[0])
+                phi.append(aux[1])
+                aux = prior_cluster()
             z[i] = choice + 1
 
         for c in range(len(mu)):
@@ -209,13 +190,42 @@ def test_sweep_matches_hand_trace_at_toy_scale():
         xi = int(rng.random(1)[0] < prob)
         a, b = 1.0 + xi, 2.0 + 1 - xi
         theta = float(rng.beta(a, b))
+    return z, mu, phi, xi, theta
+
+
+def test_sweep_matches_hand_trace_at_toy_scale():
+    """Replay two sweeps at p=1, n=2 with an independent re-derivation.
+
+    Every formula (weights, the auxiliary's prior, conditionals, draw
+    order) is recomputed from scratch.  The seeds cover the auxiliary's
+    three uses: an open from a fresh prior draw, a departing singleton
+    reopening its own parameters, and a later observation weighing a
+    closed singleton's parameters (seed 40 has all three, seed 78 also
+    opens from a closed singleton's parameters).
+    """
+    hyper = Hyperparams(lambda0=4.0, lambda1=1.0, beta_theta=2.0, alpha=1.0,
+                        poisson_lambda=2.0, k_max=2)
+    y = np.array([[0.8, -0.6]])
+    data = DataMatrix(y)
+    vn = build_vn_table(2, hyper)
+    pk = trunc_poisson_pmf_direct(2.0, 2)
+    log_ratio_t1 = math.log(vn_bruteforce(2, 2, 1.0, pk) / vn_bruteforce(2, 1, 1.0, pk))
+    events = dict.fromkeys(("fresh_open", "own_reopen", "closed_weighed", "closed_open"), 0)
+
+    for seed in (123, 40, 78):
+        state = init_state(data, hyper, RunConfig(init=InitSpec("single")),
+                           np.random.default_rng(0))
+        rng = np.random.default_rng(seed)
+        for _ in range(2):
+            sweep(state, data, vn, hyper, rng)
+        z, mu, phi, xi, theta = _replay_toy_sweeps(seed, hyper, y, log_ratio_t1, 2, events)
 
         assert np.array_equal(state.z, np.array(z)), seed
         assert state.mu[:, 0] == pytest.approx(np.array(mu), abs=0, rel=0), seed
         assert state.phi[:, 0] == pytest.approx(np.array(phi), abs=0, rel=0), seed
         assert state.xi[0] == xi, seed
         assert state.theta == theta, seed
-    assert opened and closed, (opened, closed)
+    assert events["fresh_open"] and events["own_reopen"] and events["closed_weighed"], events
 
 
 def test_run_chain_counts_snapshots():

@@ -8,7 +8,7 @@ import sparsegmm.urn as urn
 from oracles import trunc_poisson_pmf_direct, vn_bruteforce
 from sparsegmm.core import COLUMN_SSL, DataMatrix, Hyperparams, ModelState
 from sparsegmm.distributions import sample_categorical_log
-from sparsegmm.urn import STIRLING, ReseatWorkspace, build_vn_table, reseat_observation
+from sparsegmm.urn import ReseatWorkspace, build_vn_table, reseat_observation
 
 
 def _hyper(alpha=1.0, rate=2.0, k_max=5, **kw):
@@ -55,16 +55,9 @@ def test_vn_bruteforce_grid():
                     assert math.exp(vn.log_vn(t)) == pytest.approx(direct, rel=1e-12)
 
 
-def test_vn_stirling_mode_differs_from_exact():
-    hyper = _hyper()
-    exact = build_vn_table(10, hyper)
-    approx = build_vn_table(10, hyper, mode=STIRLING)
-    assert not np.allclose(exact.table, approx.table)
-
-
 def _reseat_weights(monkeypatch, i, state, data, hyper, seed=0):
     """The log weights the reseat kernel hands to its categorical draw, and
-    the workspace, which holds observation i's candidate."""
+    the mean of the auxiliary cluster it weighed."""
     seen = []
 
     def spy(logw, rng):
@@ -73,10 +66,12 @@ def _reseat_weights(monkeypatch, i, state, data, hyper, seed=0):
 
     monkeypatch.setattr(urn, "sample_categorical_log", spy)
     vn = build_vn_table(data.n, hyper)
-    ws = ReseatWorkspace(state, data, vn, hyper)
-    reseat_observation(i, state, vn, data, hyper, np.random.default_rng(seed), ws)
+    rng = np.random.default_rng(seed)
+    ws = ReseatWorkspace(state, data, vn, hyper, rng)
+    aux = ws.mu[ws.k].copy()
+    reseat_observation(i, state, vn, data, hyper, rng, ws)
     assert len(seen) == 1
-    return seen[0], ws
+    return seen[0], aux
 
 
 def _probs(logw):
@@ -95,7 +90,7 @@ def test_reseat_weights_two_identical_clusters(monkeypatch):
 
 
 def test_reseat_weights_match_hand_oracle(monkeypatch):
-    # p=1: two clusters plus the candidate mean c drawn for obs 0;
+    # p=1: two clusters plus the auxiliary mean c drawn for the pass;
     # hand-normalized three-term weights, the V_n ratio by brute force
     alpha, y = 1.3, 0.7
     pk = trunc_poisson_pmf_direct(2.0, 5)
@@ -112,8 +107,8 @@ def test_reseat_weights_match_hand_oracle(monkeypatch):
         xi = np.array([[0], [1]], dtype=np.int8) if column else np.array([1], dtype=np.int8)
         state = ModelState(z=np.array([1, 1, 2, 2]), mu=np.array([[0.0], [2.0]]),
                            phi=np.ones((2, 1)), xi=xi, theta=0.25)
-        logw, ws = _reseat_weights(monkeypatch, 0, state, data, hyper)
-        cand = float(ws.cand_mu[0, 0])
+        logw, aux = _reseat_weights(monkeypatch, 0, state, data, hyper)
+        cand = float(aux[0])
         hand = np.array([(1 + alpha) * gauss(0.0), (2 + alpha) * gauss(2.0),
                          alpha * ratio * gauss(cand)])
         assert _probs(logw) == pytest.approx(hand / hand.sum(), abs=1e-12), ssl_mode
@@ -136,8 +131,7 @@ def test_gaussian_loglik_drops_shared_constant_only(monkeypatch):
     data = DataMatrix(np.zeros((3, 5)))
     state = ModelState(z=np.array([1, 1, 1, 2, 2]), mu=np.stack([np.zeros(3), np.ones(3)]),
                        phi=np.ones((2, 3)), xi=np.ones(3, dtype=np.int8), theta=0.1)
-    logw, ws = _reseat_weights(monkeypatch, 0, state, data, hyper)
-    cand = ws.cand_mu[0]
+    logw, cand = _reseat_weights(monkeypatch, 0, state, data, hyper)
     vn = build_vn_table(5, hyper)
     assert logw[1] - logw[0] == pytest.approx(-1.5, abs=1e-12)
     new_minus_first = vn.log_ratio(2) - 0.5 * float(cand @ cand) - math.log(3.0)
@@ -213,34 +207,33 @@ def _laplace_cdf(lam):
 
 @pytest.mark.parametrize("ssl_mode", ["joint", "column"])
 def test_candidates_follow_the_prior(ssl_mode):
-    """Candidate means are Laplace(lambda_{xi_j}) draws (KS per rate); in
-    column mode the candidate indicators are Bernoulli(theta)."""
+    """The auxiliary's mean is Laplace(lambda_{xi_j}) (KS per rate) and its
+    scales Exp(rate 1/2); in column mode its indicators are Bernoulli(theta)."""
     column = ssl_mode == COLUMN_SSL
     hyper = Hyperparams(lambda0=100.0, lambda1=1.0, beta_theta=3.0, k_max=4, ssl_mode=ssl_mode)
-    p, n, theta = 4, 5000, 0.3
-    data = DataMatrix(np.zeros((p, n)))
-    xi = np.ones((1, p), dtype=np.int8) if column else np.array([0, 1, 0, 1], dtype=np.int8)
-    state = ModelState(z=np.ones(n, dtype=int), mu=np.zeros((1, p)), phi=np.ones((1, p)),
+    p, theta = 20_000, 0.3
+    data = DataMatrix(np.zeros((p, 2)))
+    xi = np.ones((1, p), dtype=np.int8) if column else np.arange(p, dtype=np.int8) % 2
+    state = ModelState(z=np.ones(2, dtype=int), mu=np.zeros((1, p)), phi=np.ones((1, p)),
                        xi=xi, theta=theta)
-    ws = ReseatWorkspace(state, data, build_vn_table(n, hyper), hyper)
-    ws.candidate(0, np.random.default_rng(17))
-    mu = ws.cand_mu
-    assert mu.shape == (n, p)
+    ws = ReseatWorkspace(state, data, build_vn_table(2, hyper), hyper, np.random.default_rng(17))
+    mu, phi = ws.mu[ws.k], ws.phi[ws.k]
     if column:
-        ones = ws.cand_xi.mean()
-        assert abs(ones - theta) / math.sqrt(theta * (1 - theta) / (n * p)) < 4
-        slab = ws.cand_xi == 1
+        aux_xi = ws.xi[ws.k]
+        assert abs(aux_xi.mean() - theta) / math.sqrt(theta * (1 - theta) / p) < 4
+        slab = aux_xi == 1
     else:
-        slab = np.broadcast_to(xi == 1, mu.shape)
+        slab = xi == 1
     for draws, lam in ((mu[~slab], hyper.lambda0), (mu[slab], hyper.lambda1)):
         assert stats.kstest(draws, _laplace_cdf(lam)).pvalue > 1e-3, lam
+    assert stats.kstest(phi, stats.expon(scale=2.0).cdf).pvalue > 1e-3
 
 
 @pytest.mark.parametrize("ssl_mode", ["joint", "column"])
-def test_inner_product_distances_match_direct(ssl_mode, monkeypatch):
-    """The workspace's ||y_i||^2 + ||mu_k||^2 - 2 G_ik equal ||y_i - mu_k||^2,
-    also after a pass that opened and closed clusters, and its candidate
-    weights ||y_i||^2 / 2 - ||y_i - c_i||^2 / 2 those computed directly."""
+def test_inner_product_distances_match_direct(ssl_mode):
+    """The workspace's ||y_i||^2 + ||mu_k||^2 - 2 G_ik equal ||y_i - mu_k||^2
+    for every cluster and for the auxiliary in row K, after every reseat of
+    passes that open and close clusters."""
     rng = np.random.default_rng(2)
     p, n = 200, 60
     values = rng.standard_normal((p, n)) + 3.0 * rng.integers(-2, 3, size=(p, 1))
@@ -254,31 +247,68 @@ def test_inner_product_distances_match_direct(ssl_mode, monkeypatch):
     state.z[:k] = np.arange(1, k + 1)
     vn = build_vn_table(n, hyper)
     sq_norms = (values * values).sum(axis=0)
-    # blocks of 16 candidates, so a pass crosses block boundaries (the last one short)
-    monkeypatch.setattr(urn, "_CHUNK_ELEMENTS", 16 * p)
     moves = 0
 
     def check(ws):
-        kk = ws.k
-        got = sq_norms[:, None] + 2.0 * ws.half_sq[None, :kk] - 2.0 * ws.g[:, :kk]
-        want = ((values.T[:, None, :] - state.mu[None, :, :]) ** 2).sum(axis=2)
+        rows = ws.mu[: ws.k + 1]  # the clusters, then the auxiliary
+        got = sq_norms[:, None] + 2.0 * ws.half_sq[None, : ws.k + 1] - 2.0 * ws.g[:, : ws.k + 1]
+        want = ((values.T[:, None, :] - rows[None, :, :]) ** 2).sum(axis=2)
         assert got == pytest.approx(want, rel=1e-9, abs=0)
 
     for _ in range(3):
-        ws = ReseatWorkspace(state, data, vn, hyper)
-        assert ws.cand_mu.shape[0] == 16
+        ws = ReseatWorkspace(state, data, vn, hyper, rng)
         check(ws)
         for i in range(n):
             before = ws.k
             reseat_observation(i, state, vn, data, hyper, rng, ws)
             moves += ws.k != before
-            a, rows = ws.start, ws.cand_w.size
-            y = values[:, a : a + rows].T
-            got = sq_norms[a : a + rows] - 2.0 * ws.cand_w
-            want = ((y - ws.cand_mu[:rows]) ** 2).sum(axis=1)
-            assert got == pytest.approx(want, rel=1e-9, abs=0)
-        check(ws)
+            check(ws)
     assert moves > 0
+
+
+@pytest.mark.parametrize("ssl_mode", ["joint", "column"])
+def test_auxiliary_reused_until_consumed(ssl_mode, monkeypatch):
+    """A pass that opens nothing draws one auxiliary; a closed singleton's
+    parameters are the auxiliary the next observation weighs, bit for bit."""
+    column = ssl_mode == COLUMN_SSL
+    hyper = Hyperparams(lambda0=4.0, lambda1=1.0, beta_theta=2.0, k_max=5, ssl_mode=ssl_mode)
+    p, n = 3, 6
+    # obs 0 sits on the big cluster but is alone in a far-away one: it leaves
+    # its singleton and joins the big cluster; nothing fits the auxiliary
+    values = np.full((p, n), 10.0) + 0.01 * np.arange(n)
+    data = DataMatrix(values)
+    far = np.array([-20.0, -21.0, -22.5])
+    xi = np.ones((2, p) if column else p, dtype=np.int8)
+    state = ModelState(z=np.array([1, 2, 2, 2, 2, 2]), mu=np.vstack([far, np.full(p, 10.0)]),
+                       phi=np.ones((2, p)), xi=xi, theta=0.5)
+    vn = build_vn_table(n, hyper)
+    calls = []
+    draw = urn.sample_prior_mu
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(urn, "sample_prior_mu", counting)
+    rng = np.random.default_rng(3)
+    ws = ReseatWorkspace(state, data, vn, hyper, rng)
+    assert len(calls) == 1
+    seen = []
+
+    def spy(logw, rng):
+        seen.append((np.array(logw, copy=True), ws.k, ws.mu[ws.k].copy()))
+        return sample_categorical_log(logw, rng)
+
+    monkeypatch.setattr(urn, "sample_categorical_log", spy)
+    for i in range(n):
+        reseat_observation(i, state, vn, data, hyper, rng, ws)
+    assert len(calls) == 1
+    assert state.k_active == 1 and (state.z == 1).all()
+    # obs 0 weighs its own parameters, and so does every later observation
+    for i, (logw, t, aux) in enumerate(seen):
+        assert t == 1 and np.array_equal(aux, far), i
+        direct = vn.log_open[t] + float(values[:, i] @ far) - 0.5 * float(far @ far)
+        assert logw[t] == pytest.approx(direct, rel=1e-12), i
 
 
 def test_emptied_cluster_labels_stay_dense():
@@ -293,7 +323,7 @@ def test_emptied_cluster_labels_stay_dense():
         xi=np.zeros(1, dtype=np.int8),
         theta=0.1,
     )
-    # move obs 1 onto the big cluster by force: candidate and own cluster are
+    # move obs 1 onto the big cluster by force: the auxiliary and its own cluster are
     # both possible; run many reseats of obs 1 and check labels stay dense
     for _ in range(50):
         reseat_observation(1, state, vn=build_vn_table(4, hyper), data=data, hyper=hyper, rng=rng)

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 import sparsegmm.gibbs as gibbs
-import sparsegmm.urn as urn
 from oracles import reference_kmeans, reference_sweep
 from sparsegmm.cmle import fit_kmeans
 from sparsegmm.core import DataMatrix, Hyperparams, cluster_sums
@@ -33,13 +32,10 @@ def _churning_design(ssl_mode):
     return data, hyper
 
 
-def _check_sweeps_match_reference(ssl_mode, rows, monkeypatch):
-    """40 sweeps of the kernel and of the reference from equal streams,
-    with candidate blocks of ``rows`` observations (None: the kernel's own
-    size, one block for all 24 here)."""
+@pytest.mark.parametrize("ssl_mode", ["joint", "column"])
+def test_sweep_matches_reference_sweep_bitwise(ssl_mode, monkeypatch):
+    """40 sweeps of the kernel and of the reference from equal streams."""
     data, hyper = _churning_design(ssl_mode)
-    block_elements = urn._CHUNK_ELEMENTS if rows is None else rows * data.p
-    monkeypatch.setattr(urn, "_CHUNK_ELEMENTS", block_elements)
     vn = build_vn_table(data.n, hyper)
     state = init_state(data, hyper, RunConfig(init=InitSpec("random_k", 2)),
                        np.random.default_rng(1))
@@ -60,7 +56,7 @@ def _check_sweeps_match_reference(ssl_mode, rows, monkeypatch):
     rng, rng_ref = np.random.default_rng(101), np.random.default_rng(101)
     for s in range(40):
         sweep(state, data, vn, hyper, rng)
-        reference_sweep(ref, data, vn, hyper, rng_ref, block_elements)
+        reference_sweep(ref, data, vn, hyper, rng_ref)
         assert np.array_equal(state.z, ref.z), s
         assert np.array_equal(state.mu, ref.mu), s
         assert np.array_equal(state.phi, ref.phi), s
@@ -70,19 +66,6 @@ def _check_sweeps_match_reference(ssl_mode, rows, monkeypatch):
     # started at K = k_max, where a non-singleton is offered no new cluster
     assert moves["opened"] >= 5 and moves["closed"] >= 5, moves
     assert moves["at_k_max"] >= 50, moves
-
-
-@pytest.mark.parametrize("ssl_mode", ["joint", "column"])
-def test_sweep_matches_reference_sweep_bitwise(ssl_mode, monkeypatch):
-    _check_sweeps_match_reference(ssl_mode, None, monkeypatch)
-
-
-@pytest.mark.parametrize("rows", [5, 1])
-@pytest.mark.parametrize("ssl_mode", ["joint", "column"])
-def test_sweep_matches_reference_sweep_bitwise_across_blocks(ssl_mode, rows, monkeypatch):
-    # blocks of 5 with a short last one, and one candidate at a time: the
-    # draw order across block boundaries, which every large run crosses
-    _check_sweeps_match_reference(ssl_mode, rows, monkeypatch)
 
 
 @pytest.mark.parametrize("p", [1, 2, 7, 64])
