@@ -7,7 +7,7 @@ in advance.
 
 __version__ = "0.1.0"
 
-from .cmle import CmleConfig, fit_cmle, fit_kmeans, sparsify_rows
+from .cmle import CmleConfig, fit_cmle, fit_kmeans
 from .core import (
     ChainTrace,
     ClusterEstimate,
@@ -20,18 +20,12 @@ from .core import (
     trace_to_ndjson,
     validate_dataset,
 )
-from .distributions import (
-    GigParams,
-    log_trunc_poisson_pmf,
-    sample_categorical_log,
-    sample_gig,
-)
-from .gibbs import InitSpec, RunConfig, init_state, run_chain, run_chains, sweep
-from .metrics import ari, contingency_table, mean_matrix_error, min_hamming, nmi
+from .distributions import log_trunc_poisson_pmf, sample_categorical_log
+from .gibbs import InitSpec, RunConfig, run_chain, run_chains
+from .metrics import ari, mean_matrix_error, min_hamming, nmi
 from .preprocess import preprocess_scrna
 from .summarize import AlignedTrace, align_labels, point_estimates, psrf, psrf_report
 from .synthetic import ScenarioSpec, generate
-from .urn import VnTable, build_vn_table, reseat_observation
 
 __all__ = [
     "__version__",
@@ -40,23 +34,18 @@ __all__ = [
     "ClusterEstimate",
     "CmleConfig",
     "DataMatrix",
-    "GigParams",
     "Hyperparams",
     "InitSpec",
     "ModelState",
     "RunConfig",
     "ScenarioSpec",
     "Snapshot",
-    "VnTable",
     "align_labels",
     "ari",
-    "build_vn_table",
-    "contingency_table",
     "default_hyperparams",
     "fit_cmle",
     "fit_kmeans",
     "generate",
-    "init_state",
     "log_trunc_poisson_pmf",
     "mean_matrix_error",
     "min_hamming",
@@ -65,13 +54,9 @@ __all__ = [
     "preprocess_scrna",
     "psrf",
     "psrf_report",
-    "reseat_observation",
     "run_chain",
     "run_chains",
     "sample_categorical_log",
-    "sample_gig",
-    "sparsify_rows",
-    "sweep",
     "trace_from_ndjson",
     "trace_to_ndjson",
     "validate_dataset",

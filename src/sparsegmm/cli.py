@@ -24,6 +24,7 @@ from .experiment import (
     config_from_dict,
     load_matrix_csv,
     load_traces,
+    load_truth,
     run_experiment,
     save_matrix_csv,
 )
@@ -121,8 +122,19 @@ def _cmd_preprocess(args) -> int:
     return EXIT_OK
 
 
+def _read_config(path: str) -> dict:
+    """The JSON object in a config file; ConfigError if the file holds none."""
+    try:
+        cfg = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path} is not valid JSON: {exc}") from None
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{path} must hold a JSON object, not a {type(cfg).__name__}")
+    return cfg
+
+
 def _fit_config(args) -> tuple[ExperimentConfig, dict]:
-    cfg = json.loads(Path(args.config).read_text()) if args.config else {}
+    cfg = _read_config(args.config) if args.config else {}
     if args.data:
         cfg["data_path"] = args.data
         cfg.pop("scenario", None)
@@ -183,7 +195,9 @@ def _cmd_fit(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     est_d = json.loads(Path(args.estimate).read_text())
-    truth = json.loads(Path(args.truth).read_text())
+    missing = [key for key in ("k_hat", "z_hat", "mu_hat") if key not in est_d]
+    if missing:
+        raise DataError(f"{args.estimate} lacks {', '.join(missing)}")
     est = ClusterEstimate(
         k_hat=int(est_d["k_hat"]),
         z_hat=np.asarray(est_d["z_hat"], dtype=int),
@@ -191,11 +205,7 @@ def _cmd_evaluate(args) -> int:
         support_hat=tuple(est_d.get("support", ())),
         inclusion_freq=None,
     )
-    z_true = np.asarray(truth["z_true"], dtype=int)
-    mu_true = truth.get("mu_true")
-    metrics = compute_metrics(
-        est, z_true, None if mu_true is None else np.asarray(mu_true, dtype=float)
-    )
+    metrics = compute_metrics(est, *load_truth(args.truth))
     text = canonical_json(metrics)
     if args.out:
         Path(args.out).write_text(text)
@@ -218,7 +228,7 @@ def _cmd_diagnose(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    cfg_dict = json.loads(Path(args.config).read_text())
+    cfg_dict = _read_config(args.config)
     if args.out:
         cfg_dict["output_dir"] = args.out
     config = config_from_dict(cfg_dict)

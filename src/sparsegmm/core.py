@@ -20,7 +20,7 @@ import hashlib
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -54,22 +54,9 @@ class DataMatrix:
     def n(self) -> int:
         return self.values.shape[1]
 
-    def observation(self, i: int) -> np.ndarray:
-        """Column ``i`` (0-based) as a length-p vector."""
-        return self.values[:, i]
 
-
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    p: int
-    n: int
-    constant_rows: tuple[int, ...] = ()
-    messages: tuple[str, ...] = ()
-
-
-def validate_dataset(data: DataMatrix) -> ValidationReport:
-    """Check DataMatrix invariants; raise on violations, report oddities.
+def validate_dataset(data: DataMatrix) -> None:
+    """Check DataMatrix invariants; raise on violations.
 
     Raises
     ------
@@ -87,17 +74,6 @@ def validate_dataset(data: DataMatrix) -> ValidationReport:
     if bad.any():
         r, c = np.argwhere(bad)[0]
         raise NonFiniteEntryError(int(r), int(c))
-    const = np.where(np.ptp(v, axis=1) == 0.0)[0]
-    messages = []
-    if const.size:
-        messages.append(f"{const.size} constant feature row(s)")
-    return ValidationReport(
-        ok=True,
-        p=data.p,
-        n=data.n,
-        constant_rows=tuple(int(j) for j in const),
-        messages=tuple(messages),
-    )
 
 
 @dataclass(frozen=True)
@@ -329,22 +305,7 @@ class ClusterEstimate:
 
 def trace_to_ndjson(trace: ChainTrace) -> str:
     """Serialize a trace; first record is the meta, then one snapshot per line."""
-    lines = [
-        json.dumps(
-            {
-                "type": "meta",
-                "n": trace.meta.n,
-                "p": trace.meta.p,
-                "n_burn": trace.meta.n_burn,
-                "thin": trace.meta.thin,
-                "seed": trace.meta.seed,
-                "chain_id": trace.meta.chain_id,
-                "hyper_digest": trace.meta.hyper_digest,
-                "ssl_mode": trace.meta.ssl_mode,
-            },
-            sort_keys=True,
-        )
-    ]
+    lines = [json.dumps({"type": "meta", **asdict(trace.meta)}, sort_keys=True)]
     for s in trace.snapshots:
         rec = {
             "type": "snapshot",
@@ -368,16 +329,11 @@ def trace_from_ndjson(text: str) -> ChainTrace:
     head = json.loads(lines[0])
     if head.get("type") != "meta":
         raise DataError("trace file must start with a meta record")
-    meta = TraceMeta(
-        n=head["n"],
-        p=head["p"],
-        n_burn=head["n_burn"],
-        thin=head["thin"],
-        seed=head["seed"],
-        chain_id=head["chain_id"],
-        hyper_digest=head["hyper_digest"],
-        ssl_mode=head["ssl_mode"],
-    )
+    names = [f.name for f in fields(TraceMeta)]
+    missing = [name for name in names if name not in head]
+    if missing:
+        raise DataError(f"trace meta record lacks {', '.join(missing)}")
+    meta = TraceMeta(**{name: head[name] for name in names})
     snaps = []
     for ln in lines[1:]:
         rec = json.loads(ln)
@@ -399,7 +355,3 @@ def trace_from_ndjson(text: str) -> ChainTrace:
         )
     return ChainTrace(snapshots=snaps, meta=meta)
 
-
-def spawn_rngs(seed: int, n: int) -> list[np.random.Generator]:
-    """n independent, reproducible generators derived from one master seed."""
-    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n)]

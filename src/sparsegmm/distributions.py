@@ -1,24 +1,20 @@
 """Primitive samplers and log-densities used by the Gibbs conditionals.
 
-Only what the sampler needs: the generalized inverse Gaussian (GIG),
-the truncated Poisson pmf, and log-domain categorical sampling.
+Only what the sampler needs: the generalized inverse Gaussian (GIG) at
+order 1/2, the truncated Poisson pmf, and log-domain categorical
+sampling.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from .errors import (
-    AllWeightsNegInfiniteError,
-    NonNormalizableError,
-    OutOfSupportError,
-)
+from .errors import AllWeightsNegInfiniteError, OutOfSupportError
 
 # Below this, the inverse-Gaussian parameterization of the GIG degenerates;
 # such draws are routed to the chi=0 Gamma branch instead.
@@ -26,46 +22,6 @@ _CHI_GUARD = 1e-300
 # Below this, numpy's inverse-Gaussian draw loses accuracy (relative error
 # ~ machine epsilon / chi) and underflows to 0 once chi is near 1e-30.
 _CHI_WALD = 1e-8
-
-
-@dataclass(frozen=True)
-class GigParams:
-    """Parameters of the GIG density f(x) propto x^(zeta-1) exp(-(chi/x + tau*x)/2).
-
-    Normalizable on x > 0 iff chi > 0, or chi = 0 with zeta > 0 (tau > 0
-    always, enforced here).
-    """
-
-    zeta: float
-    chi: float
-    tau: float
-
-    def __post_init__(self):
-        if self.tau <= 0:
-            raise NonNormalizableError(f"tau must be positive, got {self.tau}")
-        if self.chi < 0:
-            raise NonNormalizableError(f"chi must be non-negative, got {self.chi}")
-        if self.chi == 0 and self.zeta <= 0:
-            raise NonNormalizableError(
-                f"chi=0 requires zeta > 0 for normalizability, got zeta={self.zeta}"
-            )
-
-
-def sample_gig(params: GigParams, rng: np.random.Generator) -> float:
-    """One draw from the GIG distribution.
-
-    zeta = 1/2 uses the exact reciprocal inverse-Gaussian identity,
-    chi = 0 reduces to a Gamma(zeta, rate tau/2) draw, and any other
-    order falls back to a rejection sampler on the log scale.
-    """
-    zeta, chi, tau = params.zeta, params.chi, params.tau
-    if chi <= _CHI_GUARD:
-        if zeta <= 0:
-            raise NonNormalizableError("chi=0 requires zeta > 0")
-        return float(rng.gamma(shape=zeta, scale=2.0 / tau))
-    if zeta == 0.5:
-        return float(sample_gig_half_vector(np.array([chi]), tau, rng)[0])
-    return _gig_reject(zeta, chi, tau, rng)
 
 
 def sample_gig_half_vector(
@@ -107,82 +63,6 @@ def _gig_half_small_chi(chi: np.ndarray, tau: float, rng: np.random.Generator) -
     # the small root x = m / root is kept with probability m / (m + x)
     take_small = rng.random(chi.size) <= root / (root + 1.0)
     return np.where(take_small, root / m, 1.0 / (m * root))
-
-
-def _gig_reject(zeta: float, chi: float, tau: float, rng: np.random.Generator) -> float:
-    """Rejection sampler for general order, after Devroye's construction.
-
-    Samples the standardized two-parameter form with omega = sqrt(chi*tau)
-    and rescales by sqrt(chi/tau).  Orders below zero are handled through
-    the reciprocal identity.
-    """
-    lam = zeta
-    omega = math.sqrt(chi * tau)
-    swap = lam < 0
-    if swap:
-        lam = -lam
-
-    alpha = math.sqrt(omega * omega + lam * lam) - lam
-
-    def psi(x):
-        return -alpha * (math.cosh(x) - 1.0) - lam * (math.exp(x) - x - 1.0)
-
-    def dpsi(x):
-        return -alpha * math.sinh(x) - lam * (math.exp(x) - 1.0)
-
-    # envelope breakpoints t (right) and s (left)
-    x = -psi(1.0)
-    if 0.5 <= x <= 2.0:
-        t = 1.0
-    elif x > 2.0:
-        t = math.sqrt(2.0 / (alpha + lam))
-    else:
-        t = math.log(4.0 / (alpha + 2.0 * lam))
-
-    x = -psi(-1.0)
-    if 0.5 <= x <= 2.0:
-        s = 1.0
-    elif x > 2.0:
-        s = math.sqrt(4.0 / (alpha * math.cosh(1.0) + lam))
-    else:
-        if alpha == 0.0:
-            s = 1.0 / lam
-        else:
-            cand = math.log(1.0 + 1.0 / alpha + math.sqrt(1.0 / alpha**2 + 2.0 / alpha))
-            s = cand if lam == 0.0 else min(1.0 / lam, cand)
-
-    eta = -psi(t)
-    zeta_r = -dpsi(t)
-    theta = -psi(-s)
-    xi = dpsi(-s)
-
-    piece_p = 1.0 / xi
-    piece_r = 1.0 / zeta_r
-    td = t - piece_r * eta
-    sd = s - piece_p * theta
-    q = td + sd
-
-    while True:
-        u, v, w = rng.random(), rng.random(), rng.random()
-        if u < q / (piece_p + q + piece_r):
-            draw = -sd + q * v
-        elif u < (q + piece_r) / (piece_p + q + piece_r):
-            draw = td - piece_r * math.log(v)
-        else:
-            draw = -sd + piece_p * math.log(v)
-        if -sd <= draw <= td:
-            env = 1.0
-        elif draw > td:
-            env = math.exp(-eta - zeta_r * (draw - t))
-        else:
-            env = math.exp(-theta + xi * (draw + s))
-        if w * env <= math.exp(psi(draw)):
-            break
-
-    value = math.exp(draw) * (lam / omega + math.sqrt(1.0 + (lam / omega) ** 2))
-    if swap:
-        value = 1.0 / value
-    return value * math.sqrt(chi / tau)
 
 
 def log_trunc_poisson_pmf(k: int, rate: float, k_max: int) -> float:

@@ -42,10 +42,6 @@ class BadSpecError(ConfigError):
     """Malformed synthetic-scenario specification."""
 
 
-class NonNormalizableError(SparseGmmError):
-    """GIG parameters outside the normalizable region."""
-
-
 class OutOfSupportError(SparseGmmError):
     """Evaluation point outside a distribution's support."""
 

@@ -132,6 +132,8 @@ def _run_config_from_dict(d: dict) -> RunConfig:
     kwargs = dict(d)
     init = kwargs.pop("init", None)
     if init is not None:
+        if not isinstance(init, dict):
+            raise ConfigError(f"run.init must be an object with kind and k, got {init!r}")
         kwargs["init"] = InitSpec(kind=init.get("kind", SCREENED_KMEANS), k=init.get("k"))
     try:
         return RunConfig(**kwargs)
@@ -184,12 +186,9 @@ def resolve_hyperparams(p: int, overrides: dict | None) -> Hyperparams:
 class ReportBundle:
     estimate: ClusterEstimate
     metrics: dict | None
-    diagnostics: dict | None
-    manifest: dict
-    traces: list[ChainTrace] | None = None
 
 
-def _load_truth(path: str) -> tuple[np.ndarray, np.ndarray | None]:
+def load_truth(path: str | Path) -> tuple[np.ndarray, np.ndarray | None]:
     d = json.loads(Path(path).read_text())
     if "z_true" not in d:
         raise DataError(f"{path} lacks a z_true field")
@@ -270,11 +269,9 @@ def run_experiment(
     else:
         data = DataMatrix(values=load_matrix_csv(config.data_path, config.transpose))
         if config.truth_path:
-            z_true, mu_true = _load_truth(config.truth_path)
+            z_true, mu_true = load_truth(config.truth_path)
     validate_dataset(data)
 
-    traces = None
-    diagnostics = None
     if config.method == METHOD_BAYESIAN:
         hyper = resolve_hyperparams(data.p, config.hyper_overrides)
         traces = run_chains(data, hyper, config.run, progress=progress)
@@ -285,8 +282,7 @@ def run_experiment(
         pooled = [s for t in traces for s in t.snapshots]
         est = point_estimates(align_labels(pooled, data))
         if len(traces) >= 2:
-            diagnostics = psrf_report(traces, data)
-            (out_dir / "psrf.json").write_text(canonical_json(diagnostics))
+            (out_dir / "psrf.json").write_text(canonical_json(psrf_report(traces, data)))
     elif config.method == METHOD_CMLE:
         mu, z, _ = fit_cmle(data, config.cmle)
         est = _estimate_from_flat(mu, z)
@@ -309,13 +305,7 @@ def run_experiment(
 
     manifest = _manifest(config_dict or {}, data)
     (out_dir / "manifest.json").write_text(canonical_json(manifest))
-    return ReportBundle(
-        estimate=est,
-        metrics=metrics,
-        diagnostics=diagnostics,
-        manifest=manifest,
-        traces=traces,
-    )
+    return ReportBundle(estimate=est, metrics=metrics)
 
 
 def load_traces(paths: list[str | Path]) -> list[ChainTrace]:

@@ -54,6 +54,8 @@ RANDOM_K = "random_k"
 KMEANS_PP = "kmeans_pp"
 SCREENED_KMEANS = "screened_kmeans"
 
+_PROGRESS_EVERY = 100
+
 
 @dataclass(frozen=True)
 class InitSpec:
@@ -268,9 +270,11 @@ def run_chain(
     chain_id: int = 0,
     rng: np.random.Generator | None = None,
     progress: ProgressCallback | None = None,
-    progress_every: int = 100,
 ) -> ChainTrace:
-    """Run one chain: n_burn discarded sweeps, then n_keep thinned snapshots."""
+    """Run one chain: n_burn discarded sweeps, then n_keep thinned snapshots.
+
+    ``progress``, if given, is called every 100 sweeps.
+    """
     validate_dataset(data)
     if rng is None:
         n_streams = max(config.n_chains, chain_id + 1)
@@ -283,21 +287,12 @@ def run_chain(
     state = init_state(data, hyper_run, config, rng)
     total = config.n_burn + config.n_keep * config.thin
     snaps: list[Snapshot] = []
-    it = 0
-    for _ in range(config.n_burn):
+    for it in range(1, total + 1):
         sweep(state, data, vn, hyper_run, rng)
-        it += 1
-        if progress and it % progress_every == 0:
+        if progress and it % _PROGRESS_EVERY == 0:
             progress(ProgressEvent(chain_id, it, total, state.k_active, _loglik(state, data)))
-    for _ in range(config.n_keep):
-        for _ in range(config.thin):
-            sweep(state, data, vn, hyper_run, rng)
-            it += 1
-            if progress and it % progress_every == 0:
-                progress(
-                    ProgressEvent(chain_id, it, total, state.k_active, _loglik(state, data))
-                )
-        snaps.append(_take_snapshot(state, config.store_dense_mu))
+        if it > config.n_burn and (it - config.n_burn) % config.thin == 0:
+            snaps.append(_take_snapshot(state, config.store_dense_mu))
     meta = TraceMeta(
         n=data.n,
         p=data.p,

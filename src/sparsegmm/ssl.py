@@ -31,9 +31,6 @@ class SslConditionalContext:
 
     cluster_sums: np.ndarray   # (K, p) row c = sum of observations in cluster c+1
     cluster_sizes: np.ndarray  # (K,)
-    lambda0: float
-    lambda1: float
-    beta_theta: float
 
     def __post_init__(self):
         if (self.cluster_sizes < 1).any():
@@ -46,13 +43,7 @@ def build_context(state: ModelState, data: DataMatrix, hyper: Hyperparams) -> Ss
     sizes = state.cluster_sizes()
     if sizes.sum() != data.n:
         raise LengthMismatchError("cluster sizes do not sum to n")
-    return SslConditionalContext(
-        cluster_sums=sums,
-        cluster_sizes=sizes,
-        lambda0=hyper.lambda0,
-        lambda1=hyper.lambda1,
-        beta_theta=hyper.beta_theta,
-    )
+    return SslConditionalContext(cluster_sums=sums, cluster_sizes=sizes)
 
 
 def _lambda_sq(state: ModelState, hyper: Hyperparams) -> np.ndarray:
@@ -61,12 +52,6 @@ def _lambda_sq(state: ModelState, hyper: Hyperparams) -> np.ndarray:
     if lam_sq.ndim == 1:
         lam_sq = np.broadcast_to(lam_sq, state.mu.shape)
     return lam_sq
-
-
-def mu_conditional(sum_y: float, n_c: float, lam_sq_over_phi: float) -> tuple[float, float]:
-    """(mean, variance) of the conjugate normal conditional for one coordinate."""
-    prec = n_c + lam_sq_over_phi
-    return sum_y / prec, 1.0 / prec
 
 
 def update_mu(

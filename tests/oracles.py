@@ -256,9 +256,6 @@ def reference_sweep(state, data, vn, hyper, rng):
     ctx = SslConditionalContext(
         cluster_sums=sums,
         cluster_sizes=np.bincount(state.z, minlength=k + 1)[1:],
-        lambda0=hyper.lambda0,
-        lambda1=hyper.lambda1,
-        beta_theta=hyper.beta_theta,
     )
     update_mu(state, ctx, hyper, rng)
     update_phi(state, hyper, rng)

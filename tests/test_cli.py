@@ -12,6 +12,13 @@ def run_cli(*args):
     return main([str(a) for a in args])
 
 
+def _fails_with(capsys, code, *args):
+    """Run the CLI on bad input: the exit code, and one stderr line."""
+    assert run_cli(*args) == code, args
+    err = capsys.readouterr().err.strip()
+    assert err and "\n" not in err, err
+
+
 def test_simulate_writes_data_and_truth(tmp_path):
     out = tmp_path / "sim"
     code = run_cli("simulate", "--scenario", "one", "--p", 20, "--n", 15, "--s", 4,
@@ -171,9 +178,23 @@ def test_missing_data_exits_3(tmp_path):
     assert code == 3
 
 
-def test_bad_config_exits_2(tmp_path):
+def test_bad_config_exits_2(tmp_path, capsys):
     code = run_cli("fit", "--method", "cmle", "--out", tmp_path / "x")
     assert code == 2  # cmle without --k / --sparsity
+    capsys.readouterr()
+    bad = {
+        "init_not_object.json": json.dumps(
+            {"scenario": {"scenario": "one"}, "run": {"init": "single"}}),
+        "top_level_array.json": "[1, 2]",
+        "unparsable.json": "{bad",
+    }
+    for name, text in bad.items():
+        path = tmp_path / name
+        path.write_text(text)
+        _fails_with(capsys, 2, "report", "--config", path)
+        _fails_with(capsys, 2, "report", "--config", path, "--out", tmp_path / "r")
+    _fails_with(capsys, 2, "fit", "--config", tmp_path / "unparsable.json",
+                "--out", tmp_path / "f")
 
 
 def test_conflicting_sources_exit_2(tmp_path):
@@ -203,3 +224,14 @@ def test_nan_data_exits_3(tmp_path):
     code = run_cli("fit", "--data", src, "--method", "kmeans", "--k", 2,
                    "--out", tmp_path / "y")
     assert code == 3
+
+
+def test_malformed_estimate_and_trace_exit_3(tmp_path, capsys):
+    est, truth = tmp_path / "est.json", tmp_path / "truth.json"
+    est.write_text(json.dumps({"k_hat": 1, "mu_hat": [[0.0]]}))  # no z_hat
+    truth.write_text(json.dumps({"z_true": [1, 1]}))
+    _fails_with(capsys, 3, "evaluate", "--estimate", est, "--truth", truth)
+    data, trace = tmp_path / "data.csv", tmp_path / "trace.ndjson"
+    data.write_text("1.0,2.0,3.0\n4.0,5.0,6.0\n")
+    trace.write_text(json.dumps({"type": "meta", "p": 2}) + "\n")  # no n
+    _fails_with(capsys, 3, "diagnose", "--data", data, "--traces", trace, trace)

@@ -7,69 +7,42 @@ from hypothesis import strategies as st
 
 from oracles import gig_moment_quad, trunc_poisson_pmf_direct
 from sparsegmm.distributions import (
-    GigParams,
     log_trunc_poisson_pmf,
     log_trunc_poisson_table,
     sample_categorical_log,
-    sample_gig,
     sample_gig_half_vector,
 )
-from sparsegmm.errors import (
-    AllWeightsNegInfiniteError,
-    NonNormalizableError,
-    OutOfSupportError,
-)
+from sparsegmm.errors import AllWeightsNegInfiniteError, OutOfSupportError
 
 
-def _gig_draws(zeta, chi, tau, n, seed=0):
-    rng = np.random.default_rng(seed)
-    return np.array([sample_gig(GigParams(zeta, chi, tau), rng) for _ in range(n)])
+def _gig_draws(chi, tau, n, seed=0):
+    """n GIG(1/2, chi, tau) draws."""
+    return sample_gig_half_vector(np.full(n, chi), tau, np.random.default_rng(seed))
 
 
 def test_gig_chi_zero_reduces_to_gamma():
-    draws = _gig_draws(0.5, 0.0, 1.0, 100_000, seed=1)
+    draws = _gig_draws(0.0, 1.0, 100_000, seed=1)
     assert abs(draws.mean() - 1.0) < 0.01  # Gamma(1/2, rate 1/2) has mean 1
 
 
 def test_gig_unit_params_matches_bessel_ratio():
     # closed form: mean = 2 for order 1/2 at chi = tau = 1
     assert gig_moment_quad(0.5, 1.0, 1.0, 1) == pytest.approx(2.0, rel=1e-8)
-    draws = _gig_draws(0.5, 1.0, 1.0, 100_000, seed=2)
+    draws = _gig_draws(1.0, 1.0, 100_000, seed=2)
     assert abs(draws.mean() - 2.0) < 0.02
 
 
 def test_gig_chi_four_matches_quadrature():
     target = gig_moment_quad(0.5, 4.0, 1.0, 1)
-    draws = _gig_draws(0.5, 4.0, 1.0, 100_000, seed=3)
+    draws = _gig_draws(4.0, 1.0, 100_000, seed=3)
     assert abs(draws.mean() - target) < 0.01 * target
 
 
-@pytest.mark.parametrize("zeta", [0.3, 1.0, 2.5, -0.7])
-def test_gig_general_order_rejection_sampler(zeta):
-    chi, tau = 2.0, 1.5
-    target = gig_moment_quad(zeta, chi, tau, 1)
-    draws = _gig_draws(zeta, chi, tau, 60_000, seed=4)
-    se = draws.std(ddof=1) / math.sqrt(draws.size)
-    assert abs(draws.mean() - target) < 4 * se
-
-
-def test_gig_rejects_nonnormalizable():
-    with pytest.raises(NonNormalizableError):
-        GigParams(zeta=-0.5, chi=0.0, tau=1.0)
-    with pytest.raises(NonNormalizableError):
-        GigParams(zeta=0.5, chi=1.0, tau=0.0)
-
-
 @settings(deadline=None, max_examples=60)
-@given(
-    zeta=st.floats(0.1, 3.0),
-    chi=st.floats(0.0, 50.0),
-    seed=st.integers(0, 2**31),
-)
-@example(zeta=0.5, chi=2.725112060336652e-97, seed=0)
-def test_gig_draws_positive_and_finite(zeta, chi, seed):
-    rng = np.random.default_rng(seed)
-    x = sample_gig(GigParams(zeta, chi, 1.0), rng)
+@given(chi=st.floats(0.0, 50.0), seed=st.integers(0, 2**31))
+@example(chi=2.725112060336652e-97, seed=0)
+def test_gig_draws_positive_and_finite(chi, seed):
+    x = _gig_draws(chi, 1.0, 1, seed)[0]
     assert 0.0 < x < math.inf
 
 

@@ -242,6 +242,25 @@ def test_run_chain_thinning_controls_spacing():
     assert len(trace) == 4
 
 
+def test_run_chain_reports_progress_and_snapshots_after_burn_in():
+    data, _ = _blobs(seed=6, n_per=3)
+    hyper, cfg = _hyper(), RunConfig(n_burn=150, n_keep=60, thin=3)
+    events = []
+    trace = run_chain(data, hyper, cfg, rng=np.random.default_rng(4), progress=events.append)
+    assert [(e.iteration, e.total) for e in events] == [(100, 330), (200, 330), (300, 330)]
+    assert len(trace) == 60
+    # snapshot j holds the state after sweep n_burn + j * thin
+    rng = np.random.default_rng(4)
+    vn = build_vn_table(data.n, hyper)
+    state = init_state(data, hyper, cfg, rng)
+    labels = []
+    for _ in range(330):
+        sweep(state, data, vn, hyper, rng)
+        labels.append(state.z.copy())
+    for j, snap in enumerate(trace.snapshots, start=1):
+        assert np.array_equal(snap.z, labels[150 + j * 3 - 1])
+
+
 def test_run_chain_reruns_bit_identical():
     data, _ = _blobs(seed=7, n_per=6)
     cfg = RunConfig(n_burn=3, n_keep=8, seed=11)

@@ -9,7 +9,6 @@ from sparsegmm.core import COLUMN_SSL, DataMatrix, Hyperparams, ModelState
 from sparsegmm.ssl import (
     SslConditionalContext,
     build_context,
-    mu_conditional,
     slab_log_odds,
     theta_conditional_shapes,
     update_mu,
@@ -33,17 +32,6 @@ def _single_cluster_state(p=1, mu=0.0, phi=1.0, xi=0, theta=0.5, n=4):
         xi=np.full(p, xi, dtype=np.int8),
         theta=theta,
     )
-
-
-def test_mu_conditional_formula():
-    mean, var = mu_conditional(sum_y=2.0, n_c=1, lam_sq_over_phi=1.0)
-    assert (mean, var) == (1.0, 0.5)
-
-
-def test_mu_conditional_pure_likelihood_limit():
-    mean, var = mu_conditional(sum_y=0.0, n_c=4, lam_sq_over_phi=1e-12)
-    assert mean == 0.0
-    assert var == pytest.approx(0.25)
 
 
 def test_update_mu_long_run_matches_conjugate_normal():
@@ -207,7 +195,4 @@ def test_context_rejects_empty_cluster():
         SslConditionalContext(
             cluster_sums=np.zeros((2, 1)),
             cluster_sizes=np.array([3, 0]),
-            lambda0=2.0,
-            lambda1=1.0,
-            beta_theta=1.0,
         )
