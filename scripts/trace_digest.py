@@ -1,11 +1,19 @@
 #!/usr/bin/env python3
-"""Print the SHA-256 of the NDJSON traces of fixed-seed sampler runs.
+"""Print SHA-256 digests of fixed-seed sampler runs and of their summaries.
 
-Two versions of the sampler that make the same random draws in the same
-order, with the same arithmetic, print the same digests.  Run it on two
-checkouts to show that a change leaves every trace byte-identical.  The
-traces keep the dense means (``store_dense_mu``), so every coordinate of
-every kept mean is covered, not only those on the support.
+For every design the first digest covers the NDJSON traces.  Two versions
+of the sampler that make the same random draws in the same order, with
+the same arithmetic, print the same trace digests.  The traces keep the
+dense means (``store_dense_mu``), so every coordinate of every kept mean
+is covered, not only those on the support.
+
+The second digest covers the post-processing: the canonical JSON of
+``point_estimates(align_labels(pooled))`` (k_hat, z_hat, mu_hat and the
+support), once from the dense means and once from the means on the
+support alone, as traces store them by default; multi-chain designs add
+the ``psrf_report`` table.  Run
+the script on two checkouts to show that a change leaves every trace and
+every summary byte-identical.
 
 Designs (data seed = chain seed):
   3a             scenario I, p=n=100, s=6, mean_scale 1.5, seeds 1-5;
@@ -24,9 +32,11 @@ import argparse
 import hashlib
 import sys
 import time
+from dataclasses import replace
 
 import sparsegmm as sg
 from sparsegmm.core import trace_to_ndjson
+from sparsegmm.experiment import canonical_json, estimate_to_dict
 
 
 def _digest(traces) -> str:
@@ -34,6 +44,21 @@ def _digest(traces) -> str:
     for t in traces:
         h.update(trace_to_ndjson(t).encode())
     return h.hexdigest()
+
+
+def _estimate(snapshots, data) -> dict:
+    return estimate_to_dict(sg.point_estimates(sg.align_labels(snapshots, data)))
+
+
+def _post_digest(data, traces) -> str:
+    pooled = [s for t in traces for s in t.snapshots]
+    summary = {
+        "estimate": _estimate(pooled, data),
+        "estimate_support_only": _estimate([replace(s, mu_dense=None) for s in pooled], data),
+    }
+    if len(traces) > 1:
+        summary["psrf"] = sg.psrf_report(traces, data)
+    return hashlib.sha256(canonical_json(summary).encode()).hexdigest()
 
 
 def _data(scenario, p, n, s, mean_scale, seed):
@@ -45,20 +70,20 @@ def design_3a():
     for seed in range(1, 6):
         data = _data("one", 100, 100, 6, 1.5, seed)
         config = sg.RunConfig(n_burn=40, n_keep=120, seed=seed, store_dense_mu=True)
-        yield f"3a seed {seed}", [sg.run_chain(data, sg.default_hyperparams(100), config)]
+        yield f"3a seed {seed}", data, [sg.run_chain(data, sg.default_hyperparams(100), config)]
 
 
 def design_large_joint():
     data = _data("one", 1000, 1000, 6, 1.5, 1001)
     config = sg.RunConfig(n_burn=10, n_keep=30, seed=1001, store_dense_mu=True)
-    yield "large_joint", [sg.run_chain(data, sg.default_hyperparams(1000), config)]
+    yield "large_joint", data, [sg.run_chain(data, sg.default_hyperparams(1000), config)]
 
 
 def design_chains_column():
     data = _data("two", 400, 200, 8, 1.0, 1)
     hyper = sg.default_hyperparams(400, ssl_mode="column")
     config = sg.RunConfig(n_burn=15, n_keep=35, n_chains=4, seed=1, store_dense_mu=True)
-    yield "chains_column", sg.run_chains(data, hyper, config)
+    yield "chains_column", data, sg.run_chains(data, hyper, config)
 
 
 DESIGNS = {
@@ -75,8 +100,9 @@ def main(argv=None):
     args = ap.parse_args(argv)
     for name in args.designs:
         t0 = time.perf_counter()
-        for label, traces in DESIGNS[name]():
-            print(f"{label:26s} {_digest(traces)}  ({time.perf_counter() - t0:.1f} s)", flush=True)
+        for label, data, traces in DESIGNS[name]():
+            print(f"{label:14s} trace {_digest(traces)}  post {_post_digest(data, traces)}"
+                  f"  ({time.perf_counter() - t0:.1f} s)", flush=True)
             t0 = time.perf_counter()
     return 0
 

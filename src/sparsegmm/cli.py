@@ -22,6 +22,7 @@ from .experiment import (
     canonical_json,
     compute_metrics,
     config_from_dict,
+    load_json_object,
     load_matrix_csv,
     load_traces,
     load_truth,
@@ -194,7 +195,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    est_d = json.loads(Path(args.estimate).read_text())
+    est_d = load_json_object(args.estimate)
     missing = [key for key in ("k_hat", "z_hat", "mu_hat") if key not in est_d]
     if missing:
         raise DataError(f"{args.estimate} lacks {', '.join(missing)}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DataMatrix, cluster_sums
+from .core import DataMatrix, cluster_sums, residual_score
 from .errors import ConfigError
 
 
@@ -71,6 +71,9 @@ def _assign(values: np.ndarray, sq_norms: np.ndarray, mu: np.ndarray) -> np.ndar
 def _single_run(
     values: np.ndarray, config: CmleConfig, init_centers: np.ndarray, max_iters: int
 ) -> tuple[np.ndarray, np.ndarray, float]:
+    """(mu, z, score) of the best Lloyd iterate.  The score is the objective
+    less the constant ||values||_F^2, taken from the cluster sums, so it
+    ranks iterates and restarts as the objective does without a p x n pass."""
     k = config.k
     sq_norms = (values * values).sum(axis=0)
     mu = init_centers.copy()
@@ -90,14 +93,14 @@ def _single_run(
             mu[:, empty] = values[:, worst]
             z = _assign(values, sq_norms, mu)
             sizes = np.bincount(z, minlength=k + 1)[1:]
-        sums = cluster_sums(values, z, k).T
+        sums = cluster_sums(values, z, k)
         nonempty = sizes > 0
         new_mu = mu.copy()
-        new_mu[:, nonempty] = sums[:, nonempty] / sizes[nonempty][None, :]
+        new_mu[:, nonempty] = sums.T[:, nonempty] / sizes[nonempty][None, :]
         mu = sparsify_rows(new_mu, config.s, sizes)
-        obj = _objective(values, mu, z)
-        if obj < best[2]:
-            best = (mu.copy(), z.copy(), obj)
+        score = residual_score(sums, mu.T, z)
+        if score < best[2]:
+            best = (mu.copy(), z.copy(), score)
         if z_prev is not None and np.array_equal(z, z_prev):
             break
         z_prev = z
@@ -144,10 +147,11 @@ def fit_cmle(
                 rng.shuffle(z0)
                 sizes = np.bincount(z0, minlength=config.k + 1)[1:]
                 centers = cluster_sums(values, z0, config.k).T / sizes[None, :]
-        mu, z, obj = _single_run(values, config, centers, config.max_iters)
-        if obj < best[2]:
-            best = (mu, z, obj)
-    return best
+        mu, z, score = _single_run(values, config, centers, config.max_iters)
+        if score < best[2]:
+            best = (mu, z, score)
+    mu, z, _ = best
+    return mu, z, _objective(values, mu, z)
 
 
 def fit_kmeans(

@@ -172,6 +172,23 @@ def cluster_sums(values: np.ndarray, z: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+def residual_score(sums: np.ndarray, mu: np.ndarray, z: np.ndarray) -> float:
+    """||Y - mu_z||_F^2 - ||Y||_F^2 from the (k, m) cluster sums and means.
+
+    With S_c and n_c the sum and size of cluster c, the residual of the
+    labels z under the means expands to ||Y||_F^2 + sum_c n_c ||mu_c||^2
+    - 2 sum_c S_c.mu_c, over the m rows where the means can be non-zero;
+    only the last two terms are returned.  Clusters enter in order of
+    first appearance in z, so every labelling of one partition and its
+    means scores bit for bit the same, as their residuals do.
+    """
+    labels, first, counts = np.unique(z, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    rows = labels[order] - 1
+    m, s = mu[rows], sums[rows]
+    return float(np.sum(counts[order] * np.sum(m * m, axis=1)) - 2.0 * np.sum(s * m))
+
+
 @dataclass
 class ModelState:
     """One Gibbs-sampler state.
@@ -321,12 +338,29 @@ def trace_to_ndjson(trace: ChainTrace) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_record(lineno: int, line: str) -> dict:
+    try:
+        rec = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise DataError(f"trace line {lineno} is not JSON: {exc}") from None
+    if not isinstance(rec, dict):
+        raise DataError(f"trace line {lineno} is not a JSON object")
+    return rec
+
+
+_SNAPSHOT_FIELDS = ("z", "k", "theta", "support", "mu_support")
+
+
 def trace_from_ndjson(text: str) -> ChainTrace:
-    """Inverse of :func:`trace_to_ndjson`; round-trips every field exactly."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    """Inverse of :func:`trace_to_ndjson`; round-trips every field exactly.
+
+    Raises DataError, naming the line, on a record that is not JSON or
+    lacks a field.
+    """
+    lines = [(i, ln) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines:
         raise DataError("empty trace file")
-    head = json.loads(lines[0])
+    head = _json_record(*lines[0])
     if head.get("type") != "meta":
         raise DataError("trace file must start with a meta record")
     names = [f.name for f in fields(TraceMeta)]
@@ -335,13 +369,21 @@ def trace_from_ndjson(text: str) -> ChainTrace:
         raise DataError(f"trace meta record lacks {', '.join(missing)}")
     meta = TraceMeta(**{name: head[name] for name in names})
     snaps = []
-    for ln in lines[1:]:
-        rec = json.loads(ln)
+    for lineno, ln in lines[1:]:
+        rec = _json_record(lineno, ln)
         if rec.get("type") != "snapshot":
-            raise DataError(f"unexpected record type {rec.get('type')!r}")
+            raise DataError(f"unexpected record type {rec.get('type')!r} on trace line {lineno}")
+        missing = [name for name in _SNAPSHOT_FIELDS if name not in rec]
+        if missing:
+            raise DataError(f"snapshot on trace line {lineno} lacks {', '.join(missing)}")
         k = rec["k"]
         support = np.asarray(rec["support"], dtype=int)
-        mu_support = np.asarray(rec["mu_support"], dtype=float).reshape(k, support.size)
+        mu_support = np.asarray(rec["mu_support"], dtype=float)
+        if mu_support.size != k * support.size:
+            raise DataError(
+                f"snapshot on trace line {lineno} has {mu_support.size} support means, "
+                f"not k * |support| = {k * support.size}"
+            )
         dense = rec.get("mu_dense")
         snaps.append(
             Snapshot(
@@ -349,9 +391,8 @@ def trace_from_ndjson(text: str) -> ChainTrace:
                 k=k,
                 theta=rec["theta"],
                 support=support,
-                mu_support=mu_support,
+                mu_support=mu_support.reshape(k, support.size),
                 mu_dense=None if dense is None else np.asarray(dense, dtype=float),
             )
         )
     return ChainTrace(snapshots=snaps, meta=meta)
-

@@ -30,6 +30,10 @@ class TooFewObservationsError(DataError):
     """Fewer than two observations."""
 
 
+class TraceMismatchError(DataError):
+    """A trace's snapshots do not fit the dataset they are scored against."""
+
+
 class EmptyAfterFilterError(DataError):
     """Preprocessing filtered away every gene (or every cell)."""
 

@@ -188,8 +188,19 @@ class ReportBundle:
     metrics: dict | None
 
 
+def load_json_object(path: str | Path) -> dict:
+    """The JSON object in a data file; DataError if the file holds none."""
+    try:
+        d = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path} is not valid JSON: {exc}") from None
+    if not isinstance(d, dict):
+        raise DataError(f"{path} must hold a JSON object, not a {type(d).__name__}")
+    return d
+
+
 def load_truth(path: str | Path) -> tuple[np.ndarray, np.ndarray | None]:
-    d = json.loads(Path(path).read_text())
+    d = load_json_object(path)
     if "z_true" not in d:
         raise DataError(f"{path} lacks a z_true field")
     z = np.asarray(d["z_true"], dtype=int)

@@ -237,7 +237,7 @@ def sweep(
     workspace = ReseatWorkspace(state, data, vn, hyper, rng)
     for i in range(data.n):
         reseat_observation(i, state, vn, data, hyper, rng, workspace)
-    ctx = build_context(state, data, hyper)
+    ctx = build_context(state, data)
     update_mu(state, ctx, hyper, rng)
     update_phi(state, hyper, rng)
     update_xi(state, hyper, rng)

@@ -37,7 +37,7 @@ class SslConditionalContext:
             raise LengthMismatchError("every active cluster must be non-empty")
 
 
-def build_context(state: ModelState, data: DataMatrix, hyper: Hyperparams) -> SslConditionalContext:
+def build_context(state: ModelState, data: DataMatrix) -> SslConditionalContext:
     """Recompute cluster sums/sizes from scratch (avoids incremental drift)."""
     sums = cluster_sums(data.values, state.z, state.k_active)
     sizes = state.cluster_sizes()

@@ -6,6 +6,14 @@ the smallest Frobenius reconstruction error as the reference and
 permutes every other snapshot's labels to best match the reference
 means.  The error alone would favour the rare draws with a surplus
 cluster, since an extra cluster always lowers it.
+
+Scoring a snapshot builds no p x n residual.  With S_k and n_k the sum
+and size of cluster k, ||Y - mu_z||_F^2 = ||Y||_F^2 - (2 sum_k S_k.mu_k
+- sum_k n_k ||mu_k||^2), and only the rows where the means can be
+non-zero (the support, or every row of a dense mean) enter the sums.
+:func:`reconstruction_error` returns the error less ||Y||_F^2, which is
+the same for every snapshot, so it orders snapshots exactly as the error
+does.
 """
 
 from __future__ import annotations
@@ -16,8 +24,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .core import ChainTrace, ClusterEstimate, DataMatrix, Snapshot
-from .errors import LengthMismatchError
+from .core import (
+    ChainTrace,
+    ClusterEstimate,
+    DataMatrix,
+    Snapshot,
+    cluster_sums,
+    residual_score,
+)
+from .errors import LengthMismatchError, TraceMismatchError
 
 
 def solve_assignment(cost: np.ndarray) -> np.ndarray:
@@ -68,10 +83,36 @@ class AlignedTrace:
 
 
 def reconstruction_error(snapshot: Snapshot, data: DataMatrix) -> float:
-    """||Y - mu L^T||_F^2 for one snapshot."""
-    mu = snapshot.dense_mu(data.p)
-    resid = data.values - mu[snapshot.z - 1].T
-    return float(np.sum(resid * resid))
+    """||Y - mu L^T||_F^2 - ||Y||_F^2 for one snapshot, from its cluster sums.
+
+    The dropped ||Y||_F^2 is the same for every snapshot, so this orders
+    snapshots exactly as the reconstruction error does.
+    """
+    if snapshot.mu_dense is not None:
+        rows, mu = data.values, snapshot.mu_dense
+    else:
+        rows, mu = data.values[snapshot.support - 1], snapshot.mu_support
+    return residual_score(cluster_sums(rows, snapshot.z, snapshot.k), mu, snapshot.z)
+
+
+def _check_fits(snaps: list[Snapshot], data: DataMatrix) -> None:
+    """Raise TraceMismatchError unless every snapshot fits the p x n data."""
+    for b, s in enumerate(snaps):
+        if s.z.shape != (data.n,):
+            raise TraceMismatchError(
+                f"snapshot {b} labels {s.z.size} observations, the data has {data.n}"
+            )
+        if s.z.size and (s.z.min() < 1 or s.z.max() > s.k):
+            raise TraceMismatchError(f"snapshot {b} has labels outside 1..{s.k}")
+        if s.support.size and (s.support.min() < 1 or s.support.max() > data.p):
+            raise TraceMismatchError(
+                f"snapshot {b} has support outside the data's features 1..{data.p}"
+            )
+        if s.mu_dense is not None and s.mu_dense.shape != (s.k, data.p):
+            raise TraceMismatchError(
+                f"snapshot {b} has dense means of shape {s.mu_dense.shape}, "
+                f"not ({s.k}, {data.p})"
+            )
 
 
 def _modal_k(snaps: list[Snapshot]) -> int:
@@ -140,6 +181,7 @@ def align_labels(
     snaps = trace.snapshots if isinstance(trace, ChainTrace) else list(trace)
     if not snaps:
         raise LengthMismatchError("cannot align an empty trace")
+    _check_fits(snaps, data)
     if mu_ref is None:
         ref_index = _reference_index(snaps, data)
         mu_ref = snaps[ref_index].dense_mu(data.p)
@@ -239,6 +281,7 @@ def psrf_report(traces: list[ChainTrace], data: DataMatrix) -> dict[str, float]:
     if len(traces) < 2:
         raise LengthMismatchError("need at least 2 chains")
     pooled = [s for t in traces for s in t.snapshots]
+    _check_fits(pooled, data)
     mu_ref = pooled[_reference_index(pooled, data)].dense_mu(data.p)
     aligned = [align_labels(t, data, mu_ref=mu_ref) for t in traces]
 

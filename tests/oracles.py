@@ -6,7 +6,10 @@ it verifies.  ``centre_error`` is the one loss the tests use that the
 package does not provide.  ``reference_sweep`` writes the sampler's
 reseat pass plainly (direct distances, per-call allocation) and
 ``reference_kmeans`` keeps the k-means Lloyd loop in its first form, as
-bitwise references for the lean ones.
+bitwise references for the lean ones.  ``dense_reconstruction_error``,
+``reference_index`` and ``reference_kmeans`` rank alignment candidates
+and Lloyd iterates by the full p x n residual, which the package ranks
+from cluster sums instead.
 """
 
 from itertools import permutations, product
@@ -264,13 +267,33 @@ def reference_sweep(state, data, vn, hyper, rng):
     return state
 
 
-def reference_kmeans(values, k, seed=0, n_restarts=8, max_iters=100):
+def dense_reconstruction_error(snapshot, data):
+    """||Y - mu L^T||_F^2 from the full p x n residual."""
+    mu = snapshot.dense_mu(data.p)
+    resid = data.values - mu[snapshot.z - 1].T
+    return float(np.sum(resid * resid))
+
+
+def reference_index(snaps, data):
+    """Alignment reference: among the snapshots with the modal K (the
+    smallest K on ties), the first with the least dense reconstruction error."""
+    ks = [s.k for s in snaps]
+    top = max(ks.count(k) for k in ks)
+    k_mode = min(k for k in ks if ks.count(k) == top)
+    errors = [dense_reconstruction_error(s, data) if s.k == k_mode else inf for s in snaps]
+    return int(np.argmin(errors))
+
+
+def reference_kmeans(values, k, seed=0, n_restarts=8, max_iters=100, s=None):
     """(mu, z, objective, reseeds): k-means with the Lloyd loop first written.
 
     The same restarts as ``fit_kmeans`` (even: k observations drawn without
     replacement; odd: means of a random partition), np.add.at sums, the
     squared norms recomputed at every assignment, and ``reseeds`` counting
-    the empty clusters re-seeded at the worst-fit observation.
+    the empty clusters re-seeded at the worst-fit observation.  Iterates
+    and restarts are ranked by the dense objective.  With ``s`` < p the
+    means keep only the s rows of largest size-weighted squared norm
+    (lower row first on ties), as ``fit_cmle`` does.
     """
     p, n = values.shape
     streams = np.random.SeedSequence(seed).spawn(n_restarts)
@@ -315,6 +338,9 @@ def reference_kmeans(values, k, seed=0, n_restarts=8, max_iters=100):
             nonempty = sizes > 0
             mu = mu.copy()
             mu[:, nonempty] = sums[:, nonempty] / sizes[nonempty][None, :]
+            if s is not None and s < p:
+                row_gain = (mu * mu) @ sizes.astype(float)
+                mu[np.argsort(-row_gain, kind="stable")[s:]] = 0.0
             resid = values - mu[:, z - 1]
             obj = float(np.sum(resid * resid))
             if obj < run_best[2]:

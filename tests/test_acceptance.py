@@ -143,7 +143,7 @@ def test_criterion_2b_conjugate_stationarity_ks():
         xi=np.ones(1, dtype=np.int8),
         theta=0.5,
     )
-    ctx = build_context(state, data, hyper)
+    ctx = build_context(state, data)
     rng = np.random.default_rng(505)
     draws = np.empty(50_000)
     for t in range(draws.size):

@@ -235,3 +235,25 @@ def test_malformed_estimate_and_trace_exit_3(tmp_path, capsys):
     data.write_text("1.0,2.0,3.0\n4.0,5.0,6.0\n")
     trace.write_text(json.dumps({"type": "meta", "p": 2}) + "\n")  # no n
     _fails_with(capsys, 3, "diagnose", "--data", data, "--traces", trace, trace)
+
+    # files that are not JSON
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    _fails_with(capsys, 3, "evaluate", "--estimate", bad, "--truth", truth)
+    est.write_text(json.dumps({"k_hat": 1, "z_hat": [1, 1], "mu_hat": [[0.0]]}))
+    _fails_with(capsys, 3, "evaluate", "--estimate", est, "--truth", bad)
+
+    # snapshot records that are not JSON, lack a field, or do not fit the data
+    meta = {"type": "meta", "n": 3, "p": 2, "n_burn": 0, "thin": 1, "seed": 0,
+            "chain_id": 0, "hyper_digest": "", "ssl_mode": "joint"}
+    snap = {"type": "snapshot", "z": [1, 1, 1], "k": 1, "theta": 0.5,
+            "support": [1], "mu_support": [[0.0]]}
+    for line in (
+        "{not json",
+        json.dumps({key: v for key, v in snap.items() if key != "support"}),
+        json.dumps({**snap, "mu_support": [[0.0, 1.0]]}),
+        json.dumps({**snap, "z": [1, 1]}),
+        json.dumps({**snap, "support": [3]}),
+    ):
+        trace.write_text(json.dumps(meta) + "\n" + line + "\n")
+        _fails_with(capsys, 3, "diagnose", "--data", data, "--traces", trace, trace)

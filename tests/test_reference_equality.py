@@ -1,7 +1,9 @@
 """Bitwise equality of the lean sampler paths with their naive references.
 
 The cluster sums and the k-means Lloyd loop were rewritten to do less
-work with the same random draws and the same arithmetic; the reseat pass
+work with the same random draws and the same arithmetic (the loop ranks
+its iterates from cluster sums, the reference by the dense objective,
+and both must pick the same one); the reseat pass
 computes its distances from inner products, which changes the weights by
 rounding only, and the weights only steer categorical draws.  These tests
 hold them to the plain versions kept in ``oracles.py``: every array must
@@ -13,7 +15,7 @@ import pytest
 
 import sparsegmm.gibbs as gibbs
 from oracles import reference_kmeans, reference_sweep
-from sparsegmm.cmle import fit_kmeans
+from sparsegmm.cmle import CmleConfig, fit_cmle, fit_kmeans
 from sparsegmm.core import DataMatrix, Hyperparams, cluster_sums
 from sparsegmm.gibbs import InitSpec, RunConfig, init_state, sweep
 from sparsegmm.synthetic import ScenarioSpec, generate
@@ -104,6 +106,20 @@ def test_fit_kmeans_matches_reference_through_empty_cluster_reseed():
     mu, z, obj = fit_kmeans(DataMatrix(values), 8, seed=3)
     mu_ref, z_ref, obj_ref, reseeds = reference_kmeans(values, 8, seed=3)
     assert reseeds > 0
+    assert np.array_equal(mu, mu_ref)
+    assert np.array_equal(z, z_ref)
+    assert obj == obj_ref
+
+
+@pytest.mark.parametrize("scenario,seed,s", [("one", 1, 6), ("one", 2, 10), ("two", 1, 8),
+                                             ("two", 3, 20)])
+def test_fit_cmle_sparse_matches_reference_bitwise(scenario, seed, s):
+    spec = ScenarioSpec(scenario=scenario, p=60, n=120, s=6 if scenario == "one" else None,
+                        mean_scale=1.5, seed=seed)
+    data = generate(spec)[0]
+    mu, z, obj = fit_cmle(data, CmleConfig(k=3, s=s, seed=seed))
+    mu_ref, z_ref, obj_ref, _ = reference_kmeans(data.values, 3, seed=seed, s=s)
+    assert np.count_nonzero(np.abs(mu_ref).sum(axis=1)) <= s
     assert np.array_equal(mu, mu_ref)
     assert np.array_equal(z, z_ref)
     assert obj == obj_ref

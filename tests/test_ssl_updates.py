@@ -40,7 +40,7 @@ def test_update_mu_long_run_matches_conjugate_normal():
     y_sum, n_obs = 3.0, 4
     data = DataMatrix(np.full((1, n_obs), y_sum / n_obs))
     state = _single_cluster_state(p=1, phi=1.0, xi=1, n=n_obs)
-    ctx = build_context(state, data, hyper)
+    ctx = build_context(state, data)
     rng = np.random.default_rng(42)
     draws = np.empty(100_000)
     for t in range(draws.size):
@@ -59,7 +59,7 @@ def test_update_mu_consecutive_runs_ks():
     hyper = _hyper()
     data = DataMatrix(np.array([[0.5, -0.5, 1.0, 0.0]]))
     state = _single_cluster_state(p=1, phi=2.0, xi=0, n=4)
-    ctx = build_context(state, data, hyper)
+    ctx = build_context(state, data)
     rng = np.random.default_rng(7)
 
     def run(m):

@@ -1,10 +1,21 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from oracles import permute_snapshot_labels
-from sparsegmm.core import DataMatrix, Snapshot
-from sparsegmm.errors import LengthMismatchError
-from sparsegmm.summarize import align_labels, point_estimates, psrf, reconstruction_error
+import sparsegmm.summarize as summarize
+from oracles import dense_reconstruction_error, permute_snapshot_labels, reference_index
+from sparsegmm.core import DataMatrix, Snapshot, default_hyperparams
+from sparsegmm.errors import DataError, LengthMismatchError, TraceMismatchError
+from sparsegmm.gibbs import RunConfig, run_chains
+from sparsegmm.summarize import (
+    align_labels,
+    point_estimates,
+    psrf,
+    psrf_report,
+    reconstruction_error,
+)
+from sparsegmm.synthetic import ScenarioSpec, generate
 
 
 def _snapshot(z, mu, theta=0.2, support=None):
@@ -179,3 +190,60 @@ def test_psrf_mismatched_lengths():
         psrf([np.zeros(5), np.zeros(6)])
     with pytest.raises(LengthMismatchError):
         psrf([np.zeros(5)])
+
+
+@pytest.fixture(scope="module", params=["joint", "column"])
+def fixed_traces(request):
+    """Two short fixed-seed chains that keep their dense means."""
+    data = generate(ScenarioSpec(scenario="one", p=40, n=60, s=6, mean_scale=1.5, seed=3))[0]
+    hyper = default_hyperparams(data.p, ssl_mode=request.param)
+    config = RunConfig(n_burn=10, n_keep=30, n_chains=2, seed=5, store_dense_mu=True)
+    return data, run_chains(data, hyper, config)
+
+
+def _support_only(snap):
+    return replace(snap, mu_dense=None)
+
+
+def _no_support(snap):
+    return replace(snap, support=np.zeros(0, dtype=int), mu_support=np.zeros((snap.k, 0)),
+                   mu_dense=None)
+
+
+def test_reconstruction_error_is_dense_error_less_data_norm(fixed_traces):
+    data, traces = fixed_traces
+    y_norm = float(np.sum(data.values * data.values))
+    for snap in traces[0].snapshots:
+        for variant in (snap, _support_only(snap), _no_support(snap)):
+            dense = dense_reconstruction_error(variant, data)
+            assert reconstruction_error(variant, data) + y_norm == pytest.approx(dense, rel=1e-12)
+
+
+def test_reference_and_psrf_table_match_dense_oracle(fixed_traces, monkeypatch):
+    data, traces = fixed_traces
+    pooled = [s for t in traces for s in t.snapshots]
+    for snaps in (pooled, [_support_only(s) for s in pooled], traces[1].snapshots):
+        ks = [s.k for s in snaps]
+        assert max(ks.count(k) for k in ks) >= 2  # the search has candidates to rank
+        assert align_labels(snaps, data).ref_index == reference_index(snaps, data)
+    report = psrf_report(traces, data)
+    monkeypatch.setattr(summarize, "reconstruction_error", dense_reconstruction_error)
+    assert report == psrf_report(traces, data)
+
+
+def test_traces_that_do_not_fit_the_data_raise(fixed_traces):
+    data, traces = fixed_traces
+    snap = traces[0].snapshots[0]
+    bad = [
+        replace(snap, z=snap.z[:-1]),
+        replace(snap, z=np.where(snap.z == 1, snap.k + 1, snap.z)),
+        replace(_no_support(snap), support=np.array([data.p + 1]),
+                mu_support=np.zeros((snap.k, 1))),
+        replace(snap, mu_dense=snap.mu_dense[:, :-1]),
+    ]
+    assert issubclass(TraceMismatchError, DataError)
+    for b in bad:
+        with pytest.raises(TraceMismatchError):
+            align_labels(traces[0].snapshots + [b], data)
+        with pytest.raises(TraceMismatchError):
+            psrf_report([traces[0], replace(traces[1], snapshots=[b] * len(traces[1]))], data)
