@@ -218,6 +218,8 @@ def _cmd_evaluate(args) -> int:
 def _cmd_diagnose(args) -> int:
     data = DataMatrix(values=load_matrix_csv(args.data, transpose=args.transpose))
     validate_dataset(data)
+    if len(args.traces) < 2:
+        raise ConfigError("diagnose needs at least 2 --traces files")
     traces = load_traces(args.traces)
     report = psrf_report(traces, data)
     text = canonical_json(report)

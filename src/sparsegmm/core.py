@@ -196,7 +196,8 @@ class ModelState:
     z        : (n,) int labels in 1..K (dense, every cluster non-empty)
     mu       : (K, p) cluster means; row c is the mean of label c+1
     phi      : (K, p) strictly positive Laplace scale auxiliaries
-    xi       : (p,) 0/1 indicators in joint mode, (K, p) in column mode
+    xi       : (K, p) int8 0/1 inclusion indicators; in joint mode the K
+               rows are tied (one indicator per feature, stored per row)
     theta    : slab inclusion probability in (0, 1)
     """
 
@@ -238,6 +239,7 @@ class ModelState:
         sizes = self.cluster_sizes()
         assert (sizes >= 1).all(), "empty active cluster"
         assert self.phi.shape == self.mu.shape and (self.phi > 0).all(), "phi must be positive"
+        assert self.xi.shape == self.mu.shape, "xi must be (K, p)"
         assert 0.0 < self.theta < 1.0, "theta outside (0,1)"
         if k_max is not None:
             assert k <= k_max, "more active clusters than k_max"

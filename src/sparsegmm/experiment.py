@@ -28,7 +28,14 @@ from .core import (
     trace_to_ndjson,
     validate_dataset,
 )
-from .errors import ConfigError, DataError, DegeneratePartitionError
+from .errors import (
+    ConfigError,
+    DataError,
+    DegeneratePartitionError,
+    DimensionMismatchError,
+    LabelOutOfRangeError,
+    LengthMismatchError,
+)
 from .gibbs import SCREENED_KMEANS, InitSpec, RunConfig, run_chains
 from .metrics import ari, mean_matrix_error, min_hamming, nmi
 from .summarize import align_labels, point_estimates, psrf_report
@@ -213,23 +220,24 @@ def compute_metrics(
     z_true: np.ndarray,
     mu_true: np.ndarray | None,
 ) -> dict:
-    """ARI, NMI, mis-clustering rate, reconstruction error for an estimate."""
-    k_common = max(int(np.max(z_true)), int(np.max(est.z_hat)))
-    out = {
-        "k_hat": int(est.k_hat),
-        "ari": ari(z_true, est.z_hat),
-        "d_h": min_hamming(z_true, est.z_hat, k_common),
-    }
+    """ARI, NMI, mis-clustering rate, reconstruction error for an estimate;
+    DataError if the estimate and the truth do not fit each other."""
     try:
-        out["nmi"] = nmi(z_true, est.z_hat)
-    except DegeneratePartitionError:
-        out["nmi"] = None
-    if mu_true is not None:
-        out["mean_matrix_error"] = mean_matrix_error(
+        k_common = max(int(np.max(z_true)), int(np.max(est.z_hat)))
+        out = {
+            "k_hat": int(est.k_hat),
+            "ari": ari(z_true, est.z_hat),
+            "d_h": min_hamming(z_true, est.z_hat, k_common),
+        }
+        try:
+            out["nmi"] = nmi(z_true, est.z_hat)
+        except DegeneratePartitionError:
+            out["nmi"] = None
+        out["mean_matrix_error"] = None if mu_true is None else mean_matrix_error(
             est.mu_hat, est.z_hat, mu_true, z_true
         )
-    else:
-        out["mean_matrix_error"] = None
+    except (LengthMismatchError, LabelOutOfRangeError, DimensionMismatchError) as exc:
+        raise DataError(f"the estimate does not fit the truth: {exc}") from None
     return out
 
 

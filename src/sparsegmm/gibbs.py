@@ -5,16 +5,17 @@ consumes randomness in this order:
 
 1. reseating, observations i = 1..n ascending.  Before the first
    observation, the pass's auxiliary cluster: in column mode a block of
-   p uniforms for its indicators, then a block of p exponentials for its
-   scales and a block of p standard normals for its mean.  Per
-   observation: one categorical uniform; then, only if it opens a
-   cluster, the same three blocks for a fresh auxiliary;
-2. mean update, clusters ascending, one normal block per cluster in
-   coordinate order;
+   p uniforms for its indicators (joint mode copies the shared row), then
+   a block of p exponentials for its scales and a block of p standard
+   normals for its mean.  Per observation: one categorical uniform;
+   then, only if it opens a cluster, the same blocks for a fresh
+   auxiliary;
+2. mean update: one cluster-major (K, p) block of standard normals;
 3. scale update, clusters ascending (inverse-Gaussian block then
    Gamma block per cluster);
-4. indicator update (one uniform block, features ascending; per cluster
-   in column mode);
+4. indicator update: in joint mode one block of p uniforms, features
+   ascending, shared by the K tied rows; in column mode one
+   cluster-major (K, p) block of uniforms;
 5. one Beta draw for theta.
 
 This order is a contract.  A change that keeps it, and computes every
@@ -136,8 +137,8 @@ def _screen_indicators(
     roughly N(0, sigma_j^2), so sigma_j * sqrt(2 log(pK)) bounds all pK of
     them with high probability.  sigma_j is the pooled within-cluster
     standard deviation of feature j, floored at the model's unit noise.
-    Joint mode keeps feature j if any cluster clears it; column mode keeps
-    each (c, j) on its own.
+    Joint mode keeps feature j in every row if any cluster clears it;
+    column mode keeps each (c, j) on its own.
     """
     k, p = mu.shape
     n = z.size
@@ -147,7 +148,7 @@ def _screen_indicators(
     threshold = np.maximum(spread, 1.0) * np.sqrt(2.0 * np.log(p * k))
     clears = np.sqrt(sizes)[:, None] * np.abs(mu) > threshold
     if ssl_mode != COLUMN_SSL:
-        clears = clears.any(axis=0)
+        clears = np.broadcast_to(clears.any(axis=0), clears.shape)
     return clears.astype(np.int8)
 
 
@@ -196,8 +197,7 @@ def init_state(
     if spec.kind == SCREENED_KMEANS:
         xi = _screen_indicators(data.values, z, mu, hyper.ssl_mode)
     else:
-        xi_shape = (k, p) if hyper.ssl_mode == COLUMN_SSL else (p,)
-        xi = np.zeros(xi_shape, dtype=np.int8)
+        xi = np.zeros((k, p), dtype=np.int8)
     return ModelState(
         z=z,
         mu=mu,
@@ -234,11 +234,11 @@ def sweep(
     rng: np.random.Generator,
 ) -> ModelState:
     """One full iteration: reseat all observations, then mu, phi, xi, theta."""
-    workspace = ReseatWorkspace(state, data, vn, hyper, rng)
+    ws = ReseatWorkspace(state, data, vn, hyper, rng)
     for i in range(data.n):
-        reseat_observation(i, state, vn, data, hyper, rng, workspace)
-    ctx = build_context(state, data)
-    update_mu(state, ctx, hyper, rng)
+        reseat_observation(i, state, ws, rng)
+    sums, sizes = build_context(state, data)
+    update_mu(state, sums, sizes, hyper, rng)
     update_phi(state, hyper, rng)
     update_xi(state, hyper, rng)
     update_theta(state, hyper, rng)
@@ -251,8 +251,7 @@ def _loglik(state: ModelState, data: DataMatrix) -> float:
 
 
 def _take_snapshot(state: ModelState, store_dense: bool) -> Snapshot:
-    xi = state.xi
-    support0 = np.flatnonzero(xi.any(axis=0) if xi.ndim == 2 else xi)
+    support0 = np.flatnonzero(state.xi.any(axis=0))
     return Snapshot(
         z=state.z.copy(),
         k=state.k_active,

@@ -33,11 +33,10 @@ def forward_prior_state(n: int, p: int, hyper: Hyperparams, rng: np.random.Gener
     k = order.size
 
     theta = float(rng.beta(1.0, hyper.beta_theta))
-    column = hyper.ssl_mode == COLUMN_SSL
-    xi_shape = (k, p) if column else (p,)
-    xi = (rng.random(xi_shape) < theta).astype(np.int8)
+    xi_shape = (k, p) if hyper.ssl_mode == COLUMN_SSL else (p,)
+    xi = np.broadcast_to(rng.random(xi_shape) < theta, (k, p)).astype(np.int8)
     phi = rng.exponential(2.0, size=(k, p))
-    lam = np.where((xi if column else xi[None, :]) == 1, hyper.lambda1, hyper.lambda0)
+    lam = np.where(xi == 1, hyper.lambda1, hyper.lambda0)
     mu = rng.standard_normal((k, p)) * np.sqrt(phi) / lam
     return ModelState(z=z, mu=mu, phi=phi, xi=xi, theta=theta)
 

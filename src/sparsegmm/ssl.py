@@ -5,6 +5,11 @@ its normal scale-mixture representation, which gives conjugate updates
 for the means (normal), the scale auxiliaries phi (GIG), the inclusion
 indicators xi (Bernoulli), and the inclusion probability theta (Beta).
 
+The indicators are a (K, p) array in both SSL modes.  In joint mode the
+K rows are tied: one indicator per feature, drawn once and written to
+every row, and counted once by the theta update.  Apart from the
+start's indicator screen, the sampler branches on the mode only here.
+
 The Bernoulli update computes the slab probability with the shared
 1/sqrt(phi) factors canceled between the slab and spike hypotheses;
 under a shared indicator the factors are identical on both sides, so the
@@ -12,8 +17,6 @@ canceled and uncanceled forms agree exactly.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,51 +28,37 @@ _THETA_FLOOR = 1e-300
 _THETA_CEIL = 1.0 - 1e-16
 
 
-@dataclass(frozen=True)
-class SslConditionalContext:
-    """Per-cluster sufficient statistics for the mean update."""
-
-    cluster_sums: np.ndarray   # (K, p) row c = sum of observations in cluster c+1
-    cluster_sizes: np.ndarray  # (K,)
-
-    def __post_init__(self):
-        if (self.cluster_sizes < 1).any():
-            raise LengthMismatchError("every active cluster must be non-empty")
-
-
-def build_context(state: ModelState, data: DataMatrix) -> SslConditionalContext:
-    """Recompute cluster sums/sizes from scratch (avoids incremental drift)."""
+def build_context(state: ModelState, data: DataMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """(sums, sizes): the (K, p) cluster sums and (K,) sizes, recomputed
+    from scratch (avoids incremental drift)."""
     sums = cluster_sums(data.values, state.z, state.k_active)
     sizes = state.cluster_sizes()
     if sizes.sum() != data.n:
         raise LengthMismatchError("cluster sizes do not sum to n")
-    return SslConditionalContext(cluster_sums=sums, cluster_sizes=sizes)
+    if (sizes < 1).any():
+        raise LengthMismatchError("every active cluster must be non-empty")
+    return sums, sizes
 
 
 def _lambda_sq(state: ModelState, hyper: Hyperparams) -> np.ndarray:
     """(K, p) array of lambda_{xi}^2 values matching mu's layout."""
-    lam_sq = np.where(state.xi == 1, hyper.lambda1**2, hyper.lambda0**2)
-    if lam_sq.ndim == 1:
-        lam_sq = np.broadcast_to(lam_sq, state.mu.shape)
-    return lam_sq
+    return np.where(state.xi == 1, hyper.lambda1**2, hyper.lambda0**2)
 
 
 def update_mu(
     state: ModelState,
-    ctx: SslConditionalContext,
+    sums: np.ndarray,
+    sizes: np.ndarray,
     hyper: Hyperparams,
     rng: np.random.Generator,
 ) -> ModelState:
     """Redraw every coordinate of every active cluster mean in place.
 
-    Clusters are visited in ascending label order; each cluster consumes
-    one block of standard normal draws in ascending coordinate order.
+    One (K, p) block of standard normals, cluster-major: cluster by
+    cluster in ascending label order, coordinates ascending within each.
     """
-    lam_sq = _lambda_sq(state, hyper)
-    for c in range(state.k_active):
-        prec = ctx.cluster_sizes[c] + lam_sq[c] / state.phi[c]
-        mean = ctx.cluster_sums[c] / prec
-        state.mu[c] = mean + rng.standard_normal(state.p) / np.sqrt(prec)
+    prec = sizes[:, None] + _lambda_sq(state, hyper) / state.phi
+    state.mu[:] = sums / prec + rng.standard_normal(state.mu.shape) / np.sqrt(prec)
     return state
 
 
@@ -114,22 +103,20 @@ def update_xi(state: ModelState, hyper: Hyperparams, rng: np.random.Generator) -
     """Redraw the inclusion indicators from their Bernoulli conditionals.
 
     Joint mode: one indicator per feature, product over all active
-    clusters, one uniform block in ascending feature order.  Column mode:
-    per-cluster indicators, clusters ascending.
+    clusters, one block of p uniforms in ascending feature order, written
+    to all K rows.  Column mode: per-cluster indicators, one cluster-major
+    (K, p) block of uniforms.
     """
     ratio = state.mu**2 / state.phi
     if hyper.ssl_mode == JOINT_SSL:
         odds = slab_log_odds(
             ratio.sum(axis=0), state.k_active, hyper.lambda0, hyper.lambda1, state.theta
         )
-        prob = _sigmoid(odds)
-        state.xi = (rng.random(state.p) < prob).astype(np.int8)
+        u = rng.random(state.p)
     else:
-        new_xi = np.empty_like(state.xi)
-        for c in range(state.k_active):
-            odds = slab_log_odds(ratio[c], 1, hyper.lambda0, hyper.lambda1, state.theta)
-            new_xi[c] = (rng.random(state.p) < _sigmoid(odds)).astype(np.int8)
-        state.xi = new_xi
+        odds = slab_log_odds(ratio, 1, hyper.lambda0, hyper.lambda1, state.theta)
+        u = rng.random(state.mu.shape)
+    state.xi = np.broadcast_to(u < _sigmoid(odds), state.mu.shape).astype(np.int8)
     return state
 
 
@@ -141,11 +128,24 @@ def theta_conditional_shapes(xi: np.ndarray, beta_theta: float) -> tuple[float, 
 
 
 def update_theta(state: ModelState, hyper: Hyperparams, rng: np.random.Generator) -> ModelState:
-    """Redraw theta from its Beta conditional (one draw)."""
-    a, b = theta_conditional_shapes(state.xi, hyper.beta_theta)
+    """Redraw theta from its Beta conditional (one draw); joint mode counts
+    its tied indicators once."""
+    xi = state.xi[0] if hyper.ssl_mode == JOINT_SSL else state.xi
+    a, b = theta_conditional_shapes(xi, hyper.beta_theta)
     draw = float(rng.beta(a, b))
     state.theta = min(max(draw, _THETA_FLOOR), _THETA_CEIL)
     return state
+
+
+def sample_prior_xi(
+    xi: np.ndarray, theta: float, hyper: Hyperparams, rng: np.random.Generator
+) -> np.ndarray:
+    """Indicators of a cluster opened beside the (K, p) rows ``xi``: the
+    shared row in joint mode (no draws); xi_j ~ Bernoulli(theta) in column
+    mode, one block of p uniforms."""
+    if hyper.ssl_mode == JOINT_SSL:
+        return xi[0]
+    return (rng.random(xi.shape[1]) < theta).astype(np.int8)
 
 
 def sample_prior_phi(p: int, rng: np.random.Generator) -> np.ndarray:

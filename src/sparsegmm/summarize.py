@@ -280,6 +280,8 @@ def psrf_report(traces: list[ChainTrace], data: DataMatrix) -> dict[str, float]:
     """
     if len(traces) < 2:
         raise LengthMismatchError("need at least 2 chains")
+    if len({len(t) for t in traces}) > 1 or len(traces[0]) < 2:
+        raise TraceMismatchError("chains must have equal lengths of at least 2 snapshots")
     pooled = [s for t in traces for s in t.snapshots]
     _check_fits(pooled, data)
     mu_ref = pooled[_reference_index(pooled, data)].dense_mu(data.p)

@@ -50,6 +50,12 @@ class ScenarioSpec:
     diag_variances: np.ndarray | None = None  # (K, p), defaults to ones
     t_dof: float | None = None
 
+    def __post_init__(self):
+        for name in ("p", "n", "s"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise BadSpecError(f"{name} must be at least 1, got {value}")
+
 
 def _scenario_one_means(p: int, k_star: int, s: int) -> np.ndarray:
     if k_star == 3:
@@ -80,9 +86,9 @@ def _scenario_two_means(p: int, s: int) -> np.ndarray:
 def _resolve(spec: ScenarioSpec):
     """(p, n, means, weights, variances, t_dof) for any scenario."""
     if spec.scenario == SCENARIO_ONE:
-        p = spec.p or 400
-        n = spec.n or 200
-        s = spec.s or 6
+        p = 400 if spec.p is None else spec.p
+        n = 200 if spec.n is None else spec.n
+        s = 6 if spec.s is None else spec.s
         if s > p:
             raise BadSpecError(f"support size {s} exceeds p={p}")
         means = _scenario_one_means(p, spec.k_star, s) * spec.mean_scale
@@ -92,9 +98,9 @@ def _resolve(spec: ScenarioSpec):
         variances = np.ones((means.shape[1], p))
         return p, n, means, weights, variances, None
     if spec.scenario in (SCENARIO_TWO, SCENARIO_THREE):
-        p = spec.p or 400
-        n = spec.n or 200
-        s = spec.s or 8
+        p = 400 if spec.p is None else spec.p
+        n = 200 if spec.n is None else spec.n
+        s = 8 if spec.s is None else spec.s
         if s > p:
             raise BadSpecError(f"support size {s} exceeds p={p}")
         means = _scenario_two_means(p, s) * spec.mean_scale
@@ -115,7 +121,7 @@ def _resolve(spec: ScenarioSpec):
         p = means.shape[0]
         if spec.p is not None and spec.p != p:
             raise BadSpecError("explicit p conflicts with means dimension")
-        n = spec.n or 200
+        n = 200 if spec.n is None else spec.n
         if spec.diag_variances is None:
             variances = np.ones((weights.size, p))
         else:

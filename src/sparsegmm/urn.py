@@ -6,7 +6,8 @@ prior (Neal 2000, Algorithm 8, with the V_n ratio of Miller and Harrison
 the observations of a pass and redrawn only when it opens a cluster (the
 "ReUse" variant of Favaro and Teh 2013 with one auxiliary), and every
 distance comes from inner products, so an observation costs O(K)
-arithmetic and one categorical draw.
+arithmetic and one categorical draw.  The urn does not know the SSL mode:
+a new cluster's indicators come from ``ssl.sample_prior_xi``.
 
 The exchangeable-partition coefficients V_n(t) control the probability of
 opening a new cluster while reseating a single observation.  They follow
@@ -26,9 +27,9 @@ from functools import cached_property
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from .core import COLUMN_SSL, DataMatrix, Hyperparams, ModelState
+from .core import DataMatrix, Hyperparams, ModelState
 from .distributions import log_trunc_poisson_table, sample_categorical_log
-from .ssl import sample_prior_mu, sample_prior_phi
+from .ssl import sample_prior_mu, sample_prior_phi, sample_prior_xi
 
 
 @dataclass(frozen=True)
@@ -81,10 +82,10 @@ def build_vn_table(n: int, hyper: Hyperparams) -> VnTable:
 class ReseatWorkspace:
     """Working buffers shared by the reseat calls of one pass over the observations.
 
-    Building one moves ``state.mu`` and ``state.phi`` (and ``state.xi`` in
-    column mode) into capacity-``k_max + 1`` buffers and rebinds the
-    state's arrays to their leading K rows, so the state keeps its one
-    representation while clusters open and close without reallocation.
+    Building one moves ``state.mu``, ``state.phi`` and ``state.xi`` into
+    capacity-``k_max + 1`` buffers and rebinds the state's arrays to their
+    leading K rows, so the state keeps its one representation while
+    clusters open and close without reallocation.
     Row K holds the auxiliary cluster, drawn from the prior when the
     workspace is built (see ``draw_auxiliary``).
 
@@ -110,7 +111,7 @@ class ReseatWorkspace:
     G0 after it opens a cluster, or at the end of the pass, is a Gibbs step.
     """
 
-    __slots__ = ("k", "mu", "phi", "xi", "shared_xi", "sizes", "half_sq", "base", "g",
+    __slots__ = ("k", "k_max", "mu", "phi", "xi", "sizes", "half_sq", "base", "g",
                  "log_open", "logw", "values", "alpha", "theta", "hyper")
 
     def __init__(self, state: ModelState, data: DataMatrix, vn: VnTable, hyper: Hyperparams,
@@ -119,24 +120,18 @@ class ReseatWorkspace:
         cap = max(vn.k_max, k) + 1
         values = data.values
         self.k = k
+        self.k_max = vn.k_max
         self.values = values
         self.alpha = hyper.alpha
         self.theta = state.theta
         self.hyper = hyper
         self.mu = np.empty((cap, p))
         self.mu[:k] = state.mu
-        state.mu = self.mu[:k]
         self.phi = np.empty((cap, p))
         self.phi[:k] = state.phi
-        state.phi = self.phi[:k]
-        if hyper.ssl_mode == COLUMN_SSL:
-            self.xi = np.empty((cap, p), dtype=state.xi.dtype)
-            self.xi[:k] = state.xi
-            state.xi = self.xi[:k]
-            self.shared_xi = None
-        else:
-            self.xi = None
-            self.shared_xi = state.xi
+        self.xi = np.empty((cap, p), dtype=np.int8)
+        self.xi[:k] = state.xi
+        self.bind(state)
         counts = np.bincount(state.z, minlength=k + 1)[1:]
         self.sizes = counts.tolist()
         self.half_sq = np.empty(cap)
@@ -150,18 +145,14 @@ class ReseatWorkspace:
         self.draw_auxiliary(rng)
 
     def draw_auxiliary(self, rng: np.random.Generator) -> None:
-        """Draw row K from the prior of a new cluster: in column mode its
-        indicators xi_j ~ Bernoulli(theta) (one block of uniforms), then
-        phi_j ~ Exp(1/2) and mu_j ~ N(0, phi_j / lambda_{xi_j}^2), so that
+        """Draw row K from the prior of a new cluster: its indicators from
+        ``sample_prior_xi``, then phi_j ~ Exp(1/2) and
+        mu_j ~ N(0, phi_j / lambda_{xi_j}^2), so that
         mu_j ~ Laplace(lambda_{xi_j})."""
         t = self.k
-        p = self.mu.shape[1]
-        if self.xi is None:
-            xi = self.shared_xi
-        else:
-            xi = self.xi[t]
-            xi[:] = rng.random(p) < self.theta
-        phi = sample_prior_phi(p, rng)
+        xi = self.xi[t]
+        xi[:] = sample_prior_xi(self.xi[:t], self.theta, self.hyper, rng)
+        phi = sample_prior_phi(xi.size, rng)
         mu = sample_prior_mu(xi, phi, self.hyper, rng)
         self.phi[t] = phi
         self.mu[t] = mu
@@ -171,7 +162,7 @@ class ReseatWorkspace:
 
     def offer(self, t: int) -> None:
         """Set row t's weight term to the auxiliary's when K = t < k_max."""
-        if t < self.log_open.size:
+        if t < self.k_max:
             self.base[t] = self.log_open[t] - self.half_sq[t]
 
     def resize(self, c: int, change: int) -> None:
@@ -184,7 +175,7 @@ class ReseatWorkspace:
         """Remove cluster c (0-based), keep labels dense, and park its
         parameters in row K-1 of the buffers: they replace the auxiliary."""
         k = self.k
-        for buf in (self.mu, self.phi) if self.xi is None else (self.mu, self.phi, self.xi):
+        for buf in (self.mu, self.phi, self.xi):
             row = buf[c].copy()
             buf[c : k - 1] = buf[c + 1 : k]
             buf[k - 1] = row
@@ -215,18 +206,11 @@ class ReseatWorkspace:
         k = self.k
         state.mu = self.mu[:k]
         state.phi = self.phi[:k]
-        if self.xi is not None:
-            state.xi = self.xi[:k]
+        state.xi = self.xi[:k]
 
 
 def reseat_observation(
-    i: int,
-    state: ModelState,
-    vn: VnTable,
-    data: DataMatrix,
-    hyper: Hyperparams,
-    rng: np.random.Generator,
-    workspace: ReseatWorkspace | None = None,
+    i: int, state: ModelState, ws: ReseatWorkspace, rng: np.random.Generator
 ) -> ModelState:
     """Remove observation i (0-based) from its cluster and reseat it.
 
@@ -238,12 +222,8 @@ def reseat_observation(
     a non-singleton when the active count without i already equals k_max.
     Emptied clusters are removed and labels stay dense.
 
-    ``workspace`` carries state between the calls of one pass; without
-    one, a fresh one (with a fresh auxiliary) is built for this call.
+    ``ws`` carries state between the calls of one pass.
     """
-    ws = workspace
-    if ws is None:
-        ws = ReseatWorkspace(state, data, vn, hyper, rng)
     old = int(state.z[i]) - 1
     k = ws.k
     if ws.sizes[old] == 1:
@@ -251,7 +231,7 @@ def reseat_observation(
     else:
         ws.resize(old, -1)
     t = ws.k
-    m = t + 1 if t < vn.k_max else t
+    m = t + 1 if t < ws.k_max else t
     logw = ws.logw[:m]
     np.add(ws.base[:m], ws.g[i, :m], out=logw)
     choice = sample_categorical_log(logw, rng)

@@ -20,7 +20,6 @@ from scipy.integrate import quad
 from scipy.optimize import linear_sum_assignment
 
 from sparsegmm.ssl import (
-    SslConditionalContext,
     update_mu,
     update_phi,
     update_theta,
@@ -175,14 +174,15 @@ def permute_snapshot_labels(z, mu, perm):
 
 def _reference_auxiliary(state, hyper, rng):
     """(mu, phi, xi) of a fresh auxiliary cluster drawn from the prior: in
-    column mode indicators from p uniforms against theta, then phi from p
-    Exp(rate 1/2) draws and mu from p standard normals scaled by
+    column mode indicators from p uniforms against theta (in joint mode the
+    shared indicators, which every row of the (K, p) state holds), then phi
+    from p Exp(rate 1/2) draws and mu from p standard normals scaled by
     sqrt(phi) / lambda_xi."""
     p = state.p
     if hyper.ssl_mode == "column":
         xi = (rng.random(p) < state.theta).astype(np.int8)
     else:
-        xi = state.xi.copy()
+        xi = state.xi[0].copy()
     phi = rng.exponential(2.0, size=p)
     lam = np.where(xi == 1, hyper.lambda1, hyper.lambda0)
     mu = rng.standard_normal(p) * np.sqrt(phi / lam**2)
@@ -200,18 +200,15 @@ def _reference_reseat(i, state, vn, data, hyper, rng, aux):
     computed directly.  Draws: one categorical uniform; after an open, a
     fresh auxiliary.
     """
-    column = hyper.ssl_mode == "column"
     y = data.values[:, i]
     old = int(state.z[i])
     counts = np.bincount(state.z, minlength=state.k_active + 1)[1:]
     singleton = counts[old - 1] == 1
     if singleton:
-        aux = (state.mu[old - 1].copy(), state.phi[old - 1].copy(),
-               state.xi[old - 1].copy() if column else state.xi.copy())
+        aux = (state.mu[old - 1].copy(), state.phi[old - 1].copy(), state.xi[old - 1].copy())
         state.mu = np.delete(state.mu, old - 1, axis=0)
         state.phi = np.delete(state.phi, old - 1, axis=0)
-        if column:
-            state.xi = np.delete(state.xi, old - 1, axis=0)
+        state.xi = np.delete(state.xi, old - 1, axis=0)
         state.z = np.where(state.z > old, state.z - 1, state.z)
         counts = np.delete(counts, old - 1)
     else:
@@ -233,8 +230,7 @@ def _reference_reseat(i, state, vn, data, hyper, rng, aux):
         mu_a, phi_a, xi_a = aux
         state.mu = np.vstack([state.mu, mu_a[None, :]])
         state.phi = np.vstack([state.phi, phi_a[None, :]])
-        if column:
-            state.xi = np.vstack([state.xi, xi_a[None, :]])
+        state.xi = np.vstack([state.xi, xi_a[None, :]])
     state.z[i] = choice + 1
     if choice == t:
         aux = _reference_auxiliary(state, hyper, rng)
@@ -256,11 +252,7 @@ def reference_sweep(state, data, vn, hyper, rng):
     k = state.k_active
     sums = np.zeros((k, data.p))
     np.add.at(sums, state.z - 1, data.values.T)
-    ctx = SslConditionalContext(
-        cluster_sums=sums,
-        cluster_sizes=np.bincount(state.z, minlength=k + 1)[1:],
-    )
-    update_mu(state, ctx, hyper, rng)
+    update_mu(state, sums, np.bincount(state.z, minlength=k + 1)[1:], hyper, rng)
     update_phi(state, hyper, rng)
     update_xi(state, hyper, rng)
     update_theta(state, hyper, rng)

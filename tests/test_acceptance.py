@@ -140,14 +140,14 @@ def test_criterion_2b_conjugate_stationarity_ks():
         z=np.ones(4, dtype=int),
         mu=np.zeros((1, 1)),
         phi=np.full((1, 1), 2.0),
-        xi=np.ones(1, dtype=np.int8),
+        xi=np.ones((1, 1), dtype=np.int8),
         theta=0.5,
     )
-    ctx = build_context(state, data)
+    sums, sizes = build_context(state, data)
     rng = np.random.default_rng(505)
     draws = np.empty(50_000)
     for t in range(draws.size):
-        update_mu(state, ctx, hyper, rng)
+        update_mu(state, sums, sizes, hyper, rng)
         draws[t] = state.mu[0, 0]
     prec = 4.0 + 1.0 / 2.0
     target_mean = data.values.sum() / prec

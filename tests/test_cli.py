@@ -196,6 +196,17 @@ def test_bad_config_exits_2(tmp_path, capsys):
     _fails_with(capsys, 2, "fit", "--config", tmp_path / "unparsable.json",
                 "--out", tmp_path / "f")
 
+    # sizes below 1 are rejected, not replaced by the defaults
+    for flag, value in (("--p", 0), ("--n", 0), ("--s", 0), ("--s", -2)):
+        _fails_with(capsys, 2, "simulate", flag, value, "--out", tmp_path / "sim")
+    assert not (tmp_path / "sim").exists()
+
+    # a PSRF needs two chains
+    data, trace = tmp_path / "data.csv", tmp_path / "trace.ndjson"
+    data.write_text("1.0,2.0,3.0\n4.0,5.0,6.0\n")
+    trace.write_text("")
+    _fails_with(capsys, 2, "diagnose", "--data", data, "--traces", trace)
+
 
 def test_conflicting_sources_exit_2(tmp_path):
     cfg = {"data_path": "x.csv",
@@ -243,6 +254,14 @@ def test_malformed_estimate_and_trace_exit_3(tmp_path, capsys):
     est.write_text(json.dumps({"k_hat": 1, "z_hat": [1, 1], "mu_hat": [[0.0]]}))
     _fails_with(capsys, 3, "evaluate", "--estimate", est, "--truth", bad)
 
+    # an estimate that does not fit the truth: lengths, a label 0, p
+    truth.write_text(json.dumps({"z_true": [1, 1, 2], "mu_true": [[0.0, 1.0], [0.0, 1.0]]}))
+    for z_hat, mu_hat in (([1, 1], [[0.0], [0.0]]),
+                          ([0, 1, 1], [[0.0], [0.0]]),
+                          ([1, 1, 1], [[0.0], [0.0], [0.0]])):
+        est.write_text(json.dumps({"k_hat": 1, "z_hat": z_hat, "mu_hat": mu_hat}))
+        _fails_with(capsys, 3, "evaluate", "--estimate", est, "--truth", truth)
+
     # snapshot records that are not JSON, lack a field, or do not fit the data
     meta = {"type": "meta", "n": 3, "p": 2, "n_burn": 0, "thin": 1, "seed": 0,
             "chain_id": 0, "hyper_digest": "", "ssl_mode": "joint"}
@@ -257,3 +276,12 @@ def test_malformed_estimate_and_trace_exit_3(tmp_path, capsys):
     ):
         trace.write_text(json.dumps(meta) + "\n" + line + "\n")
         _fails_with(capsys, 3, "diagnose", "--data", data, "--traces", trace, trace)
+
+    # chains of unequal lengths, and chains of one snapshot each
+    other = tmp_path / "other.ndjson"
+    for n_a, n_b in ((2, 3), (1, 1)):
+        trace.write_text(json.dumps(meta) + "\n" + (json.dumps(snap) + "\n") * n_a)
+        other.write_text(json.dumps(meta) + "\n" + (json.dumps(snap) + "\n") * n_b)
+        _fails_with(capsys, 3, "diagnose", "--data", data, "--traces", trace, other)
+    other.write_text(json.dumps(meta) + "\n" + (json.dumps(snap) + "\n") * 2)
+    assert run_cli("diagnose", "--data", data, "--traces", other, other) == 0

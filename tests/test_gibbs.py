@@ -87,7 +87,7 @@ def test_default_start_escapes_all_spike_trap():
     data, _, _ = generate(spec)
     hyper = sg_default(100)
     state = init_state(data, hyper, RunConfig(), np.random.default_rng(1))
-    assert set(range(6)) <= set(np.flatnonzero(state.xi).tolist())
+    assert set(range(6)) <= set(np.flatnonzero(state.xi.any(axis=0)).tolist())
     trace = run_chain(data, hyper, RunConfig(n_burn=0, n_keep=20, seed=1))
     assert all(set(range(1, 7)) <= set(s.support.tolist()) for s in trace.snapshots)
 

@@ -69,7 +69,7 @@ def _reseat_weights(monkeypatch, i, state, data, hyper, seed=0):
     rng = np.random.default_rng(seed)
     ws = ReseatWorkspace(state, data, vn, hyper, rng)
     aux = ws.mu[ws.k].copy()
-    reseat_observation(i, state, vn, data, hyper, rng, ws)
+    reseat_observation(i, state, ws, rng)
     assert len(seen) == 1
     return seen[0], aux
 
@@ -83,7 +83,7 @@ def test_reseat_weights_two_identical_clusters(monkeypatch):
     # obs 0 leaves cluster 1; both clusters then hold 3 members at mean 0
     data = DataMatrix(np.array([[0.3, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [-0.2] * 7]))
     state = ModelState(z=np.array([1, 1, 1, 1, 2, 2, 2]), mu=np.zeros((2, 2)),
-                       phi=np.ones((2, 2)), xi=np.zeros(2, dtype=np.int8), theta=0.1)
+                       phi=np.ones((2, 2)), xi=np.zeros((2, 2), dtype=np.int8), theta=0.1)
     logw, _ = _reseat_weights(monkeypatch, 0, state, data, _hyper())
     assert logw.size == 3
     assert logw[0] == pytest.approx(logw[1], abs=1e-12)
@@ -104,7 +104,7 @@ def test_reseat_weights_match_hand_oracle(monkeypatch):
         hyper = Hyperparams(lambda0=4.0, lambda1=1.0, beta_theta=3.0, alpha=alpha,
                             poisson_lambda=2.0, k_max=5, ssl_mode=ssl_mode)
         data = DataMatrix(np.array([[y, 0.1, 1.9, 2.2]]))
-        xi = np.array([[0], [1]], dtype=np.int8) if column else np.array([1], dtype=np.int8)
+        xi = np.array([[0], [1]] if column else [[1], [1]], dtype=np.int8)
         state = ModelState(z=np.array([1, 1, 2, 2]), mu=np.array([[0.0], [2.0]]),
                            phi=np.ones((2, 1)), xi=xi, theta=0.25)
         logw, aux = _reseat_weights(monkeypatch, 0, state, data, hyper)
@@ -117,7 +117,7 @@ def test_reseat_weights_match_hand_oracle(monkeypatch):
 def test_reseat_weights_shift_invariance(monkeypatch):
     data = DataMatrix(np.array([[0.7, 0.1, 1.9, 2.2]]))
     state = ModelState(z=np.array([1, 1, 2, 2]), mu=np.array([[0.0], [2.0]]),
-                       phi=np.ones((2, 1)), xi=np.zeros(1, dtype=np.int8), theta=0.1)
+                       phi=np.ones((2, 1)), xi=np.zeros((2, 1), dtype=np.int8), theta=0.1)
     logw, _ = _reseat_weights(monkeypatch, 0, state, data, _hyper())
     a = [sample_categorical_log(logw, np.random.default_rng(5)) for _ in range(400)]
     b = [sample_categorical_log(logw + 55.5, np.random.default_rng(5)) for _ in range(400)]
@@ -130,7 +130,7 @@ def test_gaussian_loglik_drops_shared_constant_only(monkeypatch):
     hyper = _hyper(alpha=1.0, k_max=5)
     data = DataMatrix(np.zeros((3, 5)))
     state = ModelState(z=np.array([1, 1, 1, 2, 2]), mu=np.stack([np.zeros(3), np.ones(3)]),
-                       phi=np.ones((2, 3)), xi=np.ones(3, dtype=np.int8), theta=0.1)
+                       phi=np.ones((2, 3)), xi=np.ones((2, 3), dtype=np.int8), theta=0.1)
     logw, cand = _reseat_weights(monkeypatch, 0, state, data, hyper)
     vn = build_vn_table(5, hyper)
     assert logw[1] - logw[0] == pytest.approx(-1.5, abs=1e-12)
@@ -142,7 +142,12 @@ def _toy_state():
     z = np.array([1, 1, 2, 2, 2])
     mu = np.array([[0.0, 0.0], [3.0, 3.0]])
     phi = np.ones((2, 2))
-    return ModelState(z=z, mu=mu, phi=phi, xi=np.zeros(2, dtype=np.int8), theta=0.1)
+    return ModelState(z=z, mu=mu, phi=phi, xi=np.zeros((2, 2), dtype=np.int8), theta=0.1)
+
+
+def _reseat_alone(i, state, vn, data, hyper, rng):
+    """One reseat with a workspace, and so an auxiliary, of its own."""
+    return reseat_observation(i, state, ReseatWorkspace(state, data, vn, hyper, rng), rng)
 
 
 def test_reseat_preserves_partition_invariants():
@@ -153,7 +158,7 @@ def test_reseat_preserves_partition_invariants():
     state = _toy_state()
     for _ in range(200):
         i = int(rng.integers(5))
-        reseat_observation(i, state, vn, data, hyper, rng)
+        _reseat_alone(i, state, vn, data, hyper, rng)
         state.check_invariants(k_max=hyper.k_max)
 
 
@@ -166,11 +171,11 @@ def test_reseat_respects_k_max():
         z=np.array([1, 1]),
         mu=np.zeros((1, 1)),
         phi=np.ones((1, 1)),
-        xi=np.zeros(1, dtype=np.int8),
+        xi=np.zeros((1, 1), dtype=np.int8),
         theta=0.1,
     )
     for i in (0, 1):
-        reseat_observation(i, state, vn, data, hyper, rng)
+        _reseat_alone(i, state, vn, data, hyper, rng)
     assert state.k_active == 1
 
 
@@ -186,10 +191,10 @@ def test_departing_singleton_keeps_its_parameters_bitwise():
         z=np.array([1, 2, 2]),
         mu=np.vstack([mu_singleton, np.zeros(2)]),
         phi=np.vstack([phi_singleton, np.ones(2)]),
-        xi=np.zeros(2, dtype=np.int8),
+        xi=np.zeros((2, 2), dtype=np.int8),
         theta=0.1,
     )
-    reseat_observation(0, state, vn=build_vn_table(3, hyper), data=data, hyper=hyper, rng=rng)
+    _reseat_alone(0, state, build_vn_table(3, hyper), data, hyper, rng)
     # the far-away point must re-open its own cluster with identical parameters
     assert state.k_active == 2
     assert state.z[0] == 2
@@ -213,7 +218,7 @@ def test_candidates_follow_the_prior(ssl_mode):
     hyper = Hyperparams(lambda0=100.0, lambda1=1.0, beta_theta=3.0, k_max=4, ssl_mode=ssl_mode)
     p, theta = 20_000, 0.3
     data = DataMatrix(np.zeros((p, 2)))
-    xi = np.ones((1, p), dtype=np.int8) if column else np.arange(p, dtype=np.int8) % 2
+    xi = np.ones((1, p), dtype=np.int8) if column else (np.arange(p, dtype=np.int8) % 2)[None, :]
     state = ModelState(z=np.ones(2, dtype=int), mu=np.zeros((1, p)), phi=np.ones((1, p)),
                        xi=xi, theta=theta)
     ws = ReseatWorkspace(state, data, build_vn_table(2, hyper), hyper, np.random.default_rng(17))
@@ -223,7 +228,7 @@ def test_candidates_follow_the_prior(ssl_mode):
         assert abs(aux_xi.mean() - theta) / math.sqrt(theta * (1 - theta) / p) < 4
         slab = aux_xi == 1
     else:
-        slab = xi == 1
+        slab = xi[0] == 1
     for draws, lam in ((mu[~slab], hyper.lambda0), (mu[slab], hyper.lambda1)):
         assert stats.kstest(draws, _laplace_cdf(lam)).pvalue > 1e-3, lam
     assert stats.kstest(phi, stats.expon(scale=2.0).cdf).pvalue > 1e-3
@@ -241,7 +246,7 @@ def test_inner_product_distances_match_direct(ssl_mode):
     hyper = Hyperparams(lambda0=4.0, lambda1=1.0, beta_theta=2.0, poisson_lambda=8.0,
                         k_max=8, ssl_mode=ssl_mode)
     k = 3
-    xi = np.ones((k, p) if ssl_mode == COLUMN_SSL else p, dtype=np.int8)
+    xi = np.ones((k, p), dtype=np.int8)
     state = ModelState(z=rng.integers(1, k + 1, size=n), mu=rng.standard_normal((k, p)),
                        phi=np.ones((k, p)), xi=xi, theta=0.5)
     state.z[:k] = np.arange(1, k + 1)
@@ -260,7 +265,7 @@ def test_inner_product_distances_match_direct(ssl_mode):
         check(ws)
         for i in range(n):
             before = ws.k
-            reseat_observation(i, state, vn, data, hyper, rng, ws)
+            reseat_observation(i, state, ws, rng)
             moves += ws.k != before
             check(ws)
     assert moves > 0
@@ -270,7 +275,6 @@ def test_inner_product_distances_match_direct(ssl_mode):
 def test_auxiliary_reused_until_consumed(ssl_mode, monkeypatch):
     """A pass that opens nothing draws one auxiliary; a closed singleton's
     parameters are the auxiliary the next observation weighs, bit for bit."""
-    column = ssl_mode == COLUMN_SSL
     hyper = Hyperparams(lambda0=4.0, lambda1=1.0, beta_theta=2.0, k_max=5, ssl_mode=ssl_mode)
     p, n = 3, 6
     # obs 0 sits on the big cluster but is alone in a far-away one: it leaves
@@ -278,7 +282,7 @@ def test_auxiliary_reused_until_consumed(ssl_mode, monkeypatch):
     values = np.full((p, n), 10.0) + 0.01 * np.arange(n)
     data = DataMatrix(values)
     far = np.array([-20.0, -21.0, -22.5])
-    xi = np.ones((2, p) if column else p, dtype=np.int8)
+    xi = np.ones((2, p), dtype=np.int8)
     state = ModelState(z=np.array([1, 2, 2, 2, 2, 2]), mu=np.vstack([far, np.full(p, 10.0)]),
                        phi=np.ones((2, p)), xi=xi, theta=0.5)
     vn = build_vn_table(n, hyper)
@@ -301,7 +305,7 @@ def test_auxiliary_reused_until_consumed(ssl_mode, monkeypatch):
 
     monkeypatch.setattr(urn, "sample_categorical_log", spy)
     for i in range(n):
-        reseat_observation(i, state, vn, data, hyper, rng, ws)
+        reseat_observation(i, state, ws, rng)
     assert len(calls) == 1
     assert state.k_active == 1 and (state.z == 1).all()
     # obs 0 weighs its own parameters, and so does every later observation
@@ -320,12 +324,12 @@ def test_emptied_cluster_labels_stay_dense():
         z=np.array([2, 1, 2, 2]),
         mu=np.array([[30.0], [0.0]]),
         phi=np.ones((2, 1)),
-        xi=np.zeros(1, dtype=np.int8),
+        xi=np.zeros((2, 1), dtype=np.int8),
         theta=0.1,
     )
     # move obs 1 onto the big cluster by force: the auxiliary and its own cluster are
     # both possible; run many reseats of obs 1 and check labels stay dense
     for _ in range(50):
-        reseat_observation(1, state, vn=build_vn_table(4, hyper), data=data, hyper=hyper, rng=rng)
+        _reseat_alone(1, state, build_vn_table(4, hyper), data, hyper, rng)
         state.check_invariants(k_max=4)
         assert set(np.unique(state.z)) == set(range(1, state.k_active + 1))

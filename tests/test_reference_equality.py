@@ -34,27 +34,39 @@ def _churning_design(ssl_mode):
     return data, hyper
 
 
+def _count_moves(monkeypatch, k_max, check=None):
+    """Wrap the sweep's reseat to count clusters opened and closed and the
+    reseats started at K = k_max; ``check(state, ws)`` runs after each."""
+    moves = {"opened": 0, "closed": 0, "at_k_max": 0}
+    reseat = gibbs.reseat_observation
+
+    def counting_reseat(i, st, ws, rng):
+        before = st.k_active
+        out = reseat(i, st, ws, rng)
+        moves["opened"] += st.k_active > before
+        moves["closed"] += st.k_active < before
+        moves["at_k_max"] += before == k_max
+        if check is not None:
+            check(st, ws)
+        return out
+
+    monkeypatch.setattr(gibbs, "reseat_observation", counting_reseat)
+    return moves
+
+
+def _churning_start(data, hyper):
+    return init_state(data, hyper, RunConfig(init=InitSpec("random_k", 2)),
+                      np.random.default_rng(1))
+
+
 @pytest.mark.parametrize("ssl_mode", ["joint", "column"])
 def test_sweep_matches_reference_sweep_bitwise(ssl_mode, monkeypatch):
     """40 sweeps of the kernel and of the reference from equal streams."""
     data, hyper = _churning_design(ssl_mode)
     vn = build_vn_table(data.n, hyper)
-    state = init_state(data, hyper, RunConfig(init=InitSpec("random_k", 2)),
-                       np.random.default_rng(1))
+    state = _churning_start(data, hyper)
     ref = state.copy()
-
-    moves = {"opened": 0, "closed": 0, "at_k_max": 0}
-    reseat = gibbs.reseat_observation
-
-    def counting_reseat(i, st, *args, **kwargs):
-        before = st.k_active
-        out = reseat(i, st, *args, **kwargs)
-        moves["opened"] += st.k_active > before
-        moves["closed"] += st.k_active < before
-        moves["at_k_max"] += before == hyper.k_max
-        return out
-
-    monkeypatch.setattr(gibbs, "reseat_observation", counting_reseat)
+    moves = _count_moves(monkeypatch, hyper.k_max)
     rng, rng_ref = np.random.default_rng(101), np.random.default_rng(101)
     for s in range(40):
         sweep(state, data, vn, hyper, rng)
@@ -68,6 +80,32 @@ def test_sweep_matches_reference_sweep_bitwise(ssl_mode, monkeypatch):
     # started at K = k_max, where a non-singleton is offered no new cluster
     assert moves["opened"] >= 5 and moves["closed"] >= 5, moves
     assert moves["at_k_max"] >= 50, moves
+
+
+def test_joint_indicator_rows_stay_tied(monkeypatch):
+    """Joint mode stores its shared indicators in every row of the (K, p)
+    xi: the rows, and the auxiliary's row in the reseat workspace, stay
+    equal through reseats that open and close clusters and reach k_max,
+    and after every sweep."""
+    data, hyper = _churning_design("joint")
+    vn = build_vn_table(data.n, hyper)
+    state = _churning_start(data, hyper)
+    values = set()
+
+    def tied(st, ws):
+        assert st.xi.shape == st.mu.shape
+        assert (ws.xi[: ws.k + 1] == st.xi[0]).all()
+        values.update(st.xi[0].tolist())
+
+    moves = _count_moves(monkeypatch, hyper.k_max, tied)
+    rng = np.random.default_rng(7)
+    for s in range(40):
+        sweep(state, data, vn, hyper, rng)
+        state.check_invariants(k_max=hyper.k_max)
+        assert (state.xi == state.xi[0]).all(), s
+    assert moves["opened"] >= 5 and moves["closed"] >= 5, moves
+    assert moves["at_k_max"] >= 50, moves
+    assert values == {0, 1}  # the indicators switched, so tied rows are not trivial
 
 
 @pytest.mark.parametrize("p", [1, 2, 7, 64])

@@ -1,0 +1,52 @@
+"""Smoke tests of the README's experiment scripts, run as subprocesses.
+
+Each script runs at a tiny size and must exit and print its result
+lines, so that a change to the library's signatures cannot silently
+break them.  The numbers are not checked here.
+"""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _run(script, *args, ok=(0,)):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *map(str, args)],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode in ok, proc.stderr
+    return proc.stdout
+
+
+def test_trace_digest_prints_one_line_per_seed():
+    out = _run("trace_digest.py", "--designs", "3a")
+    lines = re.findall(r"^3a seed (\d)\s+trace [0-9a-f]{64}  post [0-9a-f]{64}", out, re.M)
+    assert lines == ["1", "2", "3", "4", "5"], out
+
+
+def test_split_odds_prints_the_seed():
+    out = _run("split_odds.py", "--seeds", "1", "--samples", 1000)
+    assert re.search(r"^seed 1: sizes \[.*\]  split odds per cluster .* total ", out, re.M), out
+
+
+def test_run_scenarios_prints_the_estimate():
+    out = _run("run_scenarios.py", "--scenarios", "one", "--seeds", 1, "--p", 20, "--n", 30,
+               "--n-burn", 5, "--n-keep", 10)
+    assert re.search(r"^  seed 1: K=\d+ ARI=\S+ d_H=\S+ err=\S+ support=", out, re.M), out
+
+
+@pytest.mark.parametrize("ssl_mode", ["joint", "column"])
+def test_geweke_check_prints_the_table(ssl_mode):
+    # 500 rounds are too few to judge the sampler: exit 1 (|z| >= 4) is allowed
+    out = _run("geweke_check.py", "--rounds", 500, "--seed", 1, "--ssl-mode", ssl_mode,
+               ok=(0, 1))
+    for name in ("theta", "K", "mu_z1^2", "P(K=1)"):
+        assert re.search(rf"^  {re.escape(name)}\s+forward=.*\|z\|=", out, re.M), name
+    assert re.search(r"^worst \|z\| = ", out, re.M), out

@@ -6,8 +6,8 @@ from scipy import stats
 
 from oracles import gig_moment_quad
 from sparsegmm.core import COLUMN_SSL, DataMatrix, Hyperparams, ModelState
+from sparsegmm.errors import LengthMismatchError
 from sparsegmm.ssl import (
-    SslConditionalContext,
     build_context,
     slab_log_odds,
     theta_conditional_shapes,
@@ -29,7 +29,7 @@ def _single_cluster_state(p=1, mu=0.0, phi=1.0, xi=0, theta=0.5, n=4):
         z=np.ones(n, dtype=int),
         mu=np.full((1, p), float(mu)),
         phi=np.full((1, p), float(phi)),
-        xi=np.full(p, xi, dtype=np.int8),
+        xi=np.full((1, p), xi, dtype=np.int8),
         theta=theta,
     )
 
@@ -40,11 +40,11 @@ def test_update_mu_long_run_matches_conjugate_normal():
     y_sum, n_obs = 3.0, 4
     data = DataMatrix(np.full((1, n_obs), y_sum / n_obs))
     state = _single_cluster_state(p=1, phi=1.0, xi=1, n=n_obs)
-    ctx = build_context(state, data)
+    sums, sizes = build_context(state, data)
     rng = np.random.default_rng(42)
     draws = np.empty(100_000)
     for t in range(draws.size):
-        update_mu(state, ctx, hyper, rng)
+        update_mu(state, sums, sizes, hyper, rng)
         draws[t] = state.mu[0, 0]
     prec = n_obs + 1.0
     se_mean = 1.0 / math.sqrt(prec * draws.size)
@@ -59,13 +59,13 @@ def test_update_mu_consecutive_runs_ks():
     hyper = _hyper()
     data = DataMatrix(np.array([[0.5, -0.5, 1.0, 0.0]]))
     state = _single_cluster_state(p=1, phi=2.0, xi=0, n=4)
-    ctx = build_context(state, data)
+    sums, sizes = build_context(state, data)
     rng = np.random.default_rng(7)
 
     def run(m):
         out = np.empty(m)
         for t in range(m):
-            update_mu(state, ctx, hyper, rng)
+            update_mu(state, sums, sizes, hyper, rng)
             out[t] = state.mu[0, 0]
         return out
 
@@ -143,12 +143,13 @@ def test_update_xi_joint_mode_shares_indicators():
         z=np.array([1, 1, 2, 2]),
         mu=np.array([[4.0, 0.0], [4.0, 0.0]]),
         phi=np.ones((2, 2)),
-        xi=np.zeros(2, dtype=np.int8),
+        xi=np.zeros((2, 2), dtype=np.int8),
         theta=0.5,
     )
     update_xi(state, hyper, np.random.default_rng(0))
-    assert state.xi.shape == (2,)
-    assert state.xi[0] == 1  # strong signal flips the shared indicator on
+    assert state.xi.shape == (2, 2)
+    assert (state.xi[:, 0] == 1).all()  # strong signal flips the shared indicator on
+    assert (state.xi == state.xi[0]).all()  # the rows are tied
 
 
 def test_update_xi_column_mode_per_cluster():
@@ -176,23 +177,33 @@ def test_theta_column_mode_counts_all_indicators():
     assert theta_conditional_shapes(xi, 5.0) == (4.0, 5.0 + 6 - 3)
 
 
-def test_update_theta_empirical_mean():
-    # p=3, one indicator on, beta_theta=10 -> Beta(2, 12), mean 1/7
-    hyper = _hyper(beta_theta=10.0)
-    state = _single_cluster_state(p=3)
-    state.xi = np.array([1, 0, 0], dtype=np.int8)
+def _assert_theta_mean(state, hyper, target):
     rng = np.random.default_rng(21)
     draws = np.empty(50_000)
     for t in range(draws.size):
         update_theta(state, hyper, rng)
         draws[t] = state.theta
-    target = 2.0 / 14.0
     assert abs(draws.mean() - target) < 3 * draws.std(ddof=1) / math.sqrt(draws.size)
 
 
+def test_update_theta_empirical_mean():
+    # p=3, one indicator on, beta_theta=10 -> Beta(2, 12), mean 1/7
+    state = _single_cluster_state(p=3)
+    state.xi = np.array([[1, 0, 0]], dtype=np.int8)
+    _assert_theta_mean(state, _hyper(beta_theta=10.0), 2.0 / 14.0)
+
+
+def test_update_theta_counts_tied_joint_rows_once():
+    # joint mode stores its p indicators in each of the K rows: K = 3 tied
+    # rows with one indicator on are still Beta(2, 12), not Beta(4, 16)
+    state = ModelState(z=np.array([1, 2, 3]), mu=np.zeros((3, 3)), phi=np.ones((3, 3)),
+                       xi=np.tile(np.array([1, 0, 0], dtype=np.int8), (3, 1)), theta=0.5)
+    _assert_theta_mean(state, _hyper(beta_theta=10.0), 2.0 / 14.0)
+
+
 def test_context_rejects_empty_cluster():
-    with pytest.raises(Exception):
-        SslConditionalContext(
-            cluster_sums=np.zeros((2, 1)),
-            cluster_sizes=np.array([3, 0]),
-        )
+    # labels 1, 1, 1 against K = 2: the sizes (3, 0) sum to n, cluster 2 is empty
+    state = ModelState(z=np.ones(3, dtype=int), mu=np.zeros((2, 1)), phi=np.ones((2, 1)),
+                       xi=np.zeros((2, 1), dtype=np.int8), theta=0.5)
+    with pytest.raises(LengthMismatchError):
+        build_context(state, DataMatrix(np.zeros((1, 3))))
