@@ -1,0 +1,110 @@
+#!/usr/bin/env python3
+"""Paired in-process timing of two checkouts' sampler fits.
+
+Loads ``<checkout>/src/sparsegmm`` of two checkouts into one process, as
+the packages ``sparsegmm_a`` and ``sparsegmm_b``, and times their fits of
+one workload in alternating pairs (a first in even pairs, b first in odd
+ones).  Both sides fit data each generated itself from the same seed.
+Every pair must give byte-identical NDJSON traces on both sides, so the
+script only compares versions that make the same draws; it exits 1 on
+the first difference.
+
+One process sees the same machine load, allocator and BLAS threads on
+both sides, so the ratios spread less than those of separate benchmark
+runs; they time the fit alone, without import or post-processing.
+
+Workloads (the data and chains of perfbench's workloads of that name):
+  large_joint    scenario I, p=n=1000, s=6, mean_scale 1.5, seed 1001;
+                 one joint-mode chain, 10 + 30 sweeps
+  chains_column  scenario II, p=400, n=200, s=8, seed 1; four column-mode
+                 chains of 15 + 35 sweeps
+
+Example (compare the parent commit's checkout with this one):
+    python3 scripts/ab_fit.py --a ../parent --b . --workload chains_column --pairs 15
+"""
+
+import argparse
+import importlib.util
+import statistics
+import sys
+import time
+from pathlib import Path
+
+WORKLOADS = {
+    "large_joint": dict(scenario="one", p=1000, n=1000, s=6, mean_scale=1.5, seed=1001,
+                        ssl_mode="joint", n_chains=1, n_burn=10, n_keep=30),
+    "chains_column": dict(scenario="two", p=400, n=200, s=8, mean_scale=1.0, seed=1,
+                          ssl_mode="column", n_chains=4, n_burn=15, n_keep=35),
+}
+
+
+def load_package(checkout: Path, name: str):
+    """Import ``checkout/src/sparsegmm`` as the top-level package ``name``."""
+    pkg = checkout.resolve() / "src" / "sparsegmm"
+    spec = importlib.util.spec_from_file_location(
+        name, pkg / "__init__.py", submodule_search_locations=[str(pkg)])
+    if spec is None:
+        sys.exit(f"no sparsegmm package under {pkg}")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+class Side:
+    """One checkout's package with the workload's data and settings."""
+
+    def __init__(self, sg, w):
+        self.sg = sg
+        spec = sg.ScenarioSpec(scenario=w["scenario"], p=w["p"], n=w["n"], s=w["s"],
+                               mean_scale=w["mean_scale"], seed=w["seed"])
+        self.data = sg.generate(spec)[0]
+        self.hyper = sg.default_hyperparams(w["p"], ssl_mode=w["ssl_mode"])
+        self.config = sg.RunConfig(n_burn=w["n_burn"], n_keep=w["n_keep"],
+                                   n_chains=w["n_chains"], seed=w["seed"])
+
+    def fit(self) -> tuple[float, str]:
+        """(seconds, NDJSON of the traces) of one fit."""
+        t0 = time.perf_counter()
+        traces = self.sg.run_chains(self.data, self.hyper, self.config)
+        seconds = time.perf_counter() - t0
+        return seconds, "".join(self.sg.core.trace_to_ndjson(t) for t in traces)
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--a", type=Path, required=True, help="checkout of the base side")
+    ap.add_argument("--b", type=Path, required=True, help="checkout of the changed side")
+    ap.add_argument("--workload", choices=list(WORKLOADS), default="chains_column")
+    ap.add_argument("--pairs", type=int, default=10)
+    args = ap.parse_args(argv)
+    if args.pairs < 1:
+        ap.error("--pairs must be at least 1")
+
+    w = WORKLOADS[args.workload]
+    sides = {"a": Side(load_package(args.a, "sparsegmm_a"), w),
+             "b": Side(load_package(args.b, "sparsegmm_b"), w)}
+    for side in sides.values():  # warm caches and lazy imports, untimed
+        side.fit()
+    ratios = []
+    for pair in range(args.pairs):
+        order = "ab" if pair % 2 == 0 else "ba"
+        out = {key: sides[key].fit() for key in order}
+        if out["a"][1] != out["b"][1]:
+            print(f"pair {pair + 1}: the traces differ", flush=True)
+            return 1
+        ratio = out["b"][0] / out["a"][0]
+        ratios.append(ratio)
+        print(f"pair {pair + 1:2d} ({order} first): a {out['a'][0]:.4f} s  "
+              f"b {out['b'][0]:.4f} s  b/a {ratio:.3f}", flush=True)
+    q1, med, q3 = (statistics.quantiles(ratios, n=4) if len(ratios) > 1
+                   else (ratios[0],) * 3)
+    wins = sum(r < 1.0 for r in ratios)
+    print(f"{args.workload}: median b/a {med:.3f} (quartiles {q1:.3f}-{q3:.3f}), "
+          f"b faster in {wins} of {len(ratios)} pairs; traces identical")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from .experiment import (
     canonical_json,
     compute_metrics,
     config_from_dict,
+    json_field,
     load_json_object,
     load_matrix_csv,
     load_traces,
@@ -200,9 +202,9 @@ def _cmd_evaluate(args) -> int:
     if missing:
         raise DataError(f"{args.estimate} lacks {', '.join(missing)}")
     est = ClusterEstimate(
-        k_hat=int(est_d["k_hat"]),
-        z_hat=np.asarray(est_d["z_hat"], dtype=int),
-        mu_hat=np.asarray(est_d["mu_hat"], dtype=float),
+        k_hat=json_field(est_d, "k_hat", int, args.estimate),
+        z_hat=json_field(est_d, "z_hat", partial(np.asarray, dtype=int), args.estimate),
+        mu_hat=json_field(est_d, "mu_hat", partial(np.asarray, dtype=float), args.estimate),
         support_hat=tuple(est_d.get("support", ())),
         inclusion_freq=None,
     )

@@ -69,13 +69,19 @@ def _assign(values: np.ndarray, sq_norms: np.ndarray, mu: np.ndarray) -> np.ndar
 
 
 def _single_run(
-    values: np.ndarray, config: CmleConfig, init_centers: np.ndarray, max_iters: int
+    values: np.ndarray,
+    sq_norms: np.ndarray,
+    config: CmleConfig,
+    init_centers: np.ndarray,
+    max_iters: int,
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """(mu, z, score) of the best Lloyd iterate.  The score is the objective
     less the constant ||values||_F^2, taken from the cluster sums, so it
-    ranks iterates and restarts as the objective does without a p x n pass."""
+    ranks iterates and restarts as the objective does without a p x n pass.
+    The run stops at the first assignment equal to the one before it: that
+    partition's sums, means and score are the ones already taken.
+    ``sq_norms`` holds the squared norm of each observation."""
     k = config.k
-    sq_norms = (values * values).sum(axis=0)
     mu = init_centers.copy()
     z_prev = None
     best = (None, None, np.inf)
@@ -93,6 +99,8 @@ def _single_run(
             mu[:, empty] = values[:, worst]
             z = _assign(values, sq_norms, mu)
             sizes = np.bincount(z, minlength=k + 1)[1:]
+        if z_prev is not None and np.array_equal(z, z_prev):
+            break
         sums = cluster_sums(values, z, k)
         nonempty = sizes > 0
         new_mu = mu.copy()
@@ -101,8 +109,6 @@ def _single_run(
         score = residual_score(sums, mu.T, z)
         if score < best[2]:
             best = (mu.copy(), z.copy(), score)
-        if z_prev is not None and np.array_equal(z, z_prev):
-            break
         z_prev = z
     return best
 
@@ -129,6 +135,7 @@ def fit_cmle(
     if config.s > p:
         raise ConfigError(f"s={config.s} exceeds p={p}")
     streams = np.random.SeedSequence(config.seed).spawn(config.n_restarts)
+    sq_norms = (values * values).sum(axis=0)
     best = (None, None, np.inf)
     for r in range(config.n_restarts):
         if r == 0 and init_centers is not None:
@@ -147,7 +154,7 @@ def fit_cmle(
                 rng.shuffle(z0)
                 sizes = np.bincount(z0, minlength=config.k + 1)[1:]
                 centers = cluster_sums(values, z0, config.k).T / sizes[None, :]
-        mu, z, score = _single_run(values, config, centers, config.max_iters)
+        mu, z, score = _single_run(values, sq_norms, config, centers, config.max_iters)
         if score < best[2]:
             best = (mu, z, score)
     mu, z, _ = best

@@ -1,15 +1,14 @@
 """Primitive samplers and log-densities used by the Gibbs conditionals.
 
 Only what the sampler needs: the generalized inverse Gaussian (GIG) at
-order 1/2, the truncated Poisson pmf, and log-domain categorical
-sampling.
+order 1/2 (one vector, or a matrix row by row), the truncated Poisson
+pmf, and log-domain categorical sampling.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from itertools import accumulate
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
@@ -46,6 +45,24 @@ def sample_gig_half_vector(
     zero = chi <= _CHI_GUARD
     if zero.any():
         out[zero] = rng.gamma(shape=0.5, scale=2.0 / tau, size=int(zero.sum()))
+    return out
+
+
+def sample_gig_half_rows(
+    chi: np.ndarray, tau: float, rng: np.random.Generator
+) -> np.ndarray:
+    """(K, p) GIG(1/2, chi_cj, tau) draws, row after row, each row drawn as
+    ``sample_gig_half_vector`` draws it.
+
+    When every chi exceeds 1e-8, each row is one inverse-Gaussian block, so
+    the rows' blocks concatenated are one row-major block: one call draws
+    them all.  Otherwise the rows are drawn one call each.
+    """
+    if (chi > _CHI_WALD).all():
+        return sample_gig_half_vector(chi, tau, rng)
+    out = np.empty_like(chi)
+    for c, row in enumerate(chi):
+        out[c] = sample_gig_half_vector(row, tau, rng)
     return out
 
 
@@ -86,17 +103,26 @@ def sample_categorical_log(log_weights, rng: np.random.Generator) -> int:
     """Index j with probability exp(lw_j - logsumexp(lw)).
 
     Stable for weights separated by hundreds of nats; draws exactly one
-    uniform from ``rng``.  Written for the reseat step's few weights (at
-    most k_max + 1): on Python floats, a handful cost less than the numpy
-    calls that a vectorized version makes.
+    uniform, by one call of ``rng.random()`` (``rng`` may be any object
+    with that method).  Written for the reseat step's few weights (at most
+    k_max + 1): on Python floats, a handful cost less than the numpy calls
+    that a vectorized version makes.  A list of floats is used as it is;
+    other inputs are converted to one.
     """
-    lw = np.asarray(log_weights, dtype=float).tolist()
+    if isinstance(log_weights, list):
+        lw = log_weights
+    else:
+        lw = np.asarray(log_weights, dtype=float).tolist()
     m = max(lw)
     if not math.isfinite(m):
         raise AllWeightsNegInfiniteError("no finite log-weight")
     exp = math.exp
-    cdf = list(accumulate([exp(w - m) for w in lw]))
-    if not cdf[-1] >= 1.0:  # a NaN after the first weight, which max() passes over
+    total = 0.0
+    cdf = []
+    for w in lw:
+        total += exp(w - m)
+        cdf.append(total)
+    if not total >= 1.0:  # a NaN after the first weight, which max() passes over
         raise AllWeightsNegInfiniteError("a log-weight is NaN")
-    j = bisect_right(cdf, rng.random() * cdf[-1])
+    j = bisect_right(cdf, rng.random() * total)
     return j if j < len(cdf) else len(cdf) - 1

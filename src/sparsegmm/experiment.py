@@ -11,7 +11,9 @@ import hashlib
 import json
 import platform
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 import scipy
@@ -206,13 +208,23 @@ def load_json_object(path: str | Path) -> dict:
     return d
 
 
+def json_field(d: dict, key: str, convert: Callable, path: str | Path):
+    """``convert(d[key])``; DataError naming the field and the file if the
+    value has the wrong type or shape."""
+    try:
+        return convert(d[key])
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{path}: field {key} is malformed: {exc}") from None
+
+
 def load_truth(path: str | Path) -> tuple[np.ndarray, np.ndarray | None]:
     d = load_json_object(path)
     if "z_true" not in d:
         raise DataError(f"{path} lacks a z_true field")
-    z = np.asarray(d["z_true"], dtype=int)
-    mu = d.get("mu_true")
-    return z, (None if mu is None else np.asarray(mu, dtype=float))
+    z = json_field(d, "z_true", partial(np.asarray, dtype=int), path)
+    if d.get("mu_true") is None:
+        return z, None
+    return z, json_field(d, "mu_true", partial(np.asarray, dtype=float), path)
 
 
 def compute_metrics(

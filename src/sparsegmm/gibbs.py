@@ -9,7 +9,10 @@ consumes randomness in this order:
    a block of p exponentials for its scales and a block of p standard
    normals for its mean.  Per observation: one categorical uniform;
    then, only if it opens a cluster, the same blocks for a fresh
-   auxiliary;
+   auxiliary.  The pass draws its categorical uniforms as blocks (see
+   ``ReseatWorkspace``), which changes no draw: ``rng.random(m)`` gives
+   the values of m scalar draws, and before an auxiliary is drawn, and
+   at the pass's end, the generator is put just after the uniforms used;
 2. mean update: one cluster-major (K, p) block of standard normals;
 3. scale update, clusters ascending (inverse-Gaussian block then
    Gamma block per cluster);
@@ -237,6 +240,7 @@ def sweep(
     ws = ReseatWorkspace(state, data, vn, hyper, rng)
     for i in range(data.n):
         reseat_observation(i, state, ws, rng)
+    ws.finish()
     sums, sizes = build_context(state, data)
     update_mu(state, sums, sizes, hyper, rng)
     update_phi(state, hyper, rng)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import JOINT_SSL, DataMatrix, Hyperparams, ModelState, cluster_sums
-from .distributions import sample_gig_half_vector
+from .distributions import sample_gig_half_rows
 from .errors import LengthMismatchError
 
 _THETA_FLOOR = 1e-300
@@ -65,13 +65,9 @@ def update_mu(
 def update_phi(state: ModelState, hyper: Hyperparams, rng: np.random.Generator) -> ModelState:
     """Redraw the scale auxiliaries: (phi_c)_j ~ GIG(1/2, mu_cj^2 lambda_{xi}^2, 1).
 
-    Cluster-ascending; see sample_gig_half_vector for the within-cluster
-    draw order.
+    Cluster-ascending; see sample_gig_half_rows for the draw order.
     """
-    lam_sq = _lambda_sq(state, hyper)
-    for c in range(state.k_active):
-        chi = state.mu[c] ** 2 * lam_sq[c]
-        state.phi[c] = sample_gig_half_vector(chi, 1.0, rng)
+    state.phi[:] = sample_gig_half_rows(state.mu**2 * _lambda_sq(state, hyper), 1.0, rng)
     return state
 
 

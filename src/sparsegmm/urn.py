@@ -6,8 +6,11 @@ prior (Neal 2000, Algorithm 8, with the V_n ratio of Miller and Harrison
 the observations of a pass and redrawn only when it opens a cluster (the
 "ReUse" variant of Favaro and Teh 2013 with one auxiliary), and every
 distance comes from inner products, so an observation costs O(K)
-arithmetic and one categorical draw.  The urn does not know the SSL mode:
-a new cluster's indicators come from ``ssl.sample_prior_xi``.
+arithmetic and one categorical draw.  That arithmetic runs on Python
+floats and the categorical uniforms come from one block per pass, so
+reseating an observation makes no numpy call and changes no draw (see
+``ReseatWorkspace``).  The urn does not know the SSL mode: a new
+cluster's indicators come from ``ssl.sample_prior_xi``.
 
 The exchangeable-partition coefficients V_n(t) control the probability of
 opening a new cluster while reseating a single observation.  They follow
@@ -23,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import add, length_hint
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
@@ -79,8 +83,38 @@ def build_vn_table(n: int, hyper: Hyperparams) -> VnTable:
     return VnTable(table=out, n=n, alpha=alpha, k_max=k_max)
 
 
+class UniformBlock:
+    """The next ``count`` uniforms of a generator, drawn as one block and
+    served one at a time by ``random()``.
+
+    ``rng.random(count)`` gives the values of ``count`` calls of
+    ``rng.random()``, but it leaves the generator after all of them.
+    ``sync()`` puts the generator just after the uniforms served so far: it
+    restores the state saved before the block and redraws that many.
+    Serving more than ``count`` raises StopIteration.
+    """
+
+    __slots__ = ("random", "_left", "_count", "_rng", "_state")
+
+    def __init__(self, rng: np.random.Generator, count: int):
+        self._rng = rng
+        self._state = rng.bit_generator.state
+        self._count = count
+        self._left = iter(rng.random(count).tolist())
+        self.random = self._left.__next__
+
+    def sync(self) -> int:
+        """Leave the generator just after the uniforms served; return how
+        many of the block were not served."""
+        left = length_hint(self._left)
+        if left:
+            self._rng.bit_generator.state = self._state
+            self._rng.random(self._count - left)
+        return left
+
+
 class ReseatWorkspace:
-    """Working buffers shared by the reseat calls of one pass over the observations.
+    """Working state shared by the reseat calls of one pass over the observations.
 
     Building one moves ``state.mu``, ``state.phi`` and ``state.xi`` into
     capacity-``k_max + 1`` buffers and rebinds the state's arrays to their
@@ -93,13 +127,24 @@ class ReseatWorkspace:
     log(n_k^- + alpha) - ||y_i - mu_k||^2 / 2, and that of the auxiliary a
     log(alpha) + log V_n(t+1) - log V_n(t) - ||y_i - a||^2 / 2.  All are
     shifted by ||y_i||^2 / 2, which leaves a distance as
-    y_i . mu_k - ||mu_k||^2 / 2.  The workspace holds G = Y^T mu^T, from
-    one matrix product per pass (a column is added whenever an auxiliary
-    is drawn); per row ``half_sq`` = ||mu_k||^2 / 2 and ``base``, which is
-    log(n_k + alpha) - ||mu_k||^2 / 2 for a cluster and
-    ``vn.log_open[K]`` - ||a||^2 / 2 for the auxiliary, kept as sizes and
-    K change.  The workspace is valid until the state changes other than
-    through ``reseat_observation``.
+    y_i . mu_k - ||mu_k||^2 / 2.  The weights are summed on Python floats,
+    which make the same IEEE additions as numpy but cost no call per
+    observation: ``rows[i]`` is row i of G = Y^T mu^T, from one matrix
+    product per pass (an auxiliary's column is written into each row, or
+    appended, whenever one is drawn); per cluster ``half_sq`` =
+    ||mu_k||^2 / 2 and ``base``, which is log(n_k + alpha) - ||mu_k||^2 / 2
+    for a cluster and ``vn.log_open[K]`` - ||a||^2 / 2 for the auxiliary,
+    kept as sizes and K change.
+
+    The categorical uniforms of the pass come from one ``UniformBlock``
+    sized for the observations left, so a pass of n reseats draws exactly
+    what n scalar ``rng.random()`` calls would.  Before an auxiliary is
+    drawn after an open, the block is synced and a new one started, so the
+    prior draws come from the generator where the scalar draws leave it.
+    ``finish()`` must follow the pass's last reseat: it leaves the
+    generator just after the uniforms served, where the next draw of the
+    sweep expects it.  The workspace is valid for one pass of at most n
+    reseats, while the state changes only through ``reseat_observation``.
 
     Keeping one auxiliary across observations leaves the posterior
     invariant (Favaro and Teh 2013, *Statistical Science* 28(3), "ReUse"
@@ -111,8 +156,8 @@ class ReseatWorkspace:
     G0 after it opens a cluster, or at the end of the pass, is a Gibbs step.
     """
 
-    __slots__ = ("k", "k_max", "mu", "phi", "xi", "sizes", "half_sq", "base", "g",
-                 "log_open", "logw", "values", "alpha", "theta", "hyper")
+    __slots__ = ("k", "k_max", "mu", "phi", "xi", "sizes", "half_sq", "base", "rows",
+                 "log_open", "uniforms", "values", "alpha", "theta", "hyper")
 
     def __init__(self, state: ModelState, data: DataMatrix, vn: VnTable, hyper: Hyperparams,
                  rng: np.random.Generator):
@@ -134,15 +179,14 @@ class ReseatWorkspace:
         self.bind(state)
         counts = np.bincount(state.z, minlength=k + 1)[1:]
         self.sizes = counts.tolist()
-        self.half_sq = np.empty(cap)
-        self.half_sq[:k] = 0.5 * (state.mu * state.mu).sum(axis=1)
-        self.base = np.empty(cap)
-        self.base[:k] = np.log(counts + hyper.alpha) - self.half_sq[:k]
-        self.g = np.empty((values.shape[1], cap))
-        self.g[:, :k] = values.T @ state.mu.T
-        self.log_open = vn.log_open
-        self.logw = np.empty(cap)
+        half_sq = 0.5 * (state.mu * state.mu).sum(axis=1)
+        pad = [0.0] * (cap - k)
+        self.half_sq = half_sq.tolist() + pad
+        self.base = (np.log(counts + hyper.alpha) - half_sq).tolist() + pad
+        self.rows = (values.T @ state.mu.T).tolist()
+        self.log_open = vn.log_open.tolist()
         self.draw_auxiliary(rng)
+        self.uniforms = UniformBlock(rng, data.n)
 
     def draw_auxiliary(self, rng: np.random.Generator) -> None:
         """Draw row K from the prior of a new cluster: its indicators from
@@ -156,8 +200,14 @@ class ReseatWorkspace:
         mu = sample_prior_mu(xi, phi, self.hyper, rng)
         self.phi[t] = phi
         self.mu[t] = mu
-        self.g[:, t] = self.values.T @ mu
-        self.half_sq[t] = 0.5 * (mu @ mu)
+        column = (self.values.T @ mu).tolist()
+        if len(self.rows[0]) > t:
+            for row, g in zip(self.rows, column):
+                row[t] = g
+        else:
+            for row, g in zip(self.rows, column):
+                row.append(g)
+        self.half_sq[t] = float(0.5 * (mu @ mu))
         self.offer(t)
 
     def offer(self, t: int) -> None:
@@ -173,19 +223,16 @@ class ReseatWorkspace:
 
     def close(self, state: ModelState, c: int) -> None:
         """Remove cluster c (0-based), keep labels dense, and park its
-        parameters in row K-1 of the buffers: they replace the auxiliary."""
+        parameters in row K-1: they replace the auxiliary."""
         k = self.k
         for buf in (self.mu, self.phi, self.xi):
             row = buf[c].copy()
             buf[c : k - 1] = buf[c + 1 : k]
             buf[k - 1] = row
-        half_sq = self.half_sq[c]
-        for vec in (self.half_sq, self.base):
-            vec[c : k - 1] = vec[c + 1 : k]
-        self.half_sq[k - 1] = half_sq
-        col = self.g[:, c].copy()
-        self.g[:, c : k - 1] = self.g[:, c + 1 : k]
-        self.g[:, k - 1] = col
+        self.half_sq.insert(k - 1, self.half_sq.pop(c))
+        self.base[c : k - 1] = self.base[c + 1 : k]
+        for row in self.rows:
+            row.insert(k - 1, row.pop(c))
         del self.sizes[c]
         z = state.z
         z[z > c + 1] -= 1
@@ -194,12 +241,19 @@ class ReseatWorkspace:
 
     def open(self, rng: np.random.Generator) -> None:
         """Make the auxiliary cluster K+1 with one member, then draw a fresh
-        auxiliary into the new row K."""
+        auxiliary into the new row K from the generator synced past the
+        uniforms served, and serve the rest of the pass from a new block."""
         t = self.k
         self.sizes.append(0)
         self.resize(t, 1)
         self.k = t + 1
+        left = self.uniforms.sync()
         self.draw_auxiliary(rng)
+        self.uniforms = UniformBlock(rng, left)
+
+    def finish(self) -> None:
+        """End the pass: leave the generator just after the uniforms served."""
+        self.uniforms.sync()
 
     def bind(self, state: ModelState) -> None:
         """Point the state's arrays at the first K rows of the buffers."""
@@ -232,9 +286,7 @@ def reseat_observation(
         ws.resize(old, -1)
     t = ws.k
     m = t + 1 if t < ws.k_max else t
-    logw = ws.logw[:m]
-    np.add(ws.base[:m], ws.g[i, :m], out=logw)
-    choice = sample_categorical_log(logw, rng)
+    choice = sample_categorical_log(list(map(add, ws.base[:m], ws.rows[i])), ws.uniforms)
 
     state.z[i] = choice + 1
     if choice == t:

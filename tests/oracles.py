@@ -4,7 +4,8 @@ Everything here is deliberately naive: direct sums, exhaustive
 enumeration, quadrature.  None of it shares code with the package paths
 it verifies.  ``centre_error`` is the one loss the tests use that the
 package does not provide.  ``reference_sweep`` writes the sampler's
-reseat pass plainly (direct distances, per-call allocation) and
+reseat pass plainly (direct distances, per-call allocation, scalar
+uniforms) and its scale update cluster by cluster, and
 ``reference_kmeans`` keeps the k-means Lloyd loop in its first form, as
 bitwise references for the lean ones.  ``dense_reconstruction_error``,
 ``reference_index`` and ``reference_kmeans`` rank alignment candidates
@@ -19,9 +20,9 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import linear_sum_assignment
 
+from sparsegmm.distributions import sample_gig_half_vector
 from sparsegmm.ssl import (
     update_mu,
-    update_phi,
     update_theta,
     update_xi,
 )
@@ -237,14 +238,25 @@ def _reference_reseat(i, state, vn, data, hyper, rng, aux):
     return aux
 
 
+def reference_update_phi(state, hyper, rng):
+    """The scale update cluster by cluster: chi = mu_c^2 lambda_{xi_c}^2 and
+    one ``sample_gig_half_vector`` call per cluster, in ascending order."""
+    for c in range(state.k_active):
+        lam_sq = np.where(state.xi[c] == 1, hyper.lambda1**2, hyper.lambda0**2)
+        state.phi[c] = sample_gig_half_vector(state.mu[c] ** 2 * lam_sq, 1.0, rng)
+    return state
+
+
 def reference_sweep(state, data, vn, hyper, rng):
-    """One sweep with the plain reseat pass and np.add.at cluster sums.
+    """One sweep with the plain reseat pass, np.add.at cluster sums and the
+    per-cluster scale update.
 
     The reseat pass keeps one auxiliary cluster: drawn from the prior
     before the first observation, replaced by a departing singleton's
     parameters, redrawn after it opens a cluster, dropped at the end.
-    The mean, scale, indicator and theta updates are the package's own;
-    what this checks is the reseat pass and the sufficient statistics.
+    Every categorical uniform is one scalar ``rng.random()`` call.  The
+    mean, indicator and theta updates are the package's own; what this
+    checks is the reseat pass, the sufficient statistics and the scales.
     """
     aux = _reference_auxiliary(state, hyper, rng)
     for i in range(data.n):
@@ -253,7 +265,7 @@ def reference_sweep(state, data, vn, hyper, rng):
     sums = np.zeros((k, data.p))
     np.add.at(sums, state.z - 1, data.values.T)
     update_mu(state, sums, np.bincount(state.z, minlength=k + 1)[1:], hyper, rng)
-    update_phi(state, hyper, rng)
+    reference_update_phi(state, hyper, rng)
     update_xi(state, hyper, rng)
     update_theta(state, hyper, rng)
     return state

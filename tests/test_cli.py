@@ -262,6 +262,21 @@ def test_malformed_estimate_and_trace_exit_3(tmp_path, capsys):
         est.write_text(json.dumps({"k_hat": 1, "z_hat": z_hat, "mu_hat": mu_hat}))
         _fails_with(capsys, 3, "evaluate", "--estimate", est, "--truth", truth)
 
+    # fields of the wrong type or shape, in the estimate and in the truth
+    fits = {"k_hat": 2, "z_hat": [1, 1, 2], "mu_hat": [[0.0, 1.0], [0.0, 1.0]]}
+    for field, value in (("z_hat", [[1], [1, 2]]), ("z_hat", "abc"), ("k_hat", "x"),
+                         ("mu_hat", [[0.0], [0.0, 1.0]]), ("mu_hat", "abc")):
+        est.write_text(json.dumps({**fits, field: value}))
+        _fails_with(capsys, 3, "evaluate", "--estimate", est, "--truth", truth)
+    est.write_text(json.dumps(fits))
+    good_truth = json.loads(truth.read_text())
+    for field, value in (("z_true", [[1], [1, 2]]), ("z_true", "abc"),
+                         ("mu_true", [[0.0], [0.0, 1.0]])):
+        truth.write_text(json.dumps({**good_truth, field: value}))
+        _fails_with(capsys, 3, "evaluate", "--estimate", est, "--truth", truth)
+    truth.write_text(json.dumps(good_truth))
+    assert run_cli("evaluate", "--estimate", est, "--truth", truth) == 0
+
     # snapshot records that are not JSON, lack a field, or do not fit the data
     meta = {"type": "meta", "n": 3, "p": 2, "n_burn": 0, "thin": 1, "seed": 0,
             "chain_id": 0, "hyper_digest": "", "ssl_mode": "joint"}

@@ -134,3 +134,12 @@ def test_categorical_shift_invariant_draws():
     a = [sample_categorical_log(lw, np.random.default_rng(7)) for _ in range(500)]
     b = [sample_categorical_log(lw + 123.4, np.random.default_rng(7)) for _ in range(500)]
     assert a == b
+
+
+def test_categorical_list_and_array_draw_the_same_index():
+    rng = np.random.default_rng(14)
+    for _ in range(300):
+        lw = rng.normal(scale=5.0, size=int(rng.integers(1, 8)))
+        seed = int(rng.integers(2**32))
+        a = sample_categorical_log(lw, np.random.default_rng(seed))
+        assert sample_categorical_log(lw.tolist(), np.random.default_rng(seed)) == a

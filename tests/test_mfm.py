@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -147,7 +148,10 @@ def _toy_state():
 
 def _reseat_alone(i, state, vn, data, hyper, rng):
     """One reseat with a workspace, and so an auxiliary, of its own."""
-    return reseat_observation(i, state, ReseatWorkspace(state, data, vn, hyper, rng), rng)
+    ws = ReseatWorkspace(state, data, vn, hyper, rng)
+    reseat_observation(i, state, ws, rng)
+    ws.finish()
+    return state
 
 
 def test_reseat_preserves_partition_invariants():
@@ -256,7 +260,9 @@ def test_inner_product_distances_match_direct(ssl_mode):
 
     def check(ws):
         rows = ws.mu[: ws.k + 1]  # the clusters, then the auxiliary
-        got = sq_norms[:, None] + 2.0 * ws.half_sq[None, : ws.k + 1] - 2.0 * ws.g[:, : ws.k + 1]
+        half_sq = np.array(ws.half_sq[: ws.k + 1])
+        g = np.array([row[: ws.k + 1] for row in ws.rows])
+        got = sq_norms[:, None] + 2.0 * half_sq[None, :] - 2.0 * g
         want = ((values.T[:, None, :] - rows[None, :, :]) ** 2).sum(axis=2)
         assert got == pytest.approx(want, rel=1e-9, abs=0)
 
@@ -268,7 +274,39 @@ def test_inner_product_distances_match_direct(ssl_mode):
             reseat_observation(i, state, ws, rng)
             moves += ws.k != before
             check(ws)
+        ws.finish()
     assert moves > 0
+
+
+def test_finish_leaves_the_generator_after_the_uniforms_served(monkeypatch):
+    """Three reseats and ``finish()`` leave the generator where three scalar
+    ``rng.random()`` calls after the auxiliary leave it, and the reseats
+    draw those three values; with K = k_max no cluster opens."""
+    rng = np.random.default_rng(4)
+    data = DataMatrix(rng.standard_normal((3, 10)))
+    hyper = _hyper(k_max=2)
+    vn = build_vn_table(data.n, hyper)
+    state = ModelState(z=np.array([1, 2] * 5), mu=rng.standard_normal((2, 3)),
+                       phi=np.ones((2, 3)), xi=np.zeros((2, 3), dtype=np.int8), theta=0.1)
+    ref = np.random.default_rng(9)
+    ReseatWorkspace(state.copy(), data, vn, hyper, ref).finish()  # the auxiliary's draws
+    expected = [ref.random() for _ in range(3)]
+
+    served = []
+
+    def spy(logw, uniforms):
+        u = uniforms.random()
+        served.append(u)
+        return sample_categorical_log(logw, SimpleNamespace(random=lambda: u))
+
+    monkeypatch.setattr(urn, "sample_categorical_log", spy)
+    rng = np.random.default_rng(9)
+    ws = ReseatWorkspace(state, data, vn, hyper, rng)
+    for i in range(3):
+        reseat_observation(i, state, ws, rng)
+    ws.finish()
+    assert served == expected
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 @pytest.mark.parametrize("ssl_mode", ["joint", "column"])

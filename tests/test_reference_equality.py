@@ -1,23 +1,26 @@
 """Bitwise equality of the lean sampler paths with their naive references.
 
-The cluster sums and the k-means Lloyd loop were rewritten to do less
-work with the same random draws and the same arithmetic (the loop ranks
-its iterates from cluster sums, the reference by the dense objective,
-and both must pick the same one); the reseat pass
+The cluster sums, the scale update and the k-means Lloyd loop were
+rewritten to do less work with the same random draws and the same
+arithmetic (the loop ranks its iterates from cluster sums, the reference
+by the dense objective, and both must pick the same one); the reseat pass
 computes its distances from inner products, which changes the weights by
-rounding only, and the weights only steer categorical draws.  These tests
-hold them to the plain versions kept in ``oracles.py``: every array must
-be equal bit for bit, not close.
+rounding only, and the weights only steer categorical draws, whose
+uniforms it takes in blocks.  These tests hold them to the plain versions
+kept in ``oracles.py``: every array, and the generator's state, must be
+equal bit for bit, not close.
 """
 
 import numpy as np
 import pytest
 
+import sparsegmm.distributions as distributions
 import sparsegmm.gibbs as gibbs
-from oracles import reference_kmeans, reference_sweep
+from oracles import reference_kmeans, reference_sweep, reference_update_phi
 from sparsegmm.cmle import CmleConfig, fit_cmle, fit_kmeans
-from sparsegmm.core import DataMatrix, Hyperparams, cluster_sums
+from sparsegmm.core import DataMatrix, Hyperparams, ModelState, cluster_sums
 from sparsegmm.gibbs import InitSpec, RunConfig, init_state, sweep
+from sparsegmm.ssl import update_phi
 from sparsegmm.synthetic import ScenarioSpec, generate
 from sparsegmm.urn import build_vn_table
 
@@ -76,6 +79,8 @@ def test_sweep_matches_reference_sweep_bitwise(ssl_mode, monkeypatch):
         assert np.array_equal(state.phi, ref.phi), s
         assert np.array_equal(state.xi, ref.xi), s
         assert state.theta == ref.theta, s
+        # the blocks of uniforms leave the generator where scalar draws do
+        assert rng.bit_generator.state == rng_ref.bit_generator.state, s
     # the paths that matter ran: clusters opened and closed, and reseats
     # started at K = k_max, where a non-singleton is offered no new cluster
     assert moves["opened"] >= 5 and moves["closed"] >= 5, moves
@@ -106,6 +111,37 @@ def test_joint_indicator_rows_stay_tied(monkeypatch):
     assert moves["opened"] >= 5 and moves["closed"] >= 5, moves
     assert moves["at_k_max"] >= 50, moves
     assert values == {0, 1}  # the indicators switched, so tied rows are not trivial
+
+
+@pytest.mark.parametrize("tiny_chi", [False, True])
+def test_update_phi_matches_reference_bitwise(tiny_chi, monkeypatch):
+    """The scale update equals the per-cluster oracle bit for bit: as one
+    block when every chi exceeds 1e-8, and cluster by cluster when one does
+    not (there its draw takes another branch)."""
+    rng = np.random.default_rng(12)
+    k, p = 3, 40
+    hyper = Hyperparams(lambda0=100.0, lambda1=1.0, beta_theta=2.0)
+    state = ModelState(z=np.arange(1, k + 1), mu=rng.standard_normal((k, p)),
+                       phi=np.ones((k, p)), xi=rng.integers(0, 2, size=(k, p)).astype(np.int8),
+                       theta=0.5)
+    if tiny_chi:
+        state.mu[1, 7] = 1e-9  # chi = 1e-18 lambda^2 <= 1e-8 at either rate
+    ref = state.copy()
+    calls = []
+    draw = distributions.sample_gig_half_vector
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(distributions, "sample_gig_half_vector", counting)
+    rng, rng_ref = np.random.default_rng(5), np.random.default_rng(5)
+    for _ in range(3):
+        update_phi(state, hyper, rng)
+        reference_update_phi(ref, hyper, rng_ref)
+        assert np.array_equal(state.phi, ref.phi)
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+    assert len(calls) == (3 * k if tiny_chi else 3)
 
 
 @pytest.mark.parametrize("p", [1, 2, 7, 64])

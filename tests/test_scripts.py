@@ -50,3 +50,11 @@ def test_geweke_check_prints_the_table(ssl_mode):
     for name in ("theta", "K", "mu_z1^2", "P(K=1)"):
         assert re.search(rf"^  {re.escape(name)}\s+forward=.*\|z\|=", out, re.M), name
     assert re.search(r"^worst \|z\| = ", out, re.M), out
+
+
+def test_ab_fit_prints_the_pair_ratios():
+    # one checkout against itself: the traces must be identical
+    out = _run("ab_fit.py", "--a", ROOT, "--b", ROOT, "--workload", "chains_column",
+               "--pairs", 1)
+    assert re.search(r"^pair  1 \(ab first\): a \S+ s  b \S+ s  b/a \S+$", out, re.M), out
+    assert re.search(r"^chains_column: median b/a \S+ .* traces identical$", out, re.M), out
