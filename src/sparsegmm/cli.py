@@ -30,6 +30,8 @@ from .experiment import (
     load_truth,
     run_experiment,
     save_matrix_csv,
+    whole_number,
+    whole_numbers,
 )
 from .preprocess import preprocess_scrna
 from .summarize import psrf_report
@@ -202,8 +204,8 @@ def _cmd_evaluate(args) -> int:
     if missing:
         raise DataError(f"{args.estimate} lacks {', '.join(missing)}")
     est = ClusterEstimate(
-        k_hat=json_field(est_d, "k_hat", int, args.estimate),
-        z_hat=json_field(est_d, "z_hat", partial(np.asarray, dtype=int), args.estimate),
+        k_hat=json_field(est_d, "k_hat", whole_number, args.estimate),
+        z_hat=json_field(est_d, "z_hat", whole_numbers, args.estimate),
         mu_hat=json_field(est_d, "mu_hat", partial(np.asarray, dtype=float), args.estimate),
         support_hat=tuple(est_d.get("support", ())),
         inclusion_freq=None,

@@ -113,20 +113,9 @@ class Hyperparams:
                 stacklevel=2,
             )
 
-    def to_dict(self) -> dict:
-        return {
-            "lambda0": self.lambda0,
-            "lambda1": self.lambda1,
-            "beta_theta": self.beta_theta,
-            "alpha": self.alpha,
-            "poisson_lambda": self.poisson_lambda,
-            "k_max": self.k_max,
-            "ssl_mode": self.ssl_mode,
-        }
-
     def digest(self) -> str:
         """Stable hash of the hyperparameter values."""
-        blob = json.dumps(self.to_dict(), sort_keys=True).encode()
+        blob = json.dumps(asdict(self), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import platform
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
 from typing import Callable
@@ -40,7 +40,7 @@ from .errors import (
 )
 from .gibbs import SCREENED_KMEANS, InitSpec, RunConfig, run_chains
 from .metrics import ari, mean_matrix_error, min_hamming, nmi
-from .summarize import align_labels, point_estimates, psrf_report
+from .summarize import _psrf_table, align_labels, point_estimates
 from .synthetic import ScenarioSpec, generate
 
 METHOD_BAYESIAN = "bayesian"
@@ -124,6 +124,11 @@ class ExperimentConfig:
             self.run = RunConfig()
         if self.method in (METHOD_CMLE, METHOD_KMEANS) and self.cmle is None:
             raise ConfigError(f"method {self.method} requires a cmle section with k")
+        if self.method == METHOD_BAYESIAN and self.run.n_chains >= 2 and self.run.n_keep < 2:
+            raise ConfigError(
+                f"a PSRF over {self.run.n_chains} chains needs n_keep >= 2, "
+                f"got {self.run.n_keep}"
+            )
 
 
 def _scenario_from_dict(d: dict) -> ScenarioSpec:
@@ -175,7 +180,7 @@ def resolve_hyperparams(p: int, overrides: dict | None) -> Hyperparams:
     base = default_hyperparams(p)
     if not overrides:
         return base
-    fields = base.to_dict()
+    fields = asdict(base)
     unknown = set(overrides) - set(fields)
     if unknown:
         raise ConfigError(f"unknown hyperparameter(s): {sorted(unknown)}")
@@ -217,11 +222,36 @@ def json_field(d: dict, key: str, convert: Callable, path: str | Path):
         raise DataError(f"{path}: field {key} is malformed: {exc}") from None
 
 
+def _numbers_only(value) -> bool:
+    if isinstance(value, list):
+        return all(_numbers_only(v) for v in value)
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def whole_numbers(value) -> np.ndarray:
+    """A JSON number, or nested lists of them, as an int array; ValueError
+    on a boolean, a string, or a number that is not whole."""
+    if not _numbers_only(value):
+        raise ValueError("expected JSON numbers, not booleans or strings")
+    arr = np.asarray(value, dtype=float)
+    if not np.all(np.isfinite(arr) & (arr == np.trunc(arr))):
+        raise ValueError("expected whole numbers")
+    return arr.astype(int)
+
+
+def whole_number(value) -> int:
+    """A JSON number as an int; ValueError unless it is one whole number."""
+    arr = whole_numbers(value)
+    if arr.ndim:
+        raise ValueError(f"expected one number, got shape {arr.shape}")
+    return int(arr)
+
+
 def load_truth(path: str | Path) -> tuple[np.ndarray, np.ndarray | None]:
     d = load_json_object(path)
     if "z_true" not in d:
         raise DataError(f"{path} lacks a z_true field")
-    z = json_field(d, "z_true", partial(np.asarray, dtype=int), path)
+    z = json_field(d, "z_true", whole_numbers, path)
     if d.get("mu_true") is None:
         return z, None
     return z, json_field(d, "mu_true", partial(np.asarray, dtype=float), path)
@@ -310,10 +340,10 @@ def run_experiment(
             (out_dir / f"trace_chain{t.meta.chain_id}.ndjson").write_text(
                 trace_to_ndjson(t)
             )
-        pooled = [s for t in traces for s in t.snapshots]
-        est = point_estimates(align_labels(pooled, data))
+        aligned = align_labels([s for t in traces for s in t.snapshots], data)
+        est = point_estimates(aligned)
         if len(traces) >= 2:
-            (out_dir / "psrf.json").write_text(canonical_json(psrf_report(traces, data)))
+            (out_dir / "psrf.json").write_text(canonical_json(_psrf_table(traces, aligned)))
     elif config.method == METHOD_CMLE:
         mu, z, _ = fit_cmle(data, config.cmle)
         est = _estimate_from_flat(mu, z)

@@ -2,10 +2,13 @@
 
 Raw mixture traces are only identified up to cluster relabeling.  The
 alignment pass picks, among the snapshots with the modal K, the one with
-the smallest Frobenius reconstruction error as the reference and
-permutes every other snapshot's labels to best match the reference
-means.  The error alone would favour the rare draws with a surplus
-cluster, since an extra cluster always lowers it.
+the smallest Frobenius reconstruction error as the reference and finds,
+for every snapshot, the label map that best matches its means to the
+reference means.  The error alone would favour the rare draws with a
+surplus cluster, since an extra cluster always lowers it.  The snapshots
+are not copied: the point estimate and the PSRF table read each one
+through its map, and a multi-chain fit aligns its pooled draws once for
+both.
 
 Scoring a snapshot builds no p x n residual.  With S_k and n_k the sum
 and size of cluster k, ||Y - mu_z||_F^2 = ||Y||_F^2 - (2 sum_k S_k.mu_k
@@ -40,39 +43,20 @@ def solve_assignment(cost: np.ndarray) -> np.ndarray:
     return linear_sum_assignment(cost)[1]
 
 
-@dataclass(frozen=True)
-class AlignedSnapshot:
-    """One snapshot after relabeling.
-
-    ``labels`` holds the aligned labels present, sorted ascending, and
-    ``mu`` the matching dense means (row r is the mean of labels[r]).
-    Aligned labels live in 1..max(K, K_ref) and are not necessarily
-    dense when the snapshot's K differs from the reference's.
-    """
-
-    z: np.ndarray
-    k: int
-    theta: float
-    labels: np.ndarray
-    mu: np.ndarray
-
-    def mean_of(self, label: int) -> np.ndarray | None:
-        pos = np.searchsorted(self.labels, label)
-        if pos < self.labels.size and self.labels[pos] == label:
-            return self.mu[pos]
-        return None
-
-
 @dataclass
 class AlignedTrace:
-    """Aligned snapshots plus the label maps that produced them.
+    """The snapshots, unchanged, plus the label map that aligns each one.
 
     ``perms[b][c]`` is the aligned label of original label c+1 in
-    snapshot b; ``ref_index`` is the reference snapshot (or -1 when an
-    external reference was supplied).
+    snapshot b, so the snapshot's aligned labels read as
+    ``perms[b][snapshots[b].z - 1]`` and its mean row c belongs to
+    aligned label ``perms[b][c]``.  Aligned labels live in
+    1..max(K, K_ref) and are not necessarily dense when the snapshot's K
+    differs from the reference's.  ``ref_index`` is the reference
+    snapshot.
     """
 
-    snapshots: list[AlignedSnapshot]
+    snapshots: list[Snapshot]
     perms: list[np.ndarray]
     ref_index: int
     p: int
@@ -155,49 +139,28 @@ def _match_to_reference(mu_ref: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return label_map
 
 
-def _apply_label_map(snapshot: Snapshot, label_map: np.ndarray, p: int) -> AlignedSnapshot:
-    order = np.argsort(label_map)
-    return AlignedSnapshot(
-        z=label_map[snapshot.z - 1],
-        k=snapshot.k,
-        theta=snapshot.theta,
-        labels=label_map[order],
-        mu=snapshot.dense_mu(p)[order],
-    )
-
-
-def align_labels(
-    trace: ChainTrace | list[Snapshot],
-    data: DataMatrix,
-    mu_ref: np.ndarray | None = None,
-) -> AlignedTrace:
-    """Align every snapshot's labels to a common reference.
+def align_labels(trace: ChainTrace | list[Snapshot], data: DataMatrix) -> AlignedTrace:
+    """Map every snapshot's labels onto those of one reference snapshot.
 
     The reference is the snapshot minimizing the reconstruction error
-    among those with the modal K, unless an explicit reference mean
-    matrix is supplied (used to align several chains against one shared
-    target).
+    among those with the modal K.  The snapshots are kept as they are;
+    only their label maps are added.
     """
-    snaps = trace.snapshots if isinstance(trace, ChainTrace) else list(trace)
+    snaps = list(trace.snapshots if isinstance(trace, ChainTrace) else trace)
     if not snaps:
         raise LengthMismatchError("cannot align an empty trace")
     _check_fits(snaps, data)
-    if mu_ref is None:
-        ref_index = _reference_index(snaps, data)
-        mu_ref = snaps[ref_index].dense_mu(data.p)
-    else:
-        ref_index = -1
+    ref_index = _reference_index(snaps, data)
+    mu_ref = snaps[ref_index].dense_mu(data.p)
 
     freq = np.zeros(data.p)
-    aligned, perms = [], []
+    perms = []
     for s in snaps:
-        label_map = _match_to_reference(mu_ref, s.dense_mu(data.p))
-        aligned.append(_apply_label_map(s, label_map, data.p))
-        perms.append(label_map)
+        perms.append(_match_to_reference(mu_ref, s.dense_mu(data.p)))
         freq[s.support - 1] += 1.0
     freq /= len(snaps)
     return AlignedTrace(
-        snapshots=aligned, perms=perms, ref_index=ref_index, p=data.p, support_freq=freq
+        snapshots=snaps, perms=perms, ref_index=ref_index, p=data.p, support_freq=freq
     )
 
 
@@ -211,23 +174,21 @@ def point_estimates(aligned: AlignedTrace, inclusion_threshold: float = 0.5) -> 
     1..k_hat.  The support estimate keeps features whose inclusion
     frequency over all snapshots reaches the threshold.
     """
-    snaps = aligned.snapshots
-    p = aligned.p
+    snaps, perms, p = aligned.snapshots, aligned.perms, aligned.p
     k_mode = _modal_k(snaps)
-    chosen = [s for s in snaps if s.k == k_mode]
+    chosen = [b for b, s in enumerate(snaps) if s.k == k_mode]
 
     n = snaps[0].z.shape[0]
-    max_label = max(int(s.labels.max()) for s in chosen)
+    max_label = max(int(perms[b].max()) for b in chosen)
     votes = np.zeros((n, max_label), dtype=int)
-    for s in chosen:
-        votes[np.arange(n), s.z - 1] += 1
-    z_modal = votes.argmax(axis=1) + 1
-
     mu_sum = np.zeros((max_label, p))
     mu_count = np.zeros(max_label)
-    for s in chosen:
-        mu_sum[s.labels - 1] += s.mu
-        mu_count[s.labels - 1] += 1
+    for b in chosen:
+        perm = perms[b]
+        votes[np.arange(n), perm[snaps[b].z - 1] - 1] += 1
+        mu_sum[perm - 1] += snaps[b].dense_mu(p)
+        mu_count[perm - 1] += 1
+    z_modal = votes.argmax(axis=1) + 1
 
     used = np.unique(z_modal)
     lut = np.zeros(max_label + 1, dtype=int)
@@ -282,23 +243,27 @@ def psrf_report(traces: list[ChainTrace], data: DataMatrix) -> dict[str, float]:
         raise LengthMismatchError("need at least 2 chains")
     if len({len(t) for t in traces}) > 1 or len(traces[0]) < 2:
         raise TraceMismatchError("chains must have equal lengths of at least 2 snapshots")
-    pooled = [s for t in traces for s in t.snapshots]
-    _check_fits(pooled, data)
-    mu_ref = pooled[_reference_index(pooled, data)].dense_mu(data.p)
-    aligned = [align_labels(t, data, mu_ref=mu_ref) for t in traces]
+    return _psrf_table(traces, align_labels([s for t in traces for s in t.snapshots], data))
 
+
+def _psrf_table(traces: list[ChainTrace], pooled: AlignedTrace) -> dict[str, float]:
+    """:func:`psrf_report` from the alignment of the chains' pooled snapshots.
+
+    Chain c is the c-th run of ``len(traces[0])`` consecutive pooled
+    snapshots; the chains must have equal lengths of at least 2.
+    """
     report = {
         "theta": psrf([t.theta_values() for t in traces]),
         "k": psrf([t.k_values() for t in traces]),
     }
-    for label in range(1, mu_ref.shape[0] + 1):
-        seqs = []
-        for a in aligned:
-            vals = [s.mean_of(label) for s in a.snapshots]
-            if any(v is None for v in vals):
-                seqs = None
-                break
-            seqs.append(np.array([v[0] for v in vals]))
-        if seqs is not None:
-            report[f"mu_{label}_1"] = psrf(seqs)
+    k_ref, p = pooled.snapshots[pooled.ref_index].k, pooled.p
+    firsts = np.zeros((len(pooled), k_ref))
+    present = np.zeros((len(pooled), k_ref), dtype=bool)
+    for b, (s, perm) in enumerate(zip(pooled.snapshots, pooled.perms)):
+        hit = perm <= k_ref
+        firsts[b, perm[hit] - 1] = s.dense_mu(p)[hit, 0]
+        present[b, perm[hit] - 1] = True
+    for c in range(k_ref):
+        if present[:, c].all():
+            report[f"mu_{c + 1}_1"] = psrf(firsts[:, c].reshape(len(traces), -1))
     return report

@@ -10,7 +10,9 @@ uniforms) and its scale update cluster by cluster, and
 bitwise references for the lean ones.  ``dense_reconstruction_error``,
 ``reference_index`` and ``reference_kmeans`` rank alignment candidates
 and Lloyd iterates by the full p x n residual, which the package ranks
-from cluster sums instead.
+from cluster sums instead.  ``reference_psrf_report`` matches each
+chain's draws to the pooled reference afresh by brute force, where the
+package reads them off one pooled alignment.
 """
 
 from itertools import permutations, product
@@ -173,6 +175,16 @@ def permute_snapshot_labels(z, mu, perm):
     return z_new, np.asarray(mu)[order]
 
 
+def aligned_draw(aligned, b):
+    """Snapshot b of an aligned trace read through its label map: the
+    aligned labels, and the dense means with row l-1 holding the mean of
+    aligned label l (zero rows for labels the snapshot lacks)."""
+    s, perm = aligned.snapshots[b], aligned.perms[b]
+    mu = np.zeros((int(perm.max()), aligned.p))
+    mu[perm - 1] = s.dense_mu(aligned.p)
+    return perm[s.z - 1], mu
+
+
 def _reference_auxiliary(state, hyper, rng):
     """(mu, phi, xi) of a fresh auxiliary cluster drawn from the prior: in
     column mode indicators from p uniforms against theta (in joint mode the
@@ -286,6 +298,57 @@ def reference_index(snaps, data):
     k_mode = min(k for k in ks if ks.count(k) == top)
     errors = [dense_reconstruction_error(s, data) if s.k == k_mode else inf for s in snaps]
     return int(np.argmin(errors))
+
+
+def _brute_force_match(mu_ref, mu):
+    """Snapshot row matched to each reference row (None if unmatched): the
+    injection of the smaller row set into the larger with the least total
+    squared distance, the first one enumerated on ties."""
+    k_ref, k = mu_ref.shape[0], mu.shape[0]
+    cost = ((mu_ref[:, None, :] - mu[None, :, :]) ** 2).sum(axis=2)
+    best, best_cost = None, inf
+    if k_ref <= k:
+        for cols in permutations(range(k), k_ref):
+            c = sum(cost[r, cols[r]] for r in range(k_ref))
+            if c < best_cost:
+                best, best_cost = list(cols), c
+        return best
+    for rows in permutations(range(k_ref), k):
+        c = sum(cost[rows[j], j] for j in range(k))
+        if c < best_cost:
+            best, best_cost = rows, c
+    match = [None] * k_ref
+    for j, r in enumerate(best):
+        match[r] = j
+    return match
+
+
+def reference_psrf_report(traces, data, psrf):
+    """The PSRF table as first written: the pooled reference by the dense
+    error (``reference_index``), each chain's snapshots matched to it
+    afresh by brute force, and an entry mu_l_1 for each reference label l
+    matched in every snapshot of every chain, from the first coordinates
+    of the matched means.  ``psrf`` is the scalar factor, which this does
+    not check."""
+    pooled = [s for t in traces for s in t.snapshots]
+    mu_ref = pooled[reference_index(pooled, data)].dense_mu(data.p)
+    report = {
+        "theta": psrf([[s.theta for s in t.snapshots] for t in traces]),
+        "k": psrf([[s.k for s in t.snapshots] for t in traces]),
+    }
+    per_chain = []
+    for t in traces:
+        chain = []
+        for s in t.snapshots:
+            mu = s.dense_mu(data.p)
+            chain.append([None if r is None else mu[r, 0]
+                          for r in _brute_force_match(mu_ref, mu)])
+        per_chain.append(chain)
+    for label in range(1, mu_ref.shape[0] + 1):
+        seqs = [[firsts[label - 1] for firsts in chain] for chain in per_chain]
+        if all(v is not None for seq in seqs for v in seq):
+            report[f"mu_{label}_1"] = psrf([np.array(seq) for seq in seqs])
+    return report
 
 
 def reference_kmeans(values, k, seed=0, n_restarts=8, max_iters=100, s=None):

@@ -16,6 +16,7 @@ import pytest
 from scipy import stats
 
 from oracles import (
+    aligned_draw,
     ari_pair_counting,
     centre_error,
     cmle_exhaustive,
@@ -321,10 +322,10 @@ def test_criterion_5_alignment_restores_known_permutations():
             perms.append(perm)
         aligned = align_labels(snaps, data)
         # all snapshots must coincide exactly after alignment ...
-        z0, mu0 = aligned.snapshots[0].z, aligned.snapshots[0].mu
+        z0, mu0 = aligned_draw(aligned, 0)
         same = all(
-            np.array_equal(s.z, z0) and np.array_equal(s.mu, mu0)
-            for s in aligned.snapshots
+            np.array_equal(zb, z0) and np.array_equal(mub, mu0)
+            for zb, mub in (aligned_draw(aligned, b) for b in range(len(aligned)))
         )
         # ... and equal the base state up to one global permutation
         g = np.unique(np.stack([z, z0]), axis=1)

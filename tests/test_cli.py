@@ -75,6 +75,22 @@ def test_fit_bayesian_writes_traces_and_psrf(tmp_path):
     assert est["k_hat"] >= 1
 
 
+def test_fit_solves_each_draws_assignment_once(tmp_path, monkeypatch):
+    """The estimate and the PSRF table share one alignment of the pooled draws."""
+    import sparsegmm.summarize as summarize
+
+    solve, calls = summarize.solve_assignment, []
+    monkeypatch.setattr(summarize, "solve_assignment",
+                        lambda cost: calls.append(cost.shape) or solve(cost))
+    sim = tmp_path / "sim"
+    run_cli("simulate", "--scenario", "one", "--p", 10, "--n", 12, "--s", 2, "--seed", 1,
+            "--out", sim)
+    code = run_cli("fit", "--data", sim / "data.csv", "--n-burn", 3, "--n-keep", 7,
+                   "--n-chains", 2, "--seed", 2, "--out", tmp_path / "fit", "--quiet")
+    assert code == 0 and (tmp_path / "fit" / "psrf.json").exists()
+    assert len(calls) == 2 * 7
+
+
 def test_fit_deterministic_rerun(tmp_path):
     sim = tmp_path / "sim"
     run_cli("simulate", "--scenario", "one", "--p", 12, "--n", 16, "--s", 3,
@@ -207,6 +223,11 @@ def test_bad_config_exits_2(tmp_path, capsys):
     trace.write_text("")
     _fails_with(capsys, 2, "diagnose", "--data", data, "--traces", trace)
 
+    # ... and two snapshots per chain: rejected before any chain runs
+    _fails_with(capsys, 2, "fit", "--data", data, "--n-chains", 2, "--n-keep", 1,
+                "--n-burn", 0, "--out", tmp_path / "short")
+    assert not list(tmp_path.rglob("trace_chain*.ndjson"))
+
 
 def test_conflicting_sources_exit_2(tmp_path):
     cfg = {"data_path": "x.csv",
@@ -265,13 +286,16 @@ def test_malformed_estimate_and_trace_exit_3(tmp_path, capsys):
     # fields of the wrong type or shape, in the estimate and in the truth
     fits = {"k_hat": 2, "z_hat": [1, 1, 2], "mu_hat": [[0.0, 1.0], [0.0, 1.0]]}
     for field, value in (("z_hat", [[1], [1, 2]]), ("z_hat", "abc"), ("k_hat", "x"),
-                         ("mu_hat", [[0.0], [0.0, 1.0]]), ("mu_hat", "abc")):
+                         ("mu_hat", [[0.0], [0.0, 1.0]]), ("mu_hat", "abc"),
+                         ("z_hat", [1.9, 1, 2]), ("z_hat", [True, 1, 2]), ("k_hat", 2.7),
+                         ("k_hat", True), ("k_hat", "2"), ("k_hat", [2])):
         est.write_text(json.dumps({**fits, field: value}))
         _fails_with(capsys, 3, "evaluate", "--estimate", est, "--truth", truth)
     est.write_text(json.dumps(fits))
     good_truth = json.loads(truth.read_text())
     for field, value in (("z_true", [[1], [1, 2]]), ("z_true", "abc"),
-                         ("mu_true", [[0.0], [0.0, 1.0]])):
+                         ("mu_true", [[0.0], [0.0, 1.0]]),
+                         ("z_true", [1.9, 1, 2]), ("z_true", [True, 1, 2])):
         truth.write_text(json.dumps({**good_truth, field: value}))
         _fails_with(capsys, 3, "evaluate", "--estimate", est, "--truth", truth)
     truth.write_text(json.dumps(good_truth))

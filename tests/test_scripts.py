@@ -31,6 +31,11 @@ def test_trace_digest_prints_one_line_per_seed():
     assert lines == ["1", "2", "3", "4", "5"], out
 
 
+def test_trace_digest_covers_the_psrf_table():
+    out = _run("trace_digest.py", "--designs", "chains_column")
+    assert re.search(r"^chains_column\s+trace [0-9a-f]{64}  post [0-9a-f]{64}", out, re.M), out
+
+
 def test_split_odds_prints_the_seed():
     out = _run("split_odds.py", "--seeds", "1", "--samples", 1000)
     assert re.search(r"^seed 1: sizes \[.*\]  split odds per cluster .* total ", out, re.M), out

@@ -4,8 +4,14 @@ import numpy as np
 import pytest
 
 import sparsegmm.summarize as summarize
-from oracles import dense_reconstruction_error, permute_snapshot_labels, reference_index
-from sparsegmm.core import DataMatrix, Snapshot, default_hyperparams
+from oracles import (
+    aligned_draw,
+    dense_reconstruction_error,
+    permute_snapshot_labels,
+    reference_index,
+    reference_psrf_report,
+)
+from sparsegmm.core import ChainTrace, DataMatrix, Snapshot, TraceMeta, default_hyperparams
 from sparsegmm.errors import DataError, LengthMismatchError, TraceMismatchError
 from sparsegmm.gibbs import RunConfig, run_chains
 from sparsegmm.summarize import (
@@ -51,9 +57,10 @@ def test_alignment_restores_cyclic_relabelings():
         z_p, mu_p = permute_snapshot_labels(BASE_Z, BASE_MU, perm)
         snaps.append(_snapshot(z_p, mu_p))
     aligned = align_labels(snaps, data)
-    for s in aligned.snapshots:
-        assert np.array_equal(s.z, np.asarray(BASE_Z))
-        assert np.array_equal(s.mu, BASE_MU)
+    for b in range(len(aligned)):
+        z, mu = aligned_draw(aligned, b)
+        assert np.array_equal(z, np.asarray(BASE_Z))
+        assert np.array_equal(mu, BASE_MU)
 
 
 def test_alignment_applies_swap_on_perturbed_means():
@@ -61,11 +68,11 @@ def test_alignment_applies_swap_on_perturbed_means():
     wiggle = BASE_MU + 0.01
     z_sw, mu_sw = permute_snapshot_labels(BASE_Z, wiggle, np.array([2, 1]))
     aligned = align_labels([_snapshot(BASE_Z, BASE_MU), _snapshot(z_sw, mu_sw)], data)
-    back = aligned.snapshots[1]
-    assert np.array_equal(back.z, np.asarray(BASE_Z))
-    assert np.array_equal(back.mu, wiggle)
-    # stored map must reproduce the aligned labels
-    assert np.array_equal(aligned.perms[1][np.asarray(z_sw) - 1], back.z)
+    z, mu = aligned_draw(aligned, 1)
+    assert np.array_equal(z, np.asarray(BASE_Z))
+    assert np.array_equal(mu, wiggle)
+    # the snapshot itself is kept as it was drawn
+    assert np.array_equal(aligned.snapshots[1].z, z_sw)
 
 
 def test_alignment_pads_when_k_differs():
@@ -229,6 +236,37 @@ def test_reference_and_psrf_table_match_dense_oracle(fixed_traces, monkeypatch):
     report = psrf_report(traces, data)
     monkeypatch.setattr(summarize, "reconstruction_error", dense_reconstruction_error)
     assert report == psrf_report(traces, data)
+
+
+@pytest.mark.parametrize("variant", ["dense", "support_only"])
+def test_psrf_table_matches_brute_force_alignment(fixed_traces, variant):
+    data, traces = fixed_traces
+    if variant == "support_only":
+        traces = [replace(t, snapshots=[_support_only(s) for s in t.snapshots]) for t in traces]
+    report = psrf_report(traces, data)
+    assert any(key.startswith("mu_") for key in report)
+    assert report == reference_psrf_report(traces, data, psrf)
+
+
+def test_psrf_table_drops_labels_missing_from_some_draws():
+    data = _data_for(BASE_MU, BASE_Z, noise=0.05, seed=2)
+    rng = np.random.default_rng(11)
+
+    def draw(k):
+        if k == 1:  # one cluster near the first mean: label 2 is missing
+            return _snapshot([1] * 5, BASE_MU[:1] + 0.1 * rng.standard_normal((1, 3)))
+        mu = np.vstack([BASE_MU, [0.0, 0.0, 6.0]])[:k] + 0.1 * rng.standard_normal((k, 3))
+        z_p, mu_p = permute_snapshot_labels(BASE_Z, mu, rng.permutation(k) + 1)
+        return _snapshot(z_p, mu_p)
+
+    chains = [[draw(k) for k in (2, 2, 3, 2, 2)], [draw(k) for k in (2, 1, 2, 2, 3)]]
+    traces = [ChainTrace(snapshots=c, meta=TraceMeta(n=5, p=3, n_burn=0, thin=1, seed=0,
+                                                     chain_id=i, hyper_digest="",
+                                                     ssl_mode="joint"))
+              for i, c in enumerate(chains)]
+    report = psrf_report(traces, data)
+    assert "mu_1_1" in report and "mu_2_1" not in report
+    assert report == reference_psrf_report(traces, data, psrf)
 
 
 def test_traces_that_do_not_fit_the_data_raise(fixed_traces):
