@@ -8,10 +8,12 @@ any update shows up as a drift measured in Monte-Carlo standard errors.
 
 Statistics: theta, K, the first coordinate of cluster 1's mean (mu11),
 the same coordinate of observation 1's cluster mean squared (mu_z1^2),
-and P(K=k) for each k.  The square is taken from observation 1's
-cluster, not from label 1: forward states label clusters by first
-appearance, while the chain's label 1 is its oldest surviving cluster,
-and which cluster survives longest depends on its mean.
+the share of indicators switched on in the row of observation 1's
+cluster (xi_on), and P(K=k) for each k.  The square and the share are
+taken from observation 1's cluster, not from label 1: forward states
+label clusters by first appearance, while the chain's label 1 is its
+oldest surviving cluster, and which cluster survives longest depends on
+its mean.  xi_on sees the indicator block directly, in both SSL modes.
 
 Example:
     python3 scripts/geweke_check.py --rounds 50000 --ssl-mode column
@@ -30,12 +32,12 @@ from sparsegmm.priorsim import batch_means_se, forward_prior_state, regenerate_d
 from sparsegmm.urn import build_vn_table
 
 
-STATS = ("theta", "K", "mu11", "mu_z1^2")
+STATS = ("theta", "K", "mu11", "mu_z1^2", "xi_on")
 
 
 def _stats(st):
-    own = st.mu[st.z[0] - 1, 0]
-    return st.theta, st.k_active, st.mu[0, 0], own * own
+    own = st.z[0] - 1
+    return st.theta, st.k_active, st.mu[0, 0], st.mu[own, 0] ** 2, st.xi[own].mean()
 
 
 def main(argv=None):

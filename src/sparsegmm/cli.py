@@ -11,10 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import partial
 from pathlib import Path
-
-import numpy as np
 
 from .core import ClusterEstimate, DataMatrix, validate_dataset
 from .errors import ConfigError, DataError, SparseGmmError
@@ -28,6 +25,7 @@ from .experiment import (
     load_matrix_csv,
     load_traces,
     load_truth,
+    real_numbers,
     run_experiment,
     save_matrix_csv,
     whole_number,
@@ -206,7 +204,7 @@ def _cmd_evaluate(args) -> int:
     est = ClusterEstimate(
         k_hat=json_field(est_d, "k_hat", whole_number, args.estimate),
         z_hat=json_field(est_d, "z_hat", whole_numbers, args.estimate),
-        mu_hat=json_field(est_d, "mu_hat", partial(np.asarray, dtype=float), args.estimate),
+        mu_hat=json_field(est_d, "mu_hat", real_numbers, args.estimate),
         support_hat=tuple(est_d.get("support", ())),
         inclusion_freq=None,
     )

@@ -11,7 +11,6 @@ import hashlib
 import json
 import platform
 from dataclasses import asdict, dataclass
-from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -38,7 +37,7 @@ from .errors import (
     LabelOutOfRangeError,
     LengthMismatchError,
 )
-from .gibbs import SCREENED_KMEANS, InitSpec, RunConfig, run_chains
+from .gibbs import KMEANS, InitSpec, RunConfig, run_chains
 from .metrics import ari, mean_matrix_error, min_hamming, nmi
 from .summarize import _psrf_table, align_labels, point_estimates
 from .synthetic import ScenarioSpec, generate
@@ -145,11 +144,11 @@ def _scenario_from_dict(d: dict) -> ScenarioSpec:
 def _run_config_from_dict(d: dict) -> RunConfig:
     kwargs = dict(d)
     init = kwargs.pop("init", None)
-    if init is not None:
-        if not isinstance(init, dict):
-            raise ConfigError(f"run.init must be an object with kind and k, got {init!r}")
-        kwargs["init"] = InitSpec(kind=init.get("kind", SCREENED_KMEANS), k=init.get("k"))
+    if init is not None and not isinstance(init, dict):
+        raise ConfigError(f"run.init must be an object with kind and k, got {init!r}")
     try:
+        if init is not None:
+            kwargs["init"] = InitSpec(kind=init.get("kind", KMEANS), k=init.get("k"))
         return RunConfig(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad run section: {exc}") from exc
@@ -228,12 +227,18 @@ def _numbers_only(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def real_numbers(value) -> np.ndarray:
+    """A JSON number, or nested lists of them, as a float array; ValueError
+    on a boolean or a string."""
+    if not _numbers_only(value):
+        raise ValueError("expected JSON numbers, not booleans or strings")
+    return np.asarray(value, dtype=float)
+
+
 def whole_numbers(value) -> np.ndarray:
     """A JSON number, or nested lists of them, as an int array; ValueError
     on a boolean, a string, or a number that is not whole."""
-    if not _numbers_only(value):
-        raise ValueError("expected JSON numbers, not booleans or strings")
-    arr = np.asarray(value, dtype=float)
+    arr = real_numbers(value)
     if not np.all(np.isfinite(arr) & (arr == np.trunc(arr))):
         raise ValueError("expected whole numbers")
     return arr.astype(int)
@@ -254,7 +259,7 @@ def load_truth(path: str | Path) -> tuple[np.ndarray, np.ndarray | None]:
     z = json_field(d, "z_true", whole_numbers, path)
     if d.get("mu_true") is None:
         return z, None
-    return z, json_field(d, "mu_true", partial(np.asarray, dtype=float), path)
+    return z, json_field(d, "mu_true", real_numbers, path)
 
 
 def compute_metrics(

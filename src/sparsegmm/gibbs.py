@@ -13,13 +13,16 @@ consumes randomness in this order:
    ``ReseatWorkspace``), which changes no draw: ``rng.random(m)`` gives
    the values of m scalar draws, and before an auxiliary is drawn, and
    at the pass's end, the generator is put just after the uniforms used;
-2. mean update: one cluster-major (K, p) block of standard normals;
-3. scale update, clusters ascending (inverse-Gaussian block then
-   Gamma block per cluster);
-4. indicator update: in joint mode one block of p uniforms, features
-   ascending, shared by the K tied rows; in column mode one
-   cluster-major (K, p) block of uniforms;
+2. scale update given the means and indicators, clusters ascending
+   (inverse-Gaussian block then Gamma block per cluster);
+3. indicator update given the scales, with the means integrated out: in
+   joint mode one block of p uniforms, features ascending, shared by the
+   K tied rows; in column mode one cluster-major (K, p) block of uniforms;
+4. mean update given the new indicators and the scales: one
+   cluster-major (K, p) block of standard normals;
 5. one Beta draw for theta.
+
+Steps 3 and 4 together draw (xi, mu) given phi as one block.
 
 This order is a contract.  A change that keeps it, and computes every
 weight and statistic with the same floating-point operations, gives
@@ -39,7 +42,6 @@ import numpy as np
 
 from .cmle import fit_kmeans
 from .core import (
-    COLUMN_SSL,
     ChainTrace,
     DataMatrix,
     Hyperparams,
@@ -56,15 +58,19 @@ from .urn import ReseatWorkspace, VnTable, build_vn_table, reseat_observation
 SINGLE_CLUSTER = "single"
 RANDOM_K = "random_k"
 KMEANS_PP = "kmeans_pp"
-SCREENED_KMEANS = "screened_kmeans"
+KMEANS = "kmeans"
 
 _PROGRESS_EVERY = 100
 
 
 @dataclass(frozen=True)
 class InitSpec:
-    kind: str = SCREENED_KMEANS
+    kind: str = KMEANS
     k: int | None = None
+
+    def __post_init__(self):
+        if self.kind not in (SINGLE_CLUSTER, RANDOM_K, KMEANS_PP, KMEANS):
+            raise ValueError(f"unknown init kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -97,15 +103,9 @@ ProgressCallback = Callable[[ProgressEvent], None]
 
 
 def default_init(hyper: Hyperparams) -> InitSpec:
-    """Screened k-means into min(poisson rate, k_max) clusters.
-
-    A start with every indicator at 0 traps chains in the all-spike mode:
-    the first mean update has precision n_c + lambda0^2 / phi, which
-    shrinks every mean to ~0, and the slab log-odds then stay near
-    K ln(lambda1 / lambda0) + logit(theta), so the indicators rarely flip.
-    """
+    """k-means into min(poisson rate, k_max) clusters."""
     k = max(1, min(int(hyper.poisson_lambda), hyper.k_max))
-    return InitSpec(SCREENED_KMEANS, k)
+    return InitSpec(KMEANS, k)
 
 
 def _effective_k_max(hyper: Hyperparams, n: int) -> int:
@@ -131,30 +131,6 @@ def _means_for_labels(data: DataMatrix, z: np.ndarray, k: int) -> np.ndarray:
     return sums / sizes[:, None]
 
 
-def _screen_indicators(
-    values: np.ndarray, z: np.ndarray, mu: np.ndarray, ssl_mode: str
-) -> np.ndarray:
-    """Indicators of the cluster means that clear the universal threshold.
-
-    With noise scale sigma_j and a zero mean, each sqrt(n_c) * mu_cj is
-    roughly N(0, sigma_j^2), so sigma_j * sqrt(2 log(pK)) bounds all pK of
-    them with high probability.  sigma_j is the pooled within-cluster
-    standard deviation of feature j, floored at the model's unit noise.
-    Joint mode keeps feature j in every row if any cluster clears it;
-    column mode keeps each (c, j) on its own.
-    """
-    k, p = mu.shape
-    n = z.size
-    sizes = np.bincount(z, minlength=k + 1)[1:]
-    resid = values - mu[z - 1].T
-    spread = np.sqrt((resid * resid).sum(axis=1) / max(n - k, 1))
-    threshold = np.maximum(spread, 1.0) * np.sqrt(2.0 * np.log(p * k))
-    clears = np.sqrt(sizes)[:, None] * np.abs(mu) > threshold
-    if ssl_mode != COLUMN_SSL:
-        clears = np.broadcast_to(clears.any(axis=0), clears.shape)
-    return clears.astype(np.int8)
-
-
 def init_state(
     data: DataMatrix,
     hyper: Hyperparams,
@@ -166,20 +142,15 @@ def init_state(
     Single-cluster: everything in one cluster at the sample mean.  Random
     assignment: labels uniform on 1..k, empty clusters compacted.
     Kmeans++ seeding: k centers by the squared-distance rule, nearest
-    assignment.  Screened k-means: the best of ``fit_kmeans``'s restarts
-    (seeded from ``rng``), with the indicators set to 1 exactly where
-    sqrt(n_c) |mu_cj| > sigma_j sqrt(2 log(pK)) (any cluster c in joint
-    mode; sigma_j the within-cluster spread, at least 1).
-    Means are set to the resulting cluster sample means; auxiliaries start
-    at 1, indicators at 0 unless screened, theta at its prior mean
+    assignment.  k-means: the best of ``fit_kmeans``'s restarts (seeded
+    from ``rng``).  Means are set to the resulting cluster sample means;
+    auxiliaries start at 1, indicators at 0, theta at its prior mean
     1 / (1 + beta_theta).
     """
     spec = config.init or default_init(hyper)
     k_max = _effective_k_max(hyper, data.n)
     n, p = data.n, data.p
 
-    if spec.kind not in (SINGLE_CLUSTER, RANDOM_K, KMEANS_PP, SCREENED_KMEANS):
-        raise InvalidKError(f"unknown init kind {spec.kind!r}")
     k = 1 if spec.kind == SINGLE_CLUSTER else spec.k or 1
     if k > k_max:
         raise InvalidKError(f"init k={k} exceeds k_max={k_max}")
@@ -196,16 +167,11 @@ def init_state(
         _, z, _ = fit_kmeans(data, k, seed=int(rng.integers(2**32)))
     z, k = _compact_labels(z, k)
 
-    mu = _means_for_labels(data, z, k)
-    if spec.kind == SCREENED_KMEANS:
-        xi = _screen_indicators(data.values, z, mu, hyper.ssl_mode)
-    else:
-        xi = np.zeros((k, p), dtype=np.int8)
     return ModelState(
         z=z,
-        mu=mu,
+        mu=_means_for_labels(data, z, k),
         phi=np.ones((k, p)),
-        xi=xi,
+        xi=np.zeros((k, p), dtype=np.int8),
         theta=1.0 / (1.0 + hyper.beta_theta),
     )
 
@@ -236,15 +202,15 @@ def sweep(
     hyper: Hyperparams,
     rng: np.random.Generator,
 ) -> ModelState:
-    """One full iteration: reseat all observations, then mu, phi, xi, theta."""
+    """One full iteration: reseat all observations, then phi, xi, mu, theta."""
     ws = ReseatWorkspace(state, data, vn, hyper, rng)
     for i in range(data.n):
         reseat_observation(i, state, ws, rng)
     ws.finish()
     sums, sizes = build_context(state, data)
-    update_mu(state, sums, sizes, hyper, rng)
     update_phi(state, hyper, rng)
-    update_xi(state, hyper, rng)
+    update_xi(state, sums, sizes, hyper, rng)
+    update_mu(state, sums, sizes, hyper, rng)
     update_theta(state, hyper, rng)
     return state
 

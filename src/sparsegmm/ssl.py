@@ -7,18 +7,26 @@ indicators xi (Bernoulli), and the inclusion probability theta (Beta).
 
 The indicators are a (K, p) array in both SSL modes.  In joint mode the
 K rows are tied: one indicator per feature, drawn once and written to
-every row, and counted once by the theta update.  Apart from the
-start's indicator screen, the sampler branches on the mode only here.
+every row, and counted once by the theta update.  The sampler branches on
+the mode only here.
 
-The Bernoulli update computes the slab probability with the shared
-1/sqrt(phi) factors canceled between the slab and spike hypotheses;
-under a shared indicator the factors are identical on both sides, so the
-canceled and uncanceled forms agree exactly.
+The indicators are drawn with the means integrated out (the SSVS
+indicator update of George and McCulloch 1993).  Given phi, the
+evidence of cluster c's data for mu_cj ~ N(0, phi_cj / lambda^2) depends
+on its size n_c and its sum S_cj alone; up to terms free of lambda its
+log is g(lambda) = S^2 / (2 (n_c + lambda^2/phi)) -
+log1p(n_c phi / lambda^2) / 2.  The slab log-odds are g(lambda1) -
+g(lambda0), summed over the clusters in joint mode, plus logit(theta).
+The means are then redrawn given the new indicators.  phi's prior does
+not depend on xi, so the two draws are one exact Gibbs block for
+(xi, mu) given phi, and a cluster whose mean sits in the spike can still
+switch its indicators on.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.special import expit
 
 from .core import JOINT_SSL, DataMatrix, Hyperparams, ModelState, cluster_sums
 from .distributions import sample_gig_half_rows
@@ -71,48 +79,39 @@ def update_phi(state: ModelState, hyper: Hyperparams, rng: np.random.Generator) 
     return state
 
 
-def slab_log_odds(
-    sq_sum: np.ndarray, n_terms: int, lambda0: float, lambda1: float, theta: float
+def indicator_log_odds(
+    state: ModelState, sums: np.ndarray, sizes: np.ndarray, hyper: Hyperparams
 ) -> np.ndarray:
-    """log odds of the slab hypothesis for each feature.
+    """Slab log-odds given phi with the means integrated out: (p,) in
+    joint mode, (K, p) in column mode."""
+    n, phi = sizes[:, None], state.phi
 
-    sq_sum is the per-feature sum of mu^2/phi over the clusters entering
-    the product (all K in joint mode, a single cluster in column mode);
-    n_terms is the number of factors in that product.
-    """
-    theta = min(max(theta, _THETA_FLOOR), _THETA_CEIL)
-    log_slab = n_terms * np.log(lambda1) - 0.5 * lambda1**2 * sq_sum + np.log(theta)
-    log_spike = n_terms * np.log(lambda0) - 0.5 * lambda0**2 * sq_sum + np.log1p(-theta)
-    return log_slab - log_spike
+    def log_evidence(lam: float) -> np.ndarray:
+        return 0.5 * sums**2 / (n + lam**2 / phi) - 0.5 * np.log1p(n * phi / lam**2)
 
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-def update_xi(state: ModelState, hyper: Hyperparams, rng: np.random.Generator) -> ModelState:
-    """Redraw the inclusion indicators from their Bernoulli conditionals.
-
-    Joint mode: one indicator per feature, product over all active
-    clusters, one block of p uniforms in ascending feature order, written
-    to all K rows.  Column mode: per-cluster indicators, one cluster-major
-    (K, p) block of uniforms.
-    """
-    ratio = state.mu**2 / state.phi
+    gain = log_evidence(hyper.lambda1) - log_evidence(hyper.lambda0)
     if hyper.ssl_mode == JOINT_SSL:
-        odds = slab_log_odds(
-            ratio.sum(axis=0), state.k_active, hyper.lambda0, hyper.lambda1, state.theta
-        )
-        u = rng.random(state.p)
-    else:
-        odds = slab_log_odds(ratio, 1, hyper.lambda0, hyper.lambda1, state.theta)
-        u = rng.random(state.mu.shape)
-    state.xi = np.broadcast_to(u < _sigmoid(odds), state.mu.shape).astype(np.int8)
+        gain = gain.sum(axis=0)
+    theta = min(max(state.theta, _THETA_FLOOR), _THETA_CEIL)
+    return gain + (np.log(theta) - np.log1p(-theta))
+
+
+def update_xi(
+    state: ModelState,
+    sums: np.ndarray,
+    sizes: np.ndarray,
+    hyper: Hyperparams,
+    rng: np.random.Generator,
+) -> ModelState:
+    """Redraw the inclusion indicators given phi, with the means integrated out.
+
+    Joint mode: one indicator per feature, one block of p uniforms in
+    ascending feature order, written to all K rows.  Column mode:
+    per-cluster indicators, one cluster-major (K, p) block of uniforms.
+    """
+    odds = indicator_log_odds(state, sums, sizes, hyper)
+    on = rng.random(odds.shape) < expit(odds)
+    state.xi = np.broadcast_to(on, state.mu.shape).astype(np.int8)
     return state
 
 

@@ -12,11 +12,13 @@ bitwise references for the lean ones.  ``dense_reconstruction_error``,
 and Lloyd iterates by the full p x n residual, which the package ranks
 from cluster sums instead.  ``reference_psrf_report`` matches each
 chain's draws to the pooled reference afresh by brute force, where the
-package reads them off one pooled alignment.
+package reads them off one pooled alignment.  ``exact_partition_posterior``
+enumerates every partition of a tiny dataset and integrates every other
+parameter out, by quadrature and closed forms.
 """
 
 from itertools import permutations, product
-from math import comb, factorial, inf, log
+from math import comb, exp, factorial, inf, lgamma, log
 
 import numpy as np
 from scipy.integrate import quad
@@ -64,6 +66,86 @@ def vn_bruteforce(n: int, t: int, alpha: float, pk: np.ndarray) -> float:
             rising *= alpha * k + i
         total += pk[k - 1] * falling / rising
     return total
+
+
+def _set_partitions(n: int, k_max: int):
+    """Every partition of n items into at most k_max blocks, as label
+    tuples numbered by first appearance (restricted growth strings)."""
+    labels = [[1]]
+    for _ in range(1, n):
+        labels = [a + [c] for a in labels for c in range(1, min(max(a) + 1, k_max) + 1)]
+    return [tuple(a) for a in labels]
+
+
+def _log_laplace_marginal(y, lam: float) -> float:
+    """log of the integral over mu of prod_i N(y_i; mu, 1) (lam / 2) exp(-lam |mu|),
+    by quadrature on each half-line of the integrand divided by its
+    largest value on a grid around the data (so that it does not underflow)."""
+    y = np.asarray(y, dtype=float)
+
+    def log_f(mu):
+        return (-0.5 * float(np.sum((y - mu) ** 2)) - 0.5 * y.size * log(2 * np.pi)
+                + log(lam / 2) - lam * abs(mu))
+
+    grid = np.linspace(y.min() - 1.0, y.max() + 1.0, 2001)
+    peak = max(log_f(m) for m in grid)
+    half = sum(quad(lambda m, s=s: exp(log_f(s * m) - peak), 0.0, inf, epsabs=0,
+                    epsrel=1e-12, limit=200)[0] for s in (1.0, -1.0))
+    return peak + log(half)
+
+
+def exact_partition_posterior(y, hyper):
+    """{partition: (posterior mass, mass with observation 1's indicator on)}
+    for p = 1, every parameter but the partition integrated out.
+
+    A partition with blocks c has prior weight V_n(t) prod_c
+    Gamma(alpha + n_c) / Gamma(alpha) (``vn_bruteforce``) and likelihood
+    sum over the indicators of P(xi) prod_c m_c(lambda_{xi_c}), where
+    m_c is the Laplace-mean marginal of block c (``_log_laplace_marginal``).
+    Joint mode: one indicator, on with probability E[theta] =
+    1 / (1 + beta_theta).  Column mode: one per block; s of t on has
+    probability B(1 + s, beta_theta + t - s) / B(1, beta_theta).  The
+    second number sums the terms in which the indicator of observation
+    1's block is on.  Partitions are label tuples numbered by first
+    appearance.
+    """
+    y = [float(v) for v in np.ravel(y)]
+    n, alpha, beta = len(y), hyper.alpha, hyper.beta_theta
+    pk = trunc_poisson_pmf_direct(hyper.poisson_lambda, hyper.k_max)
+    cache = {}
+
+    def log_m(block, lam):
+        if (block, lam) not in cache:
+            cache[block, lam] = _log_laplace_marginal([y[i] for i in block], lam)
+        return cache[block, lam]
+
+    def log_beta(a, b):
+        return lgamma(a) + lgamma(b) - lgamma(a + b)
+
+    weights = {}
+    for labels in _set_partitions(n, hyper.k_max):
+        t = max(labels)
+        blocks = [tuple(i for i in range(n) if labels[i] == c) for c in range(1, t + 1)]
+        log_prior = log(vn_bruteforce(n, t, alpha, pk)) + sum(
+            lgamma(alpha + len(b)) - lgamma(alpha) for b in blocks)
+        if hyper.ssl_mode == "column":
+            vectors = list(product((0, 1), repeat=t))
+        else:
+            vectors = [(0,) * t, (1,) * t]
+        total = on = 0.0
+        for xi in vectors:
+            s = sum(xi)
+            if hyper.ssl_mode == "column":
+                log_p = log_beta(1 + s, beta + t - s) - log_beta(1, beta)
+            else:
+                log_p = -log(1 + beta) if s else log(beta / (1 + beta))
+            lam = (hyper.lambda0, hyper.lambda1)
+            w = exp(log_prior + log_p + sum(log_m(b, lam[x]) for b, x in zip(blocks, xi)))
+            total += w
+            on += w if xi[0] else 0.0
+        weights[labels] = (total, on)
+    z_sum = sum(w for w, _ in weights.values())
+    return {part: (w / z_sum, o / z_sum) for part, (w, o) in weights.items()}
 
 
 def dh_exhaustive(z: np.ndarray, z_prime: np.ndarray, k: int) -> float:
@@ -266,9 +348,11 @@ def reference_sweep(state, data, vn, hyper, rng):
     The reseat pass keeps one auxiliary cluster: drawn from the prior
     before the first observation, replaced by a departing singleton's
     parameters, redrawn after it opens a cluster, dropped at the end.
-    Every categorical uniform is one scalar ``rng.random()`` call.  The
-    mean, indicator and theta updates are the package's own; what this
-    checks is the reseat pass, the sufficient statistics and the scales.
+    Every categorical uniform is one scalar ``rng.random()`` call.  Then
+    the scales, the indicators, the means and theta, in that order; the
+    indicator, mean and theta updates are the package's own, so what this
+    checks is the reseat pass, the sufficient statistics, the scales and
+    the order of the draws.
     """
     aux = _reference_auxiliary(state, hyper, rng)
     for i in range(data.n):
@@ -276,9 +360,10 @@ def reference_sweep(state, data, vn, hyper, rng):
     k = state.k_active
     sums = np.zeros((k, data.p))
     np.add.at(sums, state.z - 1, data.values.T)
-    update_mu(state, sums, np.bincount(state.z, minlength=k + 1)[1:], hyper, rng)
+    sizes = np.bincount(state.z, minlength=k + 1)[1:]
     reference_update_phi(state, hyper, rng)
-    update_xi(state, hyper, rng)
+    update_xi(state, sums, sizes, hyper, rng)
+    update_mu(state, sums, sizes, hyper, rng)
     update_theta(state, hyper, rng)
     return state
 

@@ -204,6 +204,10 @@ def test_bad_config_exits_2(tmp_path, capsys):
         "top_level_array.json": "[1, 2]",
         "unparsable.json": "{bad",
     }
+    # an unknown start kind is refused before the (missing) data file is read
+    for kind in ("screened_kmeans", "nope"):
+        bad[f"init_{kind}.json"] = json.dumps(
+            {"data_path": str(tmp_path / "absent.csv"), "run": {"init": {"kind": kind, "k": 2}}})
     for name, text in bad.items():
         path = tmp_path / name
         path.write_text(text)
@@ -287,6 +291,8 @@ def test_malformed_estimate_and_trace_exit_3(tmp_path, capsys):
     fits = {"k_hat": 2, "z_hat": [1, 1, 2], "mu_hat": [[0.0, 1.0], [0.0, 1.0]]}
     for field, value in (("z_hat", [[1], [1, 2]]), ("z_hat", "abc"), ("k_hat", "x"),
                          ("mu_hat", [[0.0], [0.0, 1.0]]), ("mu_hat", "abc"),
+                         ("mu_hat", [[False, True], [False, "1.0"]]),
+                         ("mu_hat", [[0.0, 1.0], [0.0, "1.0"]]),
                          ("z_hat", [1.9, 1, 2]), ("z_hat", [True, 1, 2]), ("k_hat", 2.7),
                          ("k_hat", True), ("k_hat", "2"), ("k_hat", [2])):
         est.write_text(json.dumps({**fits, field: value}))
@@ -295,6 +301,8 @@ def test_malformed_estimate_and_trace_exit_3(tmp_path, capsys):
     good_truth = json.loads(truth.read_text())
     for field, value in (("z_true", [[1], [1, 2]]), ("z_true", "abc"),
                          ("mu_true", [[0.0], [0.0, 1.0]]),
+                         ("mu_true", [[False, True], [False, "1.0"]]),
+                         ("mu_true", [[0.0, True], [0.0, 1.0]]),
                          ("z_true", [1.9, 1, 2]), ("z_true", [True, 1, 2])):
         truth.write_text(json.dumps({**good_truth, field: value}))
         _fails_with(capsys, 3, "evaluate", "--estimate", est, "--truth", truth)

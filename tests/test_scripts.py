@@ -52,7 +52,7 @@ def test_geweke_check_prints_the_table(ssl_mode):
     # 500 rounds are too few to judge the sampler: exit 1 (|z| >= 4) is allowed
     out = _run("geweke_check.py", "--rounds", 500, "--seed", 1, "--ssl-mode", ssl_mode,
                ok=(0, 1))
-    for name in ("theta", "K", "mu_z1^2", "P(K=1)"):
+    for name in ("theta", "K", "mu_z1^2", "xi_on", "P(K=1)"):
         assert re.search(rf"^  {re.escape(name)}\s+forward=.*\|z\|=", out, re.M), name
     assert re.search(r"^worst \|z\| = ", out, re.M), out
 

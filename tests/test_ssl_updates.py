@@ -1,15 +1,17 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.integrate import quad
 
 from oracles import gig_moment_quad
 from sparsegmm.core import COLUMN_SSL, DataMatrix, Hyperparams, ModelState
 from sparsegmm.errors import LengthMismatchError
 from sparsegmm.ssl import (
     build_context,
-    slab_log_odds,
+    indicator_log_odds,
     theta_conditional_shapes,
     update_mu,
     update_phi,
@@ -105,48 +107,89 @@ def test_update_phi_output_positive():
         assert (state.phi > 0).all()
 
 
+def _one_cluster(y, phi, theta, ssl_mode="joint", lambda0=100.0, lambda1=1.0):
+    """A one-cluster state on data y (p=1), its sums and sizes, and its hyperparameters."""
+    data = DataMatrix(np.atleast_2d(np.asarray(y, dtype=float)))
+    state = _single_cluster_state(p=1, phi=phi, theta=theta, n=data.n)
+    sums, sizes = build_context(state, data)
+    return state, sums, sizes, _hyper(lambda0=lambda0, lambda1=lambda1, ssl_mode=ssl_mode)
+
+
 def test_slab_odds_equal_rates_gives_theta():
-    hyper = Hyperparams(lambda0=2.0 + 1e-12, lambda1=2.0, beta_theta=1.0)
-    # with lambda0 == lambda1 the exponent and rate terms cancel: theta' = theta
-    odds = slab_log_odds(np.array([3.7]), n_terms=4, lambda0=2.0, lambda1=2.0, theta=0.3)
-    assert 1 / (1 + np.exp(-odds[0])) == pytest.approx(0.3, rel=1e-12)
-    assert hyper.lambda1 == 2.0
+    # with lambda0 == lambda1 the evidence cancels: P(xi = 1) = theta for
+    # any data, so each indicator is u < theta for its uniform u
+    rng = np.random.default_rng(9)
+    k, p, theta = 3, 20_000, 0.3
+    # Hyperparams requires lambda0 > lambda1; the update reads only these fields
+    hyper = SimpleNamespace(lambda0=2.0, lambda1=2.0, ssl_mode=COLUMN_SSL)
+    state = ModelState(z=np.repeat(np.arange(1, k + 1), 4), mu=np.zeros((k, p)),
+                       phi=rng.exponential(2.0, size=(k, p)),
+                       xi=np.zeros((k, p), dtype=np.int8), theta=theta)
+    sums, sizes = rng.normal(0.0, 5.0, size=(k, p)), np.array([4, 4, 4])
+    assert indicator_log_odds(state, sums, sizes, hyper) == pytest.approx(
+        math.log(theta / (1 - theta)), rel=1e-12)
+    update_xi(state, sums, sizes, hyper, np.random.default_rng(2))
+    assert np.array_equal(state.xi, np.random.default_rng(2).random((k, p)) < theta)
 
 
-def test_slab_odds_zero_mean_cancellation():
-    # mu = 0, phi = 1: theta' = lambda1 theta / (lambda1 theta + lambda0 (1-theta))
-    lam0, lam1, theta = 100.0, 1.0, 0.5
-    odds = slab_log_odds(np.array([0.0]), n_terms=1, lambda0=lam0, lambda1=lam1, theta=theta)
-    expected = lam1 * theta / (lam1 * theta + lam0 * (1 - theta))
-    assert 1 / (1 + np.exp(-odds[0])) == pytest.approx(expected, rel=1e-12)
+def _log_marginal_quad(y, lam, phi):
+    """log of the integral over mu of prod_i N(y_i; mu, 1) N(mu; 0, phi / lambda^2)."""
+    sd = math.sqrt(phi) / lam
+    centre = sum(y) / (len(y) + 1 / sd**2)
+    half = 12.0 / math.sqrt(len(y) + 1 / sd**2)
+
+    def density(mu):
+        return math.exp(stats.norm.logpdf(mu, 0.0, sd)
+                        + sum(stats.norm.logpdf(v, mu) for v in y) + 50.0)
+
+    return math.log(quad(density, centre - half, centre + half, epsabs=0,
+                         epsrel=1e-12, limit=200)[0]) - 50.0
+
+
+def test_slab_odds_match_quadrature_marginals():
+    # one cluster: the odds are log theta m(lambda1) - log (1-theta) m(lambda0),
+    # each marginal m integrating the cluster's mean out by quadrature
+    cases = [([0.0, 0.0, 0.0], 1.0, 0.5), ([0.3, -0.1, 0.5, 0.2], 0.7, 0.1),
+             ([1.6, 2.4, 0.9], 2.5, 0.02), ([4.0, 3.5], 0.3, 0.9)]
+    for y, phi, theta in cases:
+        for mode in ("joint", COLUMN_SSL):
+            state, sums, sizes, hyper = _one_cluster(y, phi, theta, mode, lambda0=4.0)
+            odds = indicator_log_odds(state, sums, sizes, hyper).ravel()[0]
+            expected = (math.log(theta / (1 - theta)) + _log_marginal_quad(y, 1.0, phi)
+                        - _log_marginal_quad(y, 4.0, phi))
+            assert odds == pytest.approx(expected, rel=1e-9, abs=1e-9), (y, phi, theta, mode)
 
 
 def test_slab_odds_large_signal_slab_dominates():
-    # exp(-1/2) vs 100 exp(-5000): slab probability ~ 1
-    odds = slab_log_odds(np.array([1.0]), n_terms=1, lambda0=100.0, lambda1=1.0, theta=0.5)
-    prob = 1 / (1 + np.exp(-odds[0]))
-    direct = math.exp(-0.5) / (math.exp(-0.5) + 100.0 * math.exp(-5000.0))
-    assert prob == pytest.approx(direct, rel=1e-12)
-    assert prob > 1 - 1e-12
+    # four observations at 4: S^2 / (2 (n + 1)) = 25.6 nats of evidence for the slab
+    state, sums, sizes, hyper = _one_cluster([4.0] * 4, 1.0, 0.5)
+    odds = indicator_log_odds(state, sums, sizes, hyper)
+    assert 1 / (1 + np.exp(-odds[0])) > 1 - 1e-9
 
 
 def test_slab_odds_no_overflow_for_huge_signals():
-    # |mu|^2 lambda0^2 up to 1e6 must stay finite in the log domain
-    sq = np.array([1e6 / 100.0**2 * 1.0])
-    odds = slab_log_odds(sq * 100.0, n_terms=20, lambda0=100.0, lambda1=1.0, theta=1e-8)
-    assert np.isfinite(odds).all()
+    # a cluster of a million observations at mean 1e3, with a tiny theta
+    k, p = 20, 3
+    state = ModelState(z=np.ones(10, dtype=int), mu=np.zeros((k, p)), phi=np.full((k, p), 1e-3),
+                       xi=np.zeros((k, p), dtype=np.int8), theta=1e-8)
+    sizes = np.full(k, 10**6)
+    for ssl_mode in ("joint", COLUMN_SSL):
+        odds = indicator_log_odds(state, np.full((k, p), 1e9), sizes, _hyper(ssl_mode=ssl_mode))
+        assert np.isfinite(odds).all() and (odds > 0).all()
 
 
 def test_update_xi_joint_mode_shares_indicators():
     hyper = _hyper()
+    data = DataMatrix(np.array([[4.0, 4.0, 4.0, 4.0], [0.0, 0.0, 0.0, 0.0]]))
     state = ModelState(
         z=np.array([1, 1, 2, 2]),
-        mu=np.array([[4.0, 0.0], [4.0, 0.0]]),
+        mu=np.zeros((2, 2)),
         phi=np.ones((2, 2)),
         xi=np.zeros((2, 2), dtype=np.int8),
         theta=0.5,
     )
-    update_xi(state, hyper, np.random.default_rng(0))
+    sums, sizes = build_context(state, data)
+    update_xi(state, sums, sizes, hyper, np.random.default_rng(0))
     assert state.xi.shape == (2, 2)
     assert (state.xi[:, 0] == 1).all()  # strong signal flips the shared indicator on
     assert (state.xi == state.xi[0]).all()  # the rows are tied
@@ -154,16 +197,18 @@ def test_update_xi_joint_mode_shares_indicators():
 
 def test_update_xi_column_mode_per_cluster():
     hyper = _hyper(ssl_mode=COLUMN_SSL)
+    data = DataMatrix(np.array([[4.0, 4.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]))
     state = ModelState(
         z=np.array([1, 1, 2, 2]),
-        mu=np.array([[4.0, 0.0], [0.0, 0.0]]),
+        mu=np.zeros((2, 2)),
         phi=np.ones((2, 2)),
         xi=np.zeros((2, 2), dtype=np.int8),
         theta=0.5,
     )
-    update_xi(state, hyper, np.random.default_rng(1))
+    sums, sizes = build_context(state, data)
+    update_xi(state, sums, sizes, hyper, np.random.default_rng(1))
     assert state.xi.shape == (2, 2)
-    assert state.xi[0, 0] == 1
+    assert state.xi[0, 0] == 1  # on, although the mean sits at 0 in the spike
 
 
 def test_theta_shapes():
