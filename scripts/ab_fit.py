@@ -13,11 +13,15 @@ One process sees the same machine load, allocator and BLAS threads on
 both sides, so the ratios spread less than those of separate benchmark
 runs; they time the fit alone, without import or post-processing.
 
-Workloads (the data and chains of perfbench's workloads of that name):
+Workloads (the first two are the data and chains of perfbench's
+workloads of that name):
   large_joint    scenario I, p=n=1000, s=6, mean_scale 1.5, seed 1001;
                  one joint-mode chain, 10 + 30 sweeps
   chains_column  scenario II, p=400, n=200, s=8, seed 1; four column-mode
                  chains of 15 + 35 sweeps
+  north_star     scenario I, p=2000, n=3000, s=6, mean_scale 1.5, seed 3;
+                 one joint-mode chain, 5 + 15 sweeps (the largest size in
+                 ROADMAP.md's north star; a 48 MB data matrix per side)
 
 Example (compare the parent commit's checkout with this one):
     python3 scripts/ab_fit.py --a ../parent --b . --workload chains_column --pairs 15
@@ -35,6 +39,8 @@ WORKLOADS = {
                         ssl_mode="joint", n_chains=1, n_burn=10, n_keep=30),
     "chains_column": dict(scenario="two", p=400, n=200, s=8, mean_scale=1.0, seed=1,
                           ssl_mode="column", n_chains=4, n_burn=15, n_keep=35),
+    "north_star": dict(scenario="one", p=2000, n=3000, s=6, mean_scale=1.5, seed=3,
+                       ssl_mode="joint", n_chains=1, n_burn=5, n_keep=15),
 }
 
 

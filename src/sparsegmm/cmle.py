@@ -69,7 +69,7 @@ def _assign(values: np.ndarray, sq_norms: np.ndarray, mu: np.ndarray) -> np.ndar
 
 
 def _single_run(
-    values: np.ndarray,
+    data: DataMatrix,
     sq_norms: np.ndarray,
     config: CmleConfig,
     init_centers: np.ndarray,
@@ -81,6 +81,7 @@ def _single_run(
     The run stops at the first assignment equal to the one before it: that
     partition's sums, means and score are the ones already taken.
     ``sq_norms`` holds the squared norm of each observation."""
+    values = data.values
     k = config.k
     mu = init_centers.copy()
     z_prev = None
@@ -101,7 +102,7 @@ def _single_run(
             sizes = np.bincount(z, minlength=k + 1)[1:]
         if z_prev is not None and np.array_equal(z, z_prev):
             break
-        sums = cluster_sums(values, z, k)
+        sums = cluster_sums(data.obs, z, k)
         nonempty = sizes > 0
         new_mu = mu.copy()
         new_mu[:, nonempty] = sums.T[:, nonempty] / sizes[nonempty][None, :]
@@ -153,8 +154,8 @@ def fit_cmle(
                 z0[config.k :] = rng.integers(1, config.k + 1, size=n - config.k)
                 rng.shuffle(z0)
                 sizes = np.bincount(z0, minlength=config.k + 1)[1:]
-                centers = cluster_sums(values, z0, config.k).T / sizes[None, :]
-        mu, z, score = _single_run(values, sq_norms, config, centers, config.max_iters)
+                centers = cluster_sums(data.obs, z0, config.k).T / sizes[None, :]
+        mu, z, score = _single_run(data, sq_norms, config, centers, config.max_iters)
         if score < best[2]:
             best = (mu, z, score)
     mu, z, _ = best

@@ -21,6 +21,7 @@ import json
 import math
 import warnings
 from dataclasses import asdict, dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -36,7 +37,13 @@ COLUMN_SSL = "column"
 
 @dataclass(frozen=True)
 class DataMatrix:
-    """Dense p x n observation matrix (rows = features, cols = observations)."""
+    """Dense p x n observation matrix (rows = features, cols = observations).
+
+    ``obs`` is an observation-major (n, p) C-ordered copy, built on first
+    use and kept for the life of the matrix: the sampler's cluster sums
+    read its rows.  ``values`` stays p x n for the matrix products (the reseat
+    distances, k-means assignment), whose last bits depend on the layout.
+    """
 
     values: np.ndarray
 
@@ -45,6 +52,10 @@ class DataMatrix:
         if v.ndim != 2:
             raise DataError(f"expected a 2-d matrix, got ndim={v.ndim}")
         object.__setattr__(self, "values", v)
+
+    @cached_property
+    def obs(self) -> np.ndarray:
+        return np.ascontiguousarray(self.values.T)
 
     @property
     def p(self) -> int:
@@ -140,18 +151,19 @@ def default_hyperparams(p: int, ssl_mode: str = JOINT_SSL) -> Hyperparams:
     )
 
 
-def cluster_sums(values: np.ndarray, z: np.ndarray, k: int) -> np.ndarray:
-    """(k, p) per-cluster sums of the observations (columns) of a p x n matrix.
+def cluster_sums(obs: np.ndarray, z: np.ndarray, k: int) -> np.ndarray:
+    """(k, p) per-cluster sums of the rows of an (n, p) observation matrix.
 
-    Row c sums the observations labelled c + 1, starting from 0 and adding
-    them in ascending order, exactly as ``np.add.at(out, z - 1, values.T)``
-    does, so the result is bitwise the same; an empty cluster sums to 0.
-    Reducing the (m, p) block of a cluster along its first axis adds row by
-    row; at p = 1 that axis is the contiguous one, where numpy would sum
-    pairwise, so the running sum is taken instead.
+    Pass ``DataMatrix.obs``: gathering a cluster's rows from that C-ordered
+    copy reads contiguous memory.  Row c sums the observations labelled
+    c + 1, starting from 0 and adding them in ascending order, exactly as
+    ``np.add.at(out, z - 1, obs)`` does, so the result is bitwise the same
+    for any memory layout of ``obs``; an empty cluster sums to 0.
+    Reducing the (m, p) block of a cluster along its first axis adds row
+    by row; at p = 1 that axis is the contiguous one, where numpy would
+    sum pairwise, so the running sum is taken instead.
     """
-    obs = values.T
-    out = np.zeros((k, values.shape[0]))
+    out = np.zeros((k, obs.shape[1]))
     for c in range(k):
         members = obs[z == c + 1]
         if obs.shape[1] > 1:

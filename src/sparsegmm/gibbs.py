@@ -49,6 +49,7 @@ from .core import (
     Snapshot,
     TraceMeta,
     cluster_sums,
+    residual_score,
     validate_dataset,
 )
 from .errors import InvalidKError
@@ -126,7 +127,7 @@ def _compact_labels(z: np.ndarray, k: int) -> tuple[np.ndarray, int]:
 
 
 def _means_for_labels(data: DataMatrix, z: np.ndarray, k: int) -> np.ndarray:
-    sums = cluster_sums(data.values, z, k)
+    sums = cluster_sums(data.obs, z, k)
     sizes = np.bincount(z, minlength=k + 1)[1:]
     return sums / sizes[:, None]
 
@@ -215,9 +216,11 @@ def sweep(
     return state
 
 
-def _loglik(state: ModelState, data: DataMatrix) -> float:
-    resid = data.values - state.mu[state.z - 1].T
-    return float(-0.5 * np.sum(resid * resid))
+def _loglik(state: ModelState, data: DataMatrix, y_sq: float) -> float:
+    """-||Y - mu_z||_F^2 / 2 from the cluster sums, given ``y_sq`` =
+    ||Y||_F^2: no p x n residual is built."""
+    sums = cluster_sums(data.obs, state.z, state.k_active)
+    return -0.5 * (y_sq + residual_score(sums, state.mu, state.z))
 
 
 def _take_snapshot(state: ModelState, store_dense: bool) -> Snapshot:
@@ -255,11 +258,13 @@ def run_chain(
     vn = build_vn_table(data.n, hyper_run)
     state = init_state(data, hyper_run, config, rng)
     total = config.n_burn + config.n_keep * config.thin
+    y_sq = float(np.vdot(data.values, data.values)) if progress else 0.0
     snaps: list[Snapshot] = []
     for it in range(1, total + 1):
         sweep(state, data, vn, hyper_run, rng)
         if progress and it % _PROGRESS_EVERY == 0:
-            progress(ProgressEvent(chain_id, it, total, state.k_active, _loglik(state, data)))
+            loglik = _loglik(state, data, y_sq)
+            progress(ProgressEvent(chain_id, it, total, state.k_active, loglik))
         if it > config.n_burn and (it - config.n_burn) % config.thin == 0:
             snaps.append(_take_snapshot(state, config.store_dense_mu))
     meta = TraceMeta(

@@ -39,7 +39,7 @@ _THETA_CEIL = 1.0 - 1e-16
 def build_context(state: ModelState, data: DataMatrix) -> tuple[np.ndarray, np.ndarray]:
     """(sums, sizes): the (K, p) cluster sums and (K,) sizes, recomputed
     from scratch (avoids incremental drift)."""
-    sums = cluster_sums(data.values, state.z, state.k_active)
+    sums = cluster_sums(data.obs, state.z, state.k_active)
     sizes = state.cluster_sizes()
     if sizes.sum() != data.n:
         raise LengthMismatchError("cluster sizes do not sum to n")

@@ -19,6 +19,16 @@ from sparsegmm.core import (
 from sparsegmm.errors import NonFiniteEntryError, TooFewObservationsError
 
 
+def test_observation_major_copy_is_lazy_and_kept():
+    values = np.arange(12.0).reshape(3, 4)
+    data = DataMatrix(values)
+    assert "obs" not in vars(data)  # not built by the constructor
+    obs = data.obs
+    assert obs.shape == (4, 3) and obs.flags.c_contiguous
+    assert np.array_equal(obs, values.T)
+    assert data.obs is obs
+
+
 def test_validate_accepts_wellformed_matrix():
     assert validate_dataset(DataMatrix(np.arange(6.0).reshape(2, 3))) is None
 

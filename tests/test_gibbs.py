@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from oracles import exact_partition_posterior, trunc_poisson_pmf_direct, vn_bruteforce
+from sparsegmm import ssl
 from sparsegmm.core import COLUMN_SSL, DataMatrix, Hyperparams, trace_to_ndjson
 from sparsegmm.core import default_hyperparams as sg_default
 from sparsegmm.errors import InvalidKError
@@ -125,13 +127,14 @@ def test_sweep_identical_observations_kmax_one():
         assert state.k_active == 1
 
 
-def _replay_toy_sweeps(seed, hyper, y, log_ratio_t1, n_sweeps, events):
+def _replay_toy_sweeps(seed, hyper, y, log_ratio_t1, n_sweeps, events, slab_probs):
     """Replay ``n_sweeps`` sweeps at p=1, n=2 from the single-cluster start,
     computing every formula from scratch; only the raw generator stream is
-    shared with the package.  Returns (z, mu, phi, xi, theta) and counts in
-    ``events`` the auxiliary's uses: an open from a fresh prior draw, a
+    shared with the package.  Returns (z, mu, phi, xi, theta), counts in
+    ``events`` the auxiliary's uses (an open from a fresh prior draw, a
     departing singleton reopening its own parameters, and an observation
-    weighing another one's closed singleton."""
+    weighing another one's closed singleton) and appends to ``slab_probs``
+    the slab probability of each indicator draw."""
     rng = np.random.default_rng(seed)
     lam = [hyper.lambda0, hyper.lambda1]
     mu = [y.mean()]          # single init cluster at the sample mean
@@ -196,7 +199,8 @@ def _replay_toy_sweeps(seed, hyper, y, log_ratio_t1, n_sweeps, events):
             for sign, lam_x in ((1, lam[1]), (-1, lam[0])):
                 log_odds += sign * (0.5 * s_c**2 / (n_c + lam_x**2 / phi[c])
                                     - 0.5 * math.log(1 + n_c * phi[c] / lam_x**2))
-        xi = int(rng.random(1)[0] < 1.0 / (1.0 + math.exp(-log_odds)))
+        slab_probs.append(1.0 / (1.0 + math.exp(-log_odds)))
+        xi = int(rng.random(1)[0] < slab_probs[-1])
         # the means given the new indicator and the scales
         for c in range(len(mu)):
             prec = len(members[c]) + lam[xi] ** 2 / phi[c]
@@ -206,7 +210,7 @@ def _replay_toy_sweeps(seed, hyper, y, log_ratio_t1, n_sweeps, events):
     return z, mu, phi, xi, theta
 
 
-def test_sweep_matches_hand_trace_at_toy_scale():
+def test_sweep_matches_hand_trace_at_toy_scale(monkeypatch):
     """Replay two sweeps at p=1, n=2 with an independent re-derivation.
 
     Every formula (weights, the auxiliary's prior, conditionals, draw
@@ -215,8 +219,19 @@ def test_sweep_matches_hand_trace_at_toy_scale():
     three uses: an open from a fresh prior draw, a departing singleton
     reopening its own parameters, and a later observation weighing a
     closed singleton's parameters (seed 40 has all three, seed 78 also
-    opens from a closed singleton's parameters).
+    opens from a closed singleton's parameters).  A wrong slab odds can
+    still draw the same indicator from the same uniform, so the slab
+    probability of every indicator draw is compared as well.
     """
+    odds_of = ssl.indicator_log_odds
+    package_probs = []
+
+    def recording(*args):
+        odds = odds_of(*args)
+        package_probs.append(float(expit(odds)[0]))
+        return odds
+
+    monkeypatch.setattr(ssl, "indicator_log_odds", recording)
     hyper = Hyperparams(lambda0=4.0, lambda1=1.0, beta_theta=2.0, alpha=1.0,
                         poisson_lambda=2.0, k_max=2)
     y = np.array([[0.8, -0.6]])
@@ -227,13 +242,18 @@ def test_sweep_matches_hand_trace_at_toy_scale():
     events = dict.fromkeys(("fresh_open", "own_reopen", "closed_weighed", "closed_open"), 0)
 
     for seed in (123, 40, 78):
+        package_probs.clear()
+        slab_probs = []
         state = init_state(data, hyper, RunConfig(init=InitSpec("single")),
                            np.random.default_rng(0))
         rng = np.random.default_rng(seed)
         for _ in range(2):
             sweep(state, data, vn, hyper, rng)
-        z, mu, phi, xi, theta = _replay_toy_sweeps(seed, hyper, y, log_ratio_t1, 2, events)
+        z, mu, phi, xi, theta = _replay_toy_sweeps(seed, hyper, y, log_ratio_t1, 2, events,
+                                                   slab_probs)
 
+        assert len(slab_probs) == 2, seed
+        assert package_probs == pytest.approx(slab_probs, rel=1e-12, abs=0), seed
         assert np.array_equal(state.z, np.array(z)), seed
         assert state.mu[:, 0] == pytest.approx(np.array(mu), abs=0, rel=0), seed
         assert state.phi[:, 0] == pytest.approx(np.array(phi), abs=0, rel=0), seed
@@ -273,6 +293,28 @@ def test_run_chain_reports_progress_and_snapshots_after_burn_in():
         labels.append(state.z.copy())
     for j, snap in enumerate(trace.snapshots, start=1):
         assert np.array_equal(snap.z, labels[150 + j * 3 - 1])
+
+
+def test_progress_loglik_matches_the_direct_residual():
+    # the event's log-likelihood comes from cluster sums, not a p x n residual
+    rng = np.random.default_rng(9)
+    values = rng.standard_normal((20, 30)) * 3.0 + 50.0
+    values[:, :10] -= 100.0
+    data, hyper = DataMatrix(values), _hyper()
+    cfg = RunConfig(n_burn=199, n_keep=1, init=InitSpec("random_k", 3))
+    events = []
+    run_chain(data, hyper, cfg, rng=np.random.default_rng(2), progress=events.append)
+    rng = np.random.default_rng(2)
+    vn = build_vn_table(data.n, hyper)
+    state = init_state(data, hyper, cfg, rng)
+    direct = []
+    for it in range(1, 201):
+        sweep(state, data, vn, hyper, rng)
+        if it % 100 == 0:
+            resid = values - state.mu[state.z - 1].T
+            direct.append(-0.5 * float(np.sum(resid * resid)))
+    assert [e.iteration for e in events] == [100, 200]
+    assert [e.loglik for e in events] == pytest.approx(direct, rel=1e-9, abs=0)
 
 
 def test_run_chain_reruns_bit_identical():

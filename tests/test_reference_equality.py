@@ -144,19 +144,35 @@ def test_update_phi_matches_reference_bitwise(tiny_chi, monkeypatch):
     assert len(calls) == (3 * k if tiny_chi else 3)
 
 
-@pytest.mark.parametrize("p", [1, 2, 7, 64])
-def test_cluster_sums_match_add_at_bitwise(p):
+def _wide_range_data(p, n=300, k=5):
+    """(values, z, k): a p x n matrix with magnitudes over 16 decades, so a
+    different order of addition shows, and labels with label 4 empty."""
     rng = np.random.default_rng(p)
-    n, k = 300, 5
-    # magnitudes over 16 decades, so a different order of addition shows
     values = rng.standard_normal((p, n)) * 10.0 ** rng.integers(-8, 8, size=(p, n))
     z = rng.permutation(np.repeat(np.arange(1, k + 1), n // k))
-    z[z == 4] = 3  # leave label 4 empty
+    z[z == 4] = 3
+    return values, z, k
+
+
+@pytest.mark.parametrize("p", [1, 2, 7, 64])
+def test_cluster_sums_match_add_at_bitwise(p):
+    values, z, k = _wide_range_data(p)
     expected = np.zeros((k, p))
     np.add.at(expected, z - 1, values.T)
-    got = cluster_sums(values, z, k)
+    got = cluster_sums(DataMatrix(values).obs, z, k)
     assert np.array_equal(got, expected)
     assert not got[3].any()
+
+
+@pytest.mark.parametrize("rows", [[0], [5, 1, 40], list(range(0, 64, 3))])
+def test_cluster_sums_of_gathered_support_match_add_at_bitwise(rows):
+    # the support's rows, as alignment gathers them: (n, |S|), not C-ordered
+    values, z, k = _wide_range_data(64)
+    obs = values[np.array(rows)].T
+    assert not obs.flags.c_contiguous or len(rows) == 1
+    expected = np.zeros((k, len(rows)))
+    np.add.at(expected, z - 1, obs)
+    assert np.array_equal(cluster_sums(obs, z, k), expected)
 
 
 @pytest.mark.parametrize("scenario,seed", [("one", 1), ("one", 2), ("two", 1), ("two", 3)])

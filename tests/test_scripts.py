@@ -57,6 +57,13 @@ def test_geweke_check_prints_the_table(ssl_mode):
     assert re.search(r"^worst \|z\| = ", out, re.M), out
 
 
+def test_ab_fit_lists_the_north_star_workload():
+    # running it takes ~10 s, so only the listing is checked here
+    out = _run("ab_fit.py", "--help")
+    assert re.search(r"^  north_star\s+scenario I, p=2000, n=3000", out, re.M), out
+    assert re.search(r"\{large_joint,chains_column,north_star\}", out), out
+
+
 def test_ab_fit_prints_the_pair_ratios():
     # one checkout against itself: the traces must be identical
     out = _run("ab_fit.py", "--a", ROOT, "--b", ROOT, "--workload", "chains_column",
