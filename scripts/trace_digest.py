@@ -11,7 +11,8 @@ The second digest covers the post-processing: the canonical JSON of
 ``point_estimates(align_labels(pooled))`` (k_hat, z_hat, mu_hat and the
 support), once from the dense means and once from the means on the
 support alone, as traces store them by default; multi-chain designs add
-the ``psrf_report`` table.  Run
+the ``psrf_report`` table.  The baselines design has no trace: its
+digest covers the ``estimate.json`` that ``run_experiment`` writes.  Run
 the script on two checkouts to show that a change leaves every trace and
 every summary byte-identical.
 
@@ -22,6 +23,8 @@ Designs (data seed = chain seed):
                  one joint-mode chain, 10 + 30 sweeps
   chains_column  scenario II, p=400, n=200, s=8, seed 1; four column-mode
                  chains of 15 + 35 sweeps
+  baselines      3a seed 1's data; methods kmeans and cmle, each with
+                 cmle {"k": 3, "s": 6} (k-means ignores s)
 
 Example:
     PYTHONPATH=src python3 scripts/trace_digest.py
@@ -31,12 +34,19 @@ Example:
 import argparse
 import hashlib
 import sys
+import tempfile
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import sparsegmm as sg
 from sparsegmm.core import trace_to_ndjson
-from sparsegmm.experiment import canonical_json, estimate_to_dict
+from sparsegmm.experiment import (
+    ExperimentConfig,
+    canonical_json,
+    estimate_to_dict,
+    run_experiment,
+)
 
 
 def _digest(traces) -> str:
@@ -50,7 +60,8 @@ def _estimate(snapshots, data) -> dict:
     return estimate_to_dict(sg.point_estimates(sg.align_labels(snapshots, data)))
 
 
-def _post_digest(data, traces) -> str:
+def _chain_digests(data, traces) -> str:
+    """The trace digest and the post-processing digest of one design."""
     pooled = [s for t in traces for s in t.snapshots]
     summary = {
         "estimate": _estimate(pooled, data),
@@ -58,7 +69,8 @@ def _post_digest(data, traces) -> str:
     }
     if len(traces) > 1:
         summary["psrf"] = sg.psrf_report(traces, data)
-    return hashlib.sha256(canonical_json(summary).encode()).hexdigest()
+    post = hashlib.sha256(canonical_json(summary).encode()).hexdigest()
+    return f"trace {_digest(traces)}  post {post}"
 
 
 def _data(scenario, p, n, s, mean_scale, seed):
@@ -70,26 +82,40 @@ def design_3a():
     for seed in range(1, 6):
         data = _data("one", 100, 100, 6, 1.5, seed)
         config = sg.RunConfig(n_burn=40, n_keep=120, seed=seed, store_dense_mu=True)
-        yield f"3a seed {seed}", data, [sg.run_chain(data, sg.default_hyperparams(100), config)]
+        traces = [sg.run_chain(data, sg.default_hyperparams(100), config)]
+        yield f"3a seed {seed}", _chain_digests(data, traces)
 
 
 def design_large_joint():
     data = _data("one", 1000, 1000, 6, 1.5, 1001)
     config = sg.RunConfig(n_burn=10, n_keep=30, seed=1001, store_dense_mu=True)
-    yield "large_joint", data, [sg.run_chain(data, sg.default_hyperparams(1000), config)]
+    traces = [sg.run_chain(data, sg.default_hyperparams(1000), config)]
+    yield "large_joint", _chain_digests(data, traces)
 
 
 def design_chains_column():
     data = _data("two", 400, 200, 8, 1.0, 1)
     hyper = sg.default_hyperparams(400, ssl_mode="column")
     config = sg.RunConfig(n_burn=15, n_keep=35, n_chains=4, seed=1, store_dense_mu=True)
-    yield "chains_column", data, sg.run_chains(data, hyper, config)
+    yield "chains_column", _chain_digests(data, sg.run_chains(data, hyper, config))
+
+
+def design_baselines():
+    spec = sg.ScenarioSpec(scenario="one", p=100, n=100, s=6, mean_scale=1.5, seed=1)
+    for method in ("kmeans", "cmle"):
+        with tempfile.TemporaryDirectory() as out:
+            config = ExperimentConfig(scenario=spec, method=method,
+                                      cmle=sg.CmleConfig(k=3, s=6), output_dir=out)
+            run_experiment(config)
+            estimate = (Path(out) / "estimate.json").read_bytes()
+        yield f"baselines {method}", f"estimate {hashlib.sha256(estimate).hexdigest()}"
 
 
 DESIGNS = {
     "3a": design_3a,
     "large_joint": design_large_joint,
     "chains_column": design_chains_column,
+    "baselines": design_baselines,
 }
 
 
@@ -100,9 +126,8 @@ def main(argv=None):
     args = ap.parse_args(argv)
     for name in args.designs:
         t0 = time.perf_counter()
-        for label, data, traces in DESIGNS[name]():
-            print(f"{label:14s} trace {_digest(traces)}  post {_post_digest(data, traces)}"
-                  f"  ({time.perf_counter() - t0:.1f} s)", flush=True)
+        for label, digests in DESIGNS[name]():
+            print(f"{label:14s} {digests}  ({time.perf_counter() - t0:.1f} s)", flush=True)
             t0 = time.perf_counter()
     return 0
 

@@ -20,7 +20,7 @@ from .core import (
     trace_to_ndjson,
     validate_dataset,
 )
-from .distributions import log_trunc_poisson_pmf, sample_categorical_log
+from .distributions import sample_categorical_log
 from .gibbs import InitSpec, RunConfig, run_chain, run_chains
 from .metrics import ari, mean_matrix_error, min_hamming, nmi
 from .preprocess import preprocess_scrna
@@ -46,7 +46,6 @@ __all__ = [
     "fit_cmle",
     "fit_kmeans",
     "generate",
-    "log_trunc_poisson_pmf",
     "mean_matrix_error",
     "min_hamming",
     "nmi",

@@ -9,7 +9,6 @@ deterministic given the same config and seed.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -125,50 +124,22 @@ def _cmd_preprocess(args) -> int:
     return EXIT_OK
 
 
-def _read_config(path: str) -> dict:
-    """The JSON object in a config file; ConfigError if the file holds none."""
-    try:
-        cfg = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path} is not valid JSON: {exc}") from None
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"{path} must hold a JSON object, not a {type(cfg).__name__}")
-    return cfg
-
-
 def _fit_config(args) -> tuple[ExperimentConfig, dict]:
-    cfg = _read_config(args.config) if args.config else {}
+    cfg = load_json_object(args.config, ConfigError) if args.config else {}
+    run = {key: getattr(args, key) for key in ("seed", "n_burn", "n_keep", "n_chains")}
+    overrides = {"output_dir": args.out, "run": {k: v for k, v in run.items() if v is not None}}
     if args.data:
-        cfg["data_path"] = args.data
-        cfg.pop("scenario", None)
+        overrides.update(data_path=args.data, scenario=None)
     if args.transpose:
-        cfg["transpose"] = True
+        overrides["transpose"] = True
     if args.method:
-        cfg["method"] = args.method
+        overrides["method"] = args.method
     if args.truth:
-        cfg["truth_path"] = args.truth
-    cfg["output_dir"] = args.out
-    run = cfg.setdefault("run", {})
-    for key in ("seed", "n_burn", "n_keep", "n_chains"):
-        val = getattr(args, key, None)
-        if val is not None:
-            run[key] = val
-    if args.k is not None or args.sparsity is not None:
-        c = cfg.setdefault("cmle", {})
-        if args.k is not None:
-            c["k"] = args.k
-        if args.sparsity is not None:
-            c["s"] = args.sparsity
-    method = cfg.get("method", "bayesian")
-    if method == "kmeans" and "cmle" in cfg:
-        cfg["cmle"].setdefault("s", 1)  # ignored by the kmeans path
-    if method == "cmle":
-        c = cfg.get("cmle") or {}
-        if "k" not in c or "s" not in c:
-            raise ConfigError(
-                "method cmle needs --k and --sparsity (or a cmle config section)"
-            )
-    return config_from_dict(cfg), cfg
+        overrides["truth_path"] = args.truth
+    cmle = {key: val for key, val in (("k", args.k), ("s", args.sparsity)) if val is not None}
+    if cmle:
+        overrides["cmle"] = cmle
+    return config_from_dict(cfg, overrides)
 
 
 def _progress_printer(quiet: bool):
@@ -201,11 +172,14 @@ def _cmd_evaluate(args) -> int:
     missing = [key for key in ("k_hat", "z_hat", "mu_hat") if key not in est_d]
     if missing:
         raise DataError(f"{args.estimate} lacks {', '.join(missing)}")
+    est_d.setdefault("support", [])
     est = ClusterEstimate(
         k_hat=json_field(est_d, "k_hat", whole_number, args.estimate),
         z_hat=json_field(est_d, "z_hat", whole_numbers, args.estimate),
         mu_hat=json_field(est_d, "mu_hat", real_numbers, args.estimate),
-        support_hat=tuple(est_d.get("support", ())),
+        support_hat=json_field(
+            est_d, "support", lambda v: tuple(whole_numbers(v).tolist()), args.estimate
+        ),
         inclusion_freq=None,
     )
     metrics = compute_metrics(est, *load_truth(args.truth))
@@ -233,10 +207,10 @@ def _cmd_diagnose(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    cfg_dict = _read_config(args.config)
-    if args.out:
-        cfg_dict["output_dir"] = args.out
-    config = config_from_dict(cfg_dict)
+    config, cfg_dict = config_from_dict(
+        load_json_object(args.config, ConfigError),
+        {"output_dir": args.out} if args.out else None,
+    )
     bundle = run_experiment(
         config,
         config_dict=cfg_dict,

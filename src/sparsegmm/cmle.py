@@ -10,7 +10,7 @@ reduces to ordinary k-means.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,14 +20,16 @@ from .errors import ConfigError
 
 @dataclass(frozen=True)
 class CmleConfig:
+    """K centers with at most s non-zero rows; s = None (no budget) is k-means."""
+
     k: int
-    s: int
+    s: int | None = None
     max_iters: int = 100
     n_restarts: int = 8
     seed: int = 0
 
     def __post_init__(self):
-        if self.k < 1 or self.s < 1 or self.max_iters < 1 or self.n_restarts < 1:
+        if min(self.k, 1 if self.s is None else self.s, self.max_iters, self.n_restarts) < 1:
             raise ConfigError("k, s, max_iters, n_restarts must be positive")
 
 
@@ -121,18 +123,20 @@ def fit_cmle(
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """(mu_hat, z_hat, objective): best of n_restarts alternating runs.
 
-    mu_hat is p x K with at most s non-zero rows; z_hat holds labels
-    1..K.  Even restarts seed centers at K observations drawn without
-    replacement, odd restarts at the means of a random partition (better
-    basin coverage on small instances); each restart uses an independent
-    stream, so the best-of-restarts objective is non-increasing in
-    n_restarts.  ``init_centers`` replaces the seeding of the first
-    restart (useful for warm starts).
+    mu_hat is p x K with at most s non-zero rows (p if s is None); z_hat
+    holds labels 1..K.  Even restarts seed centers at K observations drawn
+    without replacement, odd restarts at the means of a random partition
+    (better basin coverage on small instances); each restart uses an
+    independent stream, so the best-of-restarts objective is
+    non-increasing in n_restarts.  ``init_centers`` replaces the seeding
+    of the first restart (useful for warm starts).
     """
     values = data.values
     p, n = values.shape
     if config.k > n:
         raise ConfigError(f"k={config.k} exceeds n={n}")
+    if config.s is None:
+        config = replace(config, s=p)
     if config.s > p:
         raise ConfigError(f"s={config.s} exceeds p={p}")
     streams = np.random.SeedSequence(config.seed).spawn(config.n_restarts)
@@ -165,6 +169,6 @@ def fit_cmle(
 def fit_kmeans(
     data: DataMatrix, k: int, n_restarts: int = 8, seed: int = 0, max_iters: int = 100
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Plain k-means comparison hook (the s = p special case)."""
-    config = CmleConfig(k=k, s=data.p, max_iters=max_iters, n_restarts=n_restarts, seed=seed)
+    """Plain k-means: ``fit_cmle`` without a row budget."""
+    config = CmleConfig(k=k, max_iters=max_iters, n_restarts=n_restarts, seed=seed)
     return fit_cmle(data, config)

@@ -352,13 +352,31 @@ def _json_record(lineno: int, line: str) -> dict:
 
 
 _SNAPSHOT_FIELDS = ("z", "k", "theta", "support", "mu_support")
+_KINDS = {"whole": ("iu", int), "real": ("iuf", float)}  # numpy dtype kinds
+
+
+def _numbers_field(rec: dict, key: str, what: str, ndim: int, lineno: int) -> np.ndarray:
+    """``rec[key]`` as an ``ndim``-dimensional int or float array of
+    ``what`` ("whole" or "real") numbers; DataError naming the line
+    otherwise.  The kind of the array numpy builds is checked, not each
+    element: an empty list passes."""
+    try:
+        arr = np.asarray(rec[key])
+    except ValueError:  # nested lists of unequal lengths
+        arr = np.asarray(None)
+    kinds, dtype = _KINDS[what]
+    if (arr.size and arr.dtype.kind not in kinds) or arr.ndim != ndim:
+        raise DataError(f"snapshot on trace line {lineno}: {key} is not {what} numbers "
+                        f"in {ndim} dimensions")
+    return arr.astype(dtype, copy=False)
 
 
 def trace_from_ndjson(text: str) -> ChainTrace:
     """Inverse of :func:`trace_to_ndjson`; round-trips every field exactly.
 
-    Raises DataError, naming the line, on a record that is not JSON or
-    lacks a field.
+    Raises DataError, naming the line, on a record that is not JSON, lacks
+    a field, or holds a field of the wrong kind: labels, k and the support
+    must be whole numbers, theta and the means real numbers.
     """
     lines = [(i, ln) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines:
@@ -379,23 +397,25 @@ def trace_from_ndjson(text: str) -> ChainTrace:
         missing = [name for name in _SNAPSHOT_FIELDS if name not in rec]
         if missing:
             raise DataError(f"snapshot on trace line {lineno} lacks {', '.join(missing)}")
-        k = rec["k"]
-        support = np.asarray(rec["support"], dtype=int)
-        mu_support = np.asarray(rec["mu_support"], dtype=float)
+        k = int(_numbers_field(rec, "k", "whole", 0, lineno))
+        support = _numbers_field(rec, "support", "whole", 1, lineno)
+        mu_support = _numbers_field(rec, "mu_support", "real", 2, lineno)
         if mu_support.size != k * support.size:
             raise DataError(
                 f"snapshot on trace line {lineno} has {mu_support.size} support means, "
                 f"not k * |support| = {k * support.size}"
             )
-        dense = rec.get("mu_dense")
+        dense = None
+        if rec.get("mu_dense") is not None:
+            dense = _numbers_field(rec, "mu_dense", "real", 2, lineno)
         snaps.append(
             Snapshot(
-                z=np.asarray(rec["z"], dtype=int),
+                z=_numbers_field(rec, "z", "whole", 1, lineno),
                 k=k,
-                theta=rec["theta"],
+                theta=float(_numbers_field(rec, "theta", "real", 0, lineno)),
                 support=support,
                 mu_support=mu_support.reshape(k, support.size),
-                mu_dense=None if dense is None else np.asarray(dense, dtype=float),
+                mu_dense=dense,
             )
         )
     return ChainTrace(snapshots=snaps, meta=meta)

@@ -13,7 +13,7 @@ from bisect import bisect_right
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from .errors import AllWeightsNegInfiniteError, OutOfSupportError
+from .errors import AllWeightsNegInfiniteError
 
 # Below this, the inverse-Gaussian parameterization of the GIG degenerates;
 # such draws are routed to the chi=0 Gamma branch instead.
@@ -82,18 +82,9 @@ def _gig_half_small_chi(chi: np.ndarray, tau: float, rng: np.random.Generator) -
     return np.where(take_small, root / m, 1.0 / (m * root))
 
 
-def log_trunc_poisson_pmf(k: int, rate: float, k_max: int) -> float:
-    """log pmf of a Poisson(rate) left-truncated at 1 and right-truncated at k_max.
-
-    Raises OutOfSupportError for k outside {1, ..., k_max}.
-    """
-    if k < 1 or k > k_max:
-        raise OutOfSupportError(f"k={k} outside support [1, {k_max}]")
-    return float(log_trunc_poisson_table(rate, k_max)[k - 1])
-
-
 def log_trunc_poisson_table(rate: float, k_max: int) -> np.ndarray:
-    """Length-k_max array of log pmf values over the truncated support."""
+    """Log pmf of a Poisson(rate) left-truncated at 1 and right-truncated
+    at k_max: entry k - 1 holds log P(K = k), k = 1..k_max."""
     ks = np.arange(1, k_max + 1)
     logw = ks * math.log(rate) - gammaln(ks + 1)
     return logw - logsumexp(logw)

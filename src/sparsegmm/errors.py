@@ -46,10 +46,6 @@ class BadSpecError(ConfigError):
     """Malformed synthetic-scenario specification."""
 
 
-class OutOfSupportError(SparseGmmError):
-    """Evaluation point outside a distribution's support."""
-
-
 class AllWeightsNegInfiniteError(SparseGmmError):
     """Categorical sampling was given no finite log-weight."""
 

@@ -10,7 +10,8 @@ from __future__ import annotations
 import hashlib
 import json
 import platform
-from dataclasses import asdict, dataclass
+import typing
+from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Callable
 
@@ -18,7 +19,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .cmle import CmleConfig, fit_cmle, fit_kmeans
+from .cmle import CmleConfig, fit_cmle
 from .core import (
     ChainTrace,
     ClusterEstimate,
@@ -36,8 +37,9 @@ from .errors import (
     DimensionMismatchError,
     LabelOutOfRangeError,
     LengthMismatchError,
+    SparseGmmError,
 )
-from .gibbs import KMEANS, InitSpec, RunConfig, run_chains
+from .gibbs import RunConfig, run_chains
 from .metrics import ari, mean_matrix_error, min_hamming, nmi
 from .summarize import _psrf_table, align_labels, point_estimates
 from .synthetic import ScenarioSpec, generate
@@ -102,14 +104,18 @@ def write_estimate(out_dir: Path, est: ClusterEstimate) -> None:
 
 @dataclass
 class ExperimentConfig:
-    """One experiment: a data source, a method, and its settings."""
+    """One experiment: a data source, a method, and its settings.
+
+    ``hyperparams`` overrides fields of ``default_hyperparams(p)``; k-means
+    is the constrained MLE without a row budget (``cmle.s`` is ignored).
+    """
 
     data_path: str | None = None
     transpose: bool = False
     scenario: ScenarioSpec | None = None
     method: str = METHOD_BAYESIAN
-    hyper_overrides: dict | None = None
-    run: RunConfig = None
+    hyperparams: dict | None = None
+    run: RunConfig | None = None
     cmle: CmleConfig | None = None
     truth_path: str | None = None
     output_dir: str = "run_out"
@@ -122,7 +128,11 @@ class ExperimentConfig:
         if self.run is None:
             self.run = RunConfig()
         if self.method in (METHOD_CMLE, METHOD_KMEANS) and self.cmle is None:
-            raise ConfigError(f"method {self.method} requires a cmle section with k")
+            raise ConfigError(f"method {self.method} requires a cmle section with k (--k)")
+        if self.method == METHOD_CMLE and self.cmle.s is None:
+            raise ConfigError("method cmle requires cmle.s, the row budget (--sparsity)")
+        if self.method == METHOD_KMEANS:
+            self.cmle = replace(self.cmle, s=None)
         if self.method == METHOD_BAYESIAN and self.run.n_chains >= 2 and self.run.n_keep < 2:
             raise ConfigError(
                 f"a PSRF over {self.run.n_chains} chains needs n_keep >= 2, "
@@ -130,64 +140,67 @@ class ExperimentConfig:
             )
 
 
-def _scenario_from_dict(d: dict) -> ScenarioSpec:
-    kwargs = dict(d)
-    for key in ("means", "weights", "diag_variances"):
-        if kwargs.get(key) is not None:
-            kwargs[key] = np.asarray(kwargs[key], dtype=float)
+def _field(kind, value, name: str, partial: bool):
+    """One config value, checked against its field's declared type.  The
+    one dict-valued field, ``hyperparams``, holds Hyperparams fields."""
+    if type(None) in typing.get_args(kind):
+        if value is None:
+            return None
+        (kind,) = set(typing.get_args(kind)) - {type(None)}
+    if kind is dict:
+        return _section(Hyperparams, value, name, partial=True)
+    if is_dataclass(kind):
+        return _section(kind, value, name, partial)
+    if kind in (str, bool, float):
+        # a float field takes a JSON integer, but not true or false (Python ints)
+        integer = kind is float and isinstance(value, int) and not isinstance(value, bool)
+        if isinstance(value, kind) or integer:
+            return value
+        raise ConfigError(f"{name}: expected a {kind.__name__}, got {value!r}")
     try:
-        return ScenarioSpec(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"bad scenario section: {exc}") from exc
-
-
-def _run_config_from_dict(d: dict) -> RunConfig:
-    kwargs = dict(d)
-    init = kwargs.pop("init", None)
-    if init is not None and not isinstance(init, dict):
-        raise ConfigError(f"run.init must be an object with kind and k, got {init!r}")
-    try:
-        if init is not None:
-            kwargs["init"] = InitSpec(kind=init.get("kind", KMEANS), k=init.get("k"))
-        return RunConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad run section: {exc}") from exc
-
-
-def config_from_dict(d: dict) -> ExperimentConfig:
-    scenario = d.get("scenario")
-    run = d.get("run") or {}
-    cmle_d = d.get("cmle")
-    try:
-        cmle_cfg = CmleConfig(**cmle_d) if cmle_d else None
-    except TypeError as exc:
-        raise ConfigError(f"bad cmle section: {exc}") from exc
-    return ExperimentConfig(
-        data_path=d.get("data_path"),
-        transpose=bool(d.get("transpose", False)),
-        scenario=_scenario_from_dict(scenario) if scenario else None,
-        method=d.get("method", METHOD_BAYESIAN),
-        hyper_overrides=d.get("hyperparams"),
-        run=_run_config_from_dict(run),
-        cmle=cmle_cfg,
-        truth_path=d.get("truth_path"),
-        output_dir=d.get("output_dir", "run_out"),
-    )
-
-
-def resolve_hyperparams(p: int, overrides: dict | None) -> Hyperparams:
-    base = default_hyperparams(p)
-    if not overrides:
-        return base
-    fields = asdict(base)
-    unknown = set(overrides) - set(fields)
-    if unknown:
-        raise ConfigError(f"unknown hyperparameter(s): {sorted(unknown)}")
-    fields.update(overrides)
-    try:
-        return Hyperparams(**fields)
+        return whole_number(value) if kind is int else real_numbers(value)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"{name}: {exc}") from None
+
+
+def _section(cls: type, d, name: str, partial: bool = False):
+    """``cls`` built from the config section ``d``; ConfigError naming the
+    section if ``d`` is not an object, has a field ``cls`` lacks, holds a
+    value of the wrong kind for its field's type, or fails ``cls``'s own
+    checks.  ``partial`` returns the checked fields as a dict instead, for
+    a section that need not be complete."""
+    where = f"section {name}" if name else "the config"
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be an object, not {type(d).__name__}")
+    kinds = typing.get_type_hints(cls)
+    unknown = sorted(set(d) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigError(f"unknown field(s) in {where}: {', '.join(unknown)}")
+    checked = {key: _field(kinds[key], value, f"{name}.{key}".lstrip("."), partial)
+               for key, value in d.items()}
+    if partial:
+        return checked
+    try:
+        return cls(**checked)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {where}: {exc}") from None
+
+
+def config_from_dict(d: dict, overrides: dict | None = None) -> tuple[ExperimentConfig, dict]:
+    """The experiment a config dict describes, and ``d`` with ``overrides``
+    (the CLI's flags: None removes a field, a dict updates a section)
+    applied, for the manifest.  ``d``'s own values are checked before any
+    override replaces them; ConfigError names the section at fault."""
+    _section(ExperimentConfig, d, "", partial=True)
+    merged = dict(d)
+    for key, value in (overrides or {}).items():
+        if value is None:
+            merged.pop(key, None)
+        elif isinstance(value, dict):
+            merged[key] = {**(merged.get(key) or {}), **value}
+        else:
+            merged[key] = value
+    return _section(ExperimentConfig, merged, ""), merged
 
 
 # ---------------------------------------------------------------------------
@@ -201,14 +214,15 @@ class ReportBundle:
     metrics: dict | None
 
 
-def load_json_object(path: str | Path) -> dict:
-    """The JSON object in a data file; DataError if the file holds none."""
+def load_json_object(path: str | Path, error: type[SparseGmmError] = DataError) -> dict:
+    """The JSON object in a file; ``error`` (DataError for a data file,
+    ConfigError for a config file) if the file holds none."""
     try:
         d = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
-        raise DataError(f"{path} is not valid JSON: {exc}") from None
+        raise error(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(d, dict):
-        raise DataError(f"{path} must hold a JSON object, not a {type(d).__name__}")
+        raise error(f"{path} must hold a JSON object, not a {type(d).__name__}")
     return d
 
 
@@ -339,7 +353,11 @@ def run_experiment(
     validate_dataset(data)
 
     if config.method == METHOD_BAYESIAN:
-        hyper = resolve_hyperparams(data.p, config.hyper_overrides)
+        hyper = default_hyperparams(data.p)
+        try:
+            hyper = replace(hyper, **(config.hyperparams or {}))
+        except ValueError as exc:
+            raise ConfigError(f"bad section hyperparams: {exc}") from None
         traces = run_chains(data, hyper, config.run, progress=progress)
         for t in traces:
             (out_dir / f"trace_chain{t.meta.chain_id}.ndjson").write_text(
@@ -349,17 +367,8 @@ def run_experiment(
         est = point_estimates(aligned)
         if len(traces) >= 2:
             (out_dir / "psrf.json").write_text(canonical_json(_psrf_table(traces, aligned)))
-    elif config.method == METHOD_CMLE:
-        mu, z, _ = fit_cmle(data, config.cmle)
-        est = _estimate_from_flat(mu, z)
     else:
-        mu, z, _ = fit_kmeans(
-            data,
-            config.cmle.k,
-            n_restarts=config.cmle.n_restarts,
-            seed=config.cmle.seed,
-            max_iters=config.cmle.max_iters,
-        )
+        mu, z, _ = fit_cmle(data, config.cmle)
         est = _estimate_from_flat(mu, z)
 
     write_estimate(out_dir, est)

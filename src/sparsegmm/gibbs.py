@@ -66,12 +66,16 @@ _PROGRESS_EVERY = 100
 
 @dataclass(frozen=True)
 class InitSpec:
+    """A start kind and its cluster count k; None is the prior count."""
+
     kind: str = KMEANS
     k: int | None = None
 
     def __post_init__(self):
         if self.kind not in (SINGLE_CLUSTER, RANDOM_K, KMEANS_PP, KMEANS):
             raise ValueError(f"unknown init kind {self.kind!r}")
+        if self.k is not None and self.k < 1:
+            raise ValueError(f"init k must be at least 1, got {self.k}")
 
 
 @dataclass(frozen=True)
@@ -101,12 +105,6 @@ class ProgressEvent:
 
 
 ProgressCallback = Callable[[ProgressEvent], None]
-
-
-def default_init(hyper: Hyperparams) -> InitSpec:
-    """k-means into min(poisson rate, k_max) clusters."""
-    k = max(1, min(int(hyper.poisson_lambda), hyper.k_max))
-    return InitSpec(KMEANS, k)
 
 
 def _effective_k_max(hyper: Hyperparams, n: int) -> int:
@@ -146,13 +144,16 @@ def init_state(
     assignment.  k-means: the best of ``fit_kmeans``'s restarts (seeded
     from ``rng``).  Means are set to the resulting cluster sample means;
     auxiliaries start at 1, indicators at 0, theta at its prior mean
-    1 / (1 + beta_theta).
+    1 / (1 + beta_theta).  The start is k-means unless ``config.init``
+    says otherwise, and k is the prior count min(poisson rate, k_max)
+    unless it sets k.
     """
-    spec = config.init or default_init(hyper)
+    spec = config.init or InitSpec()
     k_max = _effective_k_max(hyper, data.n)
     n, p = data.n, data.p
 
-    k = 1 if spec.kind == SINGLE_CLUSTER else spec.k or 1
+    prior_k = max(1, min(int(hyper.poisson_lambda), k_max))
+    k = 1 if spec.kind == SINGLE_CLUSTER else spec.k or prior_k
     if k > k_max:
         raise InvalidKError(f"init k={k} exceeds k_max={k_max}")
 
@@ -249,10 +250,8 @@ def run_chain(
     """
     validate_dataset(data)
     if rng is None:
-        n_streams = max(config.n_chains, chain_id + 1)
-        rng = np.random.default_rng(
-            np.random.SeedSequence(config.seed).spawn(n_streams)[chain_id]
-        )
+        # the chain_id-th child of SeedSequence(seed).spawn(...)
+        rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(chain_id,)))
     k_max = _effective_k_max(hyper, data.n)
     hyper_run = hyper if k_max == hyper.k_max else replace(hyper, k_max=k_max)
     vn = build_vn_table(data.n, hyper_run)

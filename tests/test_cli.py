@@ -216,6 +216,24 @@ def test_bad_config_exits_2(tmp_path, capsys):
     _fails_with(capsys, 2, "fit", "--config", tmp_path / "unparsable.json",
                 "--out", tmp_path / "f")
 
+    # a section that is not an object, or a value of the wrong kind, is
+    # refused before the (missing) data file is read, whether or not a flag
+    # would replace it
+    for case in ({"hyperparams": 5}, {"hyperparams": {"lambda0": "x"}}, {"run": [1, 2]},
+                 {"output_dir": 5}, {"run": {"n_burn": 2.5}}, {"run": {"seed": 1.5}},
+                 {"run": {"init": {"kind": "random_k", "k": 2.5}}},
+                 {"run": {"init": {"kind": "random_k", "k": 0}}},
+                 {"scenario": {"p": 20.5}}, {"method": "cmle", "cmle": {"k": 2, "s": 2.5}},
+                 {"scenario": "one"}, {"transpose": "yes"}):
+        source = {} if "scenario" in case else {"data_path": str(tmp_path / "absent.csv")}
+        path = tmp_path / "case.json"
+        path.write_text(json.dumps({**source, **case}))
+        for args in (("report", "--config", path),
+                     ("fit", "--config", path, "--out", tmp_path / "f")):
+            assert run_cli(*args) == 2, (case, args)
+            err = capsys.readouterr().err.strip()
+            assert err.startswith("config error: ") and "\n" not in err, (case, err)
+
     # sizes below 1 are rejected, not replaced by the defaults
     for flag, value in (("--p", 0), ("--n", 0), ("--s", 0), ("--s", -2)):
         _fails_with(capsys, 2, "simulate", flag, value, "--out", tmp_path / "sim")
@@ -231,6 +249,25 @@ def test_bad_config_exits_2(tmp_path, capsys):
     _fails_with(capsys, 2, "fit", "--data", data, "--n-chains", 2, "--n-keep", 1,
                 "--n-burn", 0, "--out", tmp_path / "short")
     assert not list(tmp_path.rglob("trace_chain*.ndjson"))
+
+
+def test_report_kmeans_needs_only_k(tmp_path, capsys):
+    """k-means is the constrained MLE without a row budget: its config
+    needs cmle.k alone, and gives the estimate that ``fit`` gives."""
+    sim = tmp_path / "sim"
+    run_cli("simulate", "--scenario", "one", "--p", 20, "--n", 30, "--s", 4, "--seed", 2,
+            "--out", sim)
+    assert run_cli("fit", "--data", sim / "data.csv", "--method", "kmeans", "--k", 3,
+                   "--out", tmp_path / "fit") == 0
+    path = tmp_path / "c.json"
+    for method, code in (("kmeans", 0), ("cmle", 2)):
+        path.write_text(json.dumps({"data_path": str(sim / "data.csv"), "method": method,
+                                    "cmle": {"k": 3}, "output_dir": str(tmp_path / method)}))
+        assert run_cli("report", "--config", path) == code, method
+    estimate = (tmp_path / "kmeans" / "estimate.json").read_bytes()
+    assert estimate == (tmp_path / "fit" / "estimate.json").read_bytes()
+    assert not (tmp_path / "cmle").exists()
+    assert "cmle.s" in capsys.readouterr().err
 
 
 def test_conflicting_sources_exit_2(tmp_path):
@@ -294,7 +331,8 @@ def test_malformed_estimate_and_trace_exit_3(tmp_path, capsys):
                          ("mu_hat", [[False, True], [False, "1.0"]]),
                          ("mu_hat", [[0.0, 1.0], [0.0, "1.0"]]),
                          ("z_hat", [1.9, 1, 2]), ("z_hat", [True, 1, 2]), ("k_hat", 2.7),
-                         ("k_hat", True), ("k_hat", "2"), ("k_hat", [2])):
+                         ("k_hat", True), ("k_hat", "2"), ("k_hat", [2]),
+                         ("support", 5), ("support", "abc")):
         est.write_text(json.dumps({**fits, field: value}))
         _fails_with(capsys, 3, "evaluate", "--estimate", est, "--truth", truth)
     est.write_text(json.dumps(fits))
@@ -320,6 +358,12 @@ def test_malformed_estimate_and_trace_exit_3(tmp_path, capsys):
         json.dumps({**snap, "mu_support": [[0.0, 1.0]]}),
         json.dumps({**snap, "z": [1, 1]}),
         json.dumps({**snap, "support": [3]}),
+        json.dumps({**snap, "z": "abc"}),
+        json.dumps({**snap, "theta": "x"}),
+        json.dumps({**snap, "mu_support": [["a"]]}),
+        json.dumps({**snap, "mu_dense": "x"}),
+        json.dumps({**snap, "k": 1.5}),
+        json.dumps({**snap, "support": [1.5]}),
     ):
         trace.write_text(json.dumps(meta) + "\n" + line + "\n")
         _fails_with(capsys, 3, "diagnose", "--data", data, "--traces", trace, trace)

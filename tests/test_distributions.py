@@ -7,12 +7,11 @@ from hypothesis import strategies as st
 
 from oracles import gig_moment_quad, trunc_poisson_pmf_direct
 from sparsegmm.distributions import (
-    log_trunc_poisson_pmf,
     log_trunc_poisson_table,
     sample_categorical_log,
     sample_gig_half_vector,
 )
-from sparsegmm.errors import AllWeightsNegInfiniteError, OutOfSupportError
+from sparsegmm.errors import AllWeightsNegInfiniteError
 
 
 def _gig_draws(chi, tau, n, seed=0):
@@ -74,19 +73,12 @@ def test_gig_half_small_chi_branch():
 
 
 def test_trunc_poisson_degenerate_support():
-    assert log_trunc_poisson_pmf(1, rate=3.7, k_max=1) == 0.0
+    assert log_trunc_poisson_table(3.7, 1).tolist() == [0.0]
 
 
 def test_trunc_poisson_two_point():
     # rate 2 over {1, 2}: weights 2 and 2 -> pmf(1) = 1/2
-    assert log_trunc_poisson_pmf(1, rate=2.0, k_max=2) == pytest.approx(math.log(0.5))
-
-
-def test_trunc_poisson_out_of_support():
-    with pytest.raises(OutOfSupportError):
-        log_trunc_poisson_pmf(0, rate=2.0, k_max=5)
-    with pytest.raises(OutOfSupportError):
-        log_trunc_poisson_pmf(6, rate=2.0, k_max=5)
+    assert log_trunc_poisson_table(2.0, 2)[0] == pytest.approx(math.log(0.5))
 
 
 @settings(deadline=None, max_examples=40)

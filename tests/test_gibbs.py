@@ -12,7 +12,6 @@ from sparsegmm.errors import InvalidKError
 from sparsegmm.gibbs import (
     InitSpec,
     RunConfig,
-    default_init,
     init_state,
     run_chain,
     run_chains,
@@ -74,7 +73,16 @@ def test_init_rejects_k_above_k_max():
 
 
 def test_default_init_uses_prior_rate():
-    assert default_init(_hyper()) == InitSpec("kmeans", 2)
+    """Without a k, the start has the prior count min(floor(poisson rate),
+    k_max) of clusters: no start, the default kind and k-means named
+    explicitly start alike."""
+    data, _ = _blobs()
+    states = [init_state(data, _hyper(), RunConfig(init=init), np.random.default_rng(0))
+              for init in (None, InitSpec(), InitSpec("kmeans"))]
+    for state in states:
+        assert state.k_active == 2
+        assert np.array_equal(state.z, states[0].z)
+        assert np.array_equal(state.mu, states[0].mu)
 
 
 def test_default_start_escapes_all_spike_trap():
@@ -94,7 +102,7 @@ def test_default_start_escapes_all_spike_trap():
               for kind in (None, "random_k", "kmeans_pp")] + [("joint", "single")]
     for ssl_mode, kind in starts:
         hyper = sg_default(100, ssl_mode=ssl_mode)
-        init = None if kind is None else InitSpec(kind, default_init(hyper).k)
+        init = None if kind is None else InitSpec(kind)
         config = RunConfig(n_burn=0, n_keep=20, seed=1, init=init)
         assert not init_state(data, hyper, config, np.random.default_rng(1)).xi.any()
         trace = run_chain(data, hyper, config)

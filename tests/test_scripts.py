@@ -36,6 +36,12 @@ def test_trace_digest_covers_the_psrf_table():
     assert re.search(r"^chains_column\s+trace [0-9a-f]{64}  post [0-9a-f]{64}", out, re.M), out
 
 
+def test_trace_digest_covers_the_baselines():
+    out = _run("trace_digest.py", "--designs", "baselines")
+    lines = re.findall(r"^baselines (\w+)\s+estimate [0-9a-f]{64}", out, re.M)
+    assert lines == ["kmeans", "cmle"], out
+
+
 def test_split_odds_prints_the_seed():
     out = _run("split_odds.py", "--seeds", "1", "--samples", 1000)
     assert re.search(r"^seed 1: sizes \[.*\]  split odds per cluster .* total ", out, re.M), out
