@@ -7,8 +7,9 @@ the same arithmetic, print the same trace digests.  The traces keep the
 dense means (``store_dense_mu``), so every coordinate of every kept mean
 is covered, not only those on the support.
 
-The second digest covers the post-processing: the canonical JSON of
-``point_estimates(align_labels(pooled))`` (k_hat, z_hat, mu_hat and the
+The second digest covers the post-processing of the traces read back
+through ``trace_from_ndjson``, the reader ``diagnose`` uses: the
+canonical JSON of ``point_estimates(align_labels(pooled))`` (k_hat, z_hat, mu_hat and the
 support), once from the dense means and once from the means on the
 support alone, as traces store them by default; multi-chain designs add
 the ``psrf_report`` table.  The baselines design has no trace: its
@@ -40,7 +41,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import sparsegmm as sg
-from sparsegmm.core import trace_to_ndjson
+from sparsegmm.core import trace_from_ndjson, trace_to_ndjson
 from sparsegmm.experiment import (
     ExperimentConfig,
     canonical_json,
@@ -49,11 +50,6 @@ from sparsegmm.experiment import (
 )
 
 
-def _digest(traces) -> str:
-    h = hashlib.sha256()
-    for t in traces:
-        h.update(trace_to_ndjson(t).encode())
-    return h.hexdigest()
 
 
 def _estimate(snapshots, data) -> dict:
@@ -61,7 +57,11 @@ def _estimate(snapshots, data) -> dict:
 
 
 def _chain_digests(data, traces) -> str:
-    """The trace digest and the post-processing digest of one design."""
+    """The trace digest and the post-processing digest of one design; the
+    post-processing reads the traces back from their NDJSON first, as
+    ``diagnose`` does."""
+    texts = [trace_to_ndjson(t) for t in traces]
+    traces = [trace_from_ndjson(text) for text in texts]
     pooled = [s for t in traces for s in t.snapshots]
     summary = {
         "estimate": _estimate(pooled, data),
@@ -70,7 +70,8 @@ def _chain_digests(data, traces) -> str:
     if len(traces) > 1:
         summary["psrf"] = sg.psrf_report(traces, data)
     post = hashlib.sha256(canonical_json(summary).encode()).hexdigest()
-    return f"trace {_digest(traces)}  post {post}"
+    trace = hashlib.sha256("".join(texts).encode()).hexdigest()
+    return f"trace {trace}  post {post}"
 
 
 def _data(scenario, p, n, s, mean_scale, seed):

@@ -12,23 +12,21 @@ import argparse
 import sys
 from pathlib import Path
 
-from .core import ClusterEstimate, DataMatrix, validate_dataset
+from .core import DataMatrix, validate_dataset
 from .errors import ConfigError, DataError, SparseGmmError
 from .experiment import (
     ExperimentConfig,
     canonical_json,
     compute_metrics,
     config_from_dict,
-    json_field,
+    estimate_from_dict,
     load_json_object,
     load_matrix_csv,
     load_traces,
     load_truth,
-    real_numbers,
     run_experiment,
     save_matrix_csv,
-    whole_number,
-    whole_numbers,
+    write_truth,
 )
 from .preprocess import preprocess_scrna
 from .summarize import psrf_report
@@ -107,11 +105,7 @@ def _cmd_simulate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_matrix_csv(out / "data.csv", data.values)
-    (out / "truth.json").write_text(
-        canonical_json(
-            {"z_true": [int(v) for v in z_true], "mu_true": mu_true.tolist()}
-        )
-    )
+    write_truth(out / "truth.json", z_true, mu_true)
     print(f"wrote {out / 'data.csv'} ({data.p}x{data.n}) and truth.json")
     return EXIT_OK
 
@@ -168,20 +162,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    est_d = load_json_object(args.estimate)
-    missing = [key for key in ("k_hat", "z_hat", "mu_hat") if key not in est_d]
-    if missing:
-        raise DataError(f"{args.estimate} lacks {', '.join(missing)}")
-    est_d.setdefault("support", [])
-    est = ClusterEstimate(
-        k_hat=json_field(est_d, "k_hat", whole_number, args.estimate),
-        z_hat=json_field(est_d, "z_hat", whole_numbers, args.estimate),
-        mu_hat=json_field(est_d, "mu_hat", real_numbers, args.estimate),
-        support_hat=json_field(
-            est_d, "support", lambda v: tuple(whole_numbers(v).tolist()), args.estimate
-        ),
-        inclusion_freq=None,
-    )
+    est = estimate_from_dict(load_json_object(args.estimate), str(args.estimate))
     metrics = compute_metrics(est, *load_truth(args.truth))
     text = canonical_json(metrics)
     if args.out:

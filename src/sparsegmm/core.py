@@ -16,18 +16,21 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import itertools
 import json
 import math
+import typing
 import warnings
-from dataclasses import asdict, dataclass, field, fields
-from functools import cached_property
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
 from .errors import (
     DataError,
     NonFiniteEntryError,
+    SparseGmmError,
     TooFewObservationsError,
 )
 
@@ -53,7 +56,7 @@ class DataMatrix:
             raise DataError(f"expected a 2-d matrix, got ndim={v.ndim}")
         object.__setattr__(self, "values", v)
 
-    @cached_property
+    @functools.cached_property
     def obs(self) -> np.ndarray:
         return np.ascontiguousarray(self.values.T)
 
@@ -341,81 +344,158 @@ def trace_to_ndjson(trace: ChainTrace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _json_record(lineno: int, line: str) -> dict:
-    try:
-        rec = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"trace line {lineno} is not JSON: {exc}") from None
-    if not isinstance(rec, dict):
-        raise DataError(f"trace line {lineno} is not a JSON object")
-    return rec
-
-
-_SNAPSHOT_FIELDS = ("z", "k", "theta", "support", "mu_support")
-_KINDS = {"whole": ("iu", int), "real": ("iuf", float)}  # numpy dtype kinds
-
-
-def _numbers_field(rec: dict, key: str, what: str, ndim: int, lineno: int) -> np.ndarray:
-    """``rec[key]`` as an ``ndim``-dimensional int or float array of
-    ``what`` ("whole" or "real") numbers; DataError naming the line
-    otherwise.  The kind of the array numpy builds is checked, not each
-    element: an empty list passes."""
-    try:
-        arr = np.asarray(rec[key])
-    except ValueError:  # nested lists of unequal lengths
-        arr = np.asarray(None)
-    kinds, dtype = _KINDS[what]
-    if (arr.size and arr.dtype.kind not in kinds) or arr.ndim != ndim:
-        raise DataError(f"snapshot on trace line {lineno}: {key} is not {what} numbers "
-                        f"in {ndim} dimensions")
-    return arr.astype(dtype, copy=False)
-
-
-def trace_from_ndjson(text: str) -> ChainTrace:
+def trace_from_ndjson(text: str, where: str = "trace") -> ChainTrace:
     """Inverse of :func:`trace_to_ndjson`; round-trips every field exactly.
 
-    Raises DataError, naming the line, on a record that is not JSON, lacks
-    a field, or holds a field of the wrong kind: labels, k and the support
-    must be whole numbers, theta and the means real numbers.
-    """
+    DataError naming ``where``, the line and the field on a record that is
+    not a JSON object, lacks a field, or holds an unknown one or one of the
+    wrong kind (meta fields as TraceMeta declares them; whole labels, k and
+    support; finite theta and means)."""
     lines = [(i, ln) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines:
-        raise DataError("empty trace file")
-    head = _json_record(*lines[0])
-    if head.get("type") != "meta":
-        raise DataError("trace file must start with a meta record")
-    names = [f.name for f in fields(TraceMeta)]
-    missing = [name for name in names if name not in head]
-    if missing:
-        raise DataError(f"trace meta record lacks {', '.join(missing)}")
-    meta = TraceMeta(**{name: head[name] for name in names})
-    snaps = []
+        raise DataError(f"{where} is empty")
+    line = f"{where} line {lines[0][0]}"
+    head = parse_json_object(lines[0][1], line)
+    if head.pop("type", None) != "meta":
+        raise DataError(f"{where} must start with a meta record")
+    meta = _section(TraceMeta, head, f"the meta record on {line}", DataError)
+    whole = functools.partial(json_numbers, ndim=1, whole=True)
+    convert = {
+        "z": whole,
+        "k": lambda v: int(json_numbers(v, 0, whole=True)),
+        "theta": lambda v: float(json_numbers(v, 0)),
+        "support": whole,
+        "mu_support": functools.partial(json_numbers, ndim=2),
+        "mu_dense": lambda v: None if v is None else json_numbers(v, 2),
+    }
+    required, snaps = ("z", "k", "theta", "support", "mu_support"), []
     for lineno, ln in lines[1:]:
-        rec = _json_record(lineno, ln)
-        if rec.get("type") != "snapshot":
-            raise DataError(f"unexpected record type {rec.get('type')!r} on trace line {lineno}")
-        missing = [name for name in _SNAPSHOT_FIELDS if name not in rec]
-        if missing:
-            raise DataError(f"snapshot on trace line {lineno} lacks {', '.join(missing)}")
-        k = int(_numbers_field(rec, "k", "whole", 0, lineno))
-        support = _numbers_field(rec, "support", "whole", 1, lineno)
-        mu_support = _numbers_field(rec, "mu_support", "real", 2, lineno)
-        if mu_support.size != k * support.size:
-            raise DataError(
-                f"snapshot on trace line {lineno} has {mu_support.size} support means, "
-                f"not k * |support| = {k * support.size}"
-            )
-        dense = None
-        if rec.get("mu_dense") is not None:
-            dense = _numbers_field(rec, "mu_dense", "real", 2, lineno)
-        snaps.append(
-            Snapshot(
-                z=_numbers_field(rec, "z", "whole", 1, lineno),
-                k=k,
-                theta=float(_numbers_field(rec, "theta", "real", 0, lineno)),
-                support=support,
-                mu_support=mu_support.reshape(k, support.size),
-                mu_dense=dense,
-            )
-        )
+        line = f"{where} line {lineno}"
+        rec = parse_json_object(ln, line)
+        if rec.pop("type", None) != "snapshot":
+            raise DataError(f"{line} is not a snapshot record")
+        f = json_fields(rec, convert, f"the snapshot on {line}", DataError, required)
+        shape = (f["k"], f["support"].size)
+        if f["mu_support"].shape != shape:
+            raise DataError(f"the snapshot on {line} has support means of shape "
+                            f"{f['mu_support'].shape}, not (k, |support|) = {shape}")
+        snaps.append(Snapshot(**f))
     return ChainTrace(snapshots=snaps, meta=meta)
+
+
+# ---------------------------------------------------------------------------
+# JSON input: one object parse, one number check, one field check
+# ---------------------------------------------------------------------------
+
+
+def parse_json_object(text: str, where: str, error: type[SparseGmmError] = DataError) -> dict:
+    """The JSON object ``text`` holds; ``error`` naming ``where`` otherwise."""
+    try:
+        d = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"{where} is not valid JSON: {exc}") from None
+    if not isinstance(d, dict):
+        raise error(f"{where} must hold a JSON object, not a {type(d).__name__}")
+    return d
+
+
+def _has_bool(value, depth: int) -> bool:
+    """Whether ``value``, lists nested ``depth`` deep, holds a boolean."""
+    for _ in range(depth - 1):
+        value = itertools.chain.from_iterable(value)
+    return bool in map(type, value) if depth else type(value) is bool
+
+
+def json_numbers(value, ndim: int | None = None, whole: bool = False) -> np.ndarray:
+    """A JSON number, or nested lists of them, as a float array of ``ndim``
+    dimensions (any number if None), or an int array if ``whole``; ValueError
+    on a boolean, a string, ragged lists, a number that is not finite, or,
+    if ``whole``, one that is not integral (2.0 is whole) or not an int64."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # nested lists of unequal lengths
+        raise ValueError("expected nested lists of equal lengths") from None
+    if ndim is not None and arr.ndim != ndim:
+        raise ValueError(f"expected numbers in {ndim} dimension(s), got {arr.ndim}")
+    kind = arr.dtype.kind
+    if arr.size and (kind not in "iuf" or _has_bool(value, arr.ndim)):
+        raise ValueError("expected JSON numbers, not booleans, strings or null")
+    if kind == "f" and not (np.isfinite(arr).all() if arr.ndim else math.isfinite(arr)):
+        raise ValueError("expected finite numbers, not NaN or Infinity")
+    if not whole:
+        return arr.astype(float, copy=False)
+    if kind == "u" or kind == "f" and not ((arr == np.trunc(arr)) & (abs(arr) < 2.0**63)).all():
+        raise ValueError("expected whole numbers below 2**63 in magnitude")
+    return arr.astype(int, copy=False)
+
+
+def json_fields(d: dict, convert: dict, where: str, error: type[SparseGmmError],
+                required=(), closed: bool = True) -> dict:
+    """``{key: convert[key](d[key])}`` over the keys of ``convert`` that
+    ``d`` holds; ``error`` naming ``where`` if a ``required`` key is
+    missing, if ``closed`` and ``d`` holds a key ``convert`` lacks, or,
+    naming the field, if a conversion raises TypeError or ValueError."""
+    missing = [key for key in required if key not in d]
+    if missing:
+        raise error(f"{where} lacks {', '.join(missing)}")
+    unknown = sorted(d.keys() - convert.keys()) if closed else []
+    if unknown:
+        raise error(f"unknown field(s) in {where}: {', '.join(unknown)}")
+    out = {}
+    for key, fn in convert.items():
+        if key in d:
+            try:
+                out[key] = fn(d[key])
+            except (TypeError, ValueError) as exc:
+                raise error(f"{where}: field {key} is malformed: {exc}") from None
+    return out
+
+
+# a dataclass's field types, cached: get_type_hints evaluates every annotation per call
+_type_hints = functools.cache(typing.get_type_hints)
+
+
+def _field(kind, value, where: str, error: type[SparseGmmError], partial: bool):
+    """A JSON value checked against a field's declared type (ValueError if
+    of the wrong kind); a dataclass is a nested section, and the one dict
+    field (a config's ``hyperparams``) holds Hyperparams fields."""
+    if type(None) in typing.get_args(kind):
+        if value is None:
+            return None
+        (kind,) = set(typing.get_args(kind)) - {type(None)}
+    if kind is dict:
+        return _section(Hyperparams, value, where, error, partial=True)
+    if is_dataclass(kind):
+        return _section(kind, value, where, error, partial)
+    if kind is int:
+        return int(json_numbers(value, 0, whole=True))
+    if kind is float:
+        json_numbers(value, 0)
+        return value  # a JSON integer stays one: Hyperparams.digest hashes it
+    if kind is np.ndarray:
+        return json_numbers(value)
+    if isinstance(value, kind):  # str, bool
+        return value
+    raise ValueError(f"expected a {kind.__name__}, got {value!r}")
+
+
+def _section(cls: type, d, where: str, error: type[SparseGmmError], partial: bool = False):
+    """``cls`` built from the JSON object ``d`` by its fields' declared types;
+    ``error`` naming ``where`` (``where.field`` for a nested section) if
+    ``d`` is not an object, lacks a field without a default, holds an
+    unknown field or a value of the wrong kind, or fails ``cls``'s checks.
+    ``partial`` returns the checked fields, for a section not yet complete."""
+    if not isinstance(d, dict):
+        raise error(f"{where} must be an object, not {type(d).__name__}")
+    kinds = _type_hints(cls)
+    convert = {f.name: functools.partial(_field, kinds[f.name], where=f"{where}.{f.name}",
+                                         error=error, partial=partial)
+               for f in fields(cls)}
+    required = [] if partial else [f.name for f in fields(cls) if f.default is MISSING]
+    checked = json_fields(d, convert, where, error, required)
+    if partial:
+        return checked
+    try:
+        return cls(**checked)
+    except (TypeError, ValueError) as exc:
+        raise error(f"bad {where}: {exc}") from None

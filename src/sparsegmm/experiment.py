@@ -7,13 +7,12 @@ run byte-for-byte; no timestamps are written anywhere.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import platform
-import typing
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 import scipy
@@ -25,7 +24,11 @@ from .core import (
     ClusterEstimate,
     DataMatrix,
     Hyperparams,
+    _section,
     default_hyperparams,
+    json_fields,
+    json_numbers,
+    parse_json_object,
     trace_from_ndjson,
     trace_to_ndjson,
     validate_dataset,
@@ -90,6 +93,21 @@ def estimate_to_dict(est: ClusterEstimate) -> dict:
     }
 
 
+def estimate_from_dict(d: dict, where: str) -> ClusterEstimate:
+    """Inverse of :func:`estimate_to_dict` (without inclusion frequencies;
+    ``support`` may be absent, other fields are ignored); DataError naming
+    ``where`` and the field if one is missing or malformed."""
+    whole = functools.partial(json_numbers, ndim=1, whole=True)
+    est = json_fields(
+        d,
+        {"k_hat": lambda v: int(json_numbers(v, 0, whole=True)), "z_hat": whole,
+         "mu_hat": functools.partial(json_numbers, ndim=2), "support": whole},
+        where, DataError, required=("k_hat", "z_hat", "mu_hat"), closed=False,
+    )
+    support = tuple(est["support"].tolist()) if "support" in est else ()
+    return ClusterEstimate(est["k_hat"], est["z_hat"], est["mu_hat"], support)
+
+
 def write_estimate(out_dir: Path, est: ClusterEstimate) -> None:
     (out_dir / "estimate.json").write_text(canonical_json(estimate_to_dict(est)))
     lines = ["observation,label"]
@@ -140,58 +158,12 @@ class ExperimentConfig:
             )
 
 
-def _field(kind, value, name: str, partial: bool):
-    """One config value, checked against its field's declared type.  The
-    one dict-valued field, ``hyperparams``, holds Hyperparams fields."""
-    if type(None) in typing.get_args(kind):
-        if value is None:
-            return None
-        (kind,) = set(typing.get_args(kind)) - {type(None)}
-    if kind is dict:
-        return _section(Hyperparams, value, name, partial=True)
-    if is_dataclass(kind):
-        return _section(kind, value, name, partial)
-    if kind in (str, bool, float):
-        # a float field takes a JSON integer, but not true or false (Python ints)
-        integer = kind is float and isinstance(value, int) and not isinstance(value, bool)
-        if isinstance(value, kind) or integer:
-            return value
-        raise ConfigError(f"{name}: expected a {kind.__name__}, got {value!r}")
-    try:
-        return whole_number(value) if kind is int else real_numbers(value)
-    except ValueError as exc:
-        raise ConfigError(f"{name}: {exc}") from None
-
-
-def _section(cls: type, d, name: str, partial: bool = False):
-    """``cls`` built from the config section ``d``; ConfigError naming the
-    section if ``d`` is not an object, has a field ``cls`` lacks, holds a
-    value of the wrong kind for its field's type, or fails ``cls``'s own
-    checks.  ``partial`` returns the checked fields as a dict instead, for
-    a section that need not be complete."""
-    where = f"section {name}" if name else "the config"
-    if not isinstance(d, dict):
-        raise ConfigError(f"{where} must be an object, not {type(d).__name__}")
-    kinds = typing.get_type_hints(cls)
-    unknown = sorted(set(d) - {f.name for f in fields(cls)})
-    if unknown:
-        raise ConfigError(f"unknown field(s) in {where}: {', '.join(unknown)}")
-    checked = {key: _field(kinds[key], value, f"{name}.{key}".lstrip("."), partial)
-               for key, value in d.items()}
-    if partial:
-        return checked
-    try:
-        return cls(**checked)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {where}: {exc}") from None
-
-
 def config_from_dict(d: dict, overrides: dict | None = None) -> tuple[ExperimentConfig, dict]:
     """The experiment a config dict describes, and ``d`` with ``overrides``
     (the CLI's flags: None removes a field, a dict updates a section)
     applied, for the manifest.  ``d``'s own values are checked before any
     override replaces them; ConfigError names the section at fault."""
-    _section(ExperimentConfig, d, "", partial=True)
+    _section(ExperimentConfig, d, "config", ConfigError, partial=True)
     merged = dict(d)
     for key, value in (overrides or {}).items():
         if value is None:
@@ -200,7 +172,7 @@ def config_from_dict(d: dict, overrides: dict | None = None) -> tuple[Experiment
             merged[key] = {**(merged.get(key) or {}), **value}
         else:
             merged[key] = value
-    return _section(ExperimentConfig, merged, ""), merged
+    return _section(ExperimentConfig, merged, "config", ConfigError), merged
 
 
 # ---------------------------------------------------------------------------
@@ -217,63 +189,25 @@ class ReportBundle:
 def load_json_object(path: str | Path, error: type[SparseGmmError] = DataError) -> dict:
     """The JSON object in a file; ``error`` (DataError for a data file,
     ConfigError for a config file) if the file holds none."""
-    try:
-        d = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise error(f"{path} is not valid JSON: {exc}") from None
-    if not isinstance(d, dict):
-        raise error(f"{path} must hold a JSON object, not a {type(d).__name__}")
-    return d
+    return parse_json_object(Path(path).read_text(), str(path), error)
 
 
-def json_field(d: dict, key: str, convert: Callable, path: str | Path):
-    """``convert(d[key])``; DataError naming the field and the file if the
-    value has the wrong type or shape."""
-    try:
-        return convert(d[key])
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"{path}: field {key} is malformed: {exc}") from None
-
-
-def _numbers_only(value) -> bool:
-    if isinstance(value, list):
-        return all(_numbers_only(v) for v in value)
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def real_numbers(value) -> np.ndarray:
-    """A JSON number, or nested lists of them, as a float array; ValueError
-    on a boolean or a string."""
-    if not _numbers_only(value):
-        raise ValueError("expected JSON numbers, not booleans or strings")
-    return np.asarray(value, dtype=float)
-
-
-def whole_numbers(value) -> np.ndarray:
-    """A JSON number, or nested lists of them, as an int array; ValueError
-    on a boolean, a string, or a number that is not whole."""
-    arr = real_numbers(value)
-    if not np.all(np.isfinite(arr) & (arr == np.trunc(arr))):
-        raise ValueError("expected whole numbers")
-    return arr.astype(int)
-
-
-def whole_number(value) -> int:
-    """A JSON number as an int; ValueError unless it is one whole number."""
-    arr = whole_numbers(value)
-    if arr.ndim:
-        raise ValueError(f"expected one number, got shape {arr.shape}")
-    return int(arr)
+def write_truth(path: str | Path, z_true: np.ndarray, mu_true: np.ndarray) -> None:
+    Path(path).write_text(
+        canonical_json({"z_true": [int(v) for v in z_true], "mu_true": mu_true.tolist()})
+    )
 
 
 def load_truth(path: str | Path) -> tuple[np.ndarray, np.ndarray | None]:
-    d = load_json_object(path)
-    if "z_true" not in d:
-        raise DataError(f"{path} lacks a z_true field")
-    z = json_field(d, "z_true", whole_numbers, path)
-    if d.get("mu_true") is None:
-        return z, None
-    return z, json_field(d, "mu_true", real_numbers, path)
+    """``(z_true, mu_true)`` from a truth file (mu_true None if absent or
+    null); DataError naming the file and the field if one is malformed."""
+    truth = json_fields(
+        load_json_object(path),
+        {"z_true": functools.partial(json_numbers, ndim=1, whole=True),
+         "mu_true": lambda v: None if v is None else json_numbers(v, 2)},
+        str(path), DataError, required=("z_true",), closed=False,
+    )
+    return truth["z_true"], truth.get("mu_true")
 
 
 def compute_metrics(
@@ -353,11 +287,9 @@ def run_experiment(
     validate_dataset(data)
 
     if config.method == METHOD_BAYESIAN:
-        hyper = default_hyperparams(data.p)
-        try:
-            hyper = replace(hyper, **(config.hyperparams or {}))
-        except ValueError as exc:
-            raise ConfigError(f"bad section hyperparams: {exc}") from None
+        defaults = asdict(default_hyperparams(data.p))
+        hyper = _section(Hyperparams, {**defaults, **(config.hyperparams or {})},
+                         "config.hyperparams", ConfigError)
         traces = run_chains(data, hyper, config.run, progress=progress)
         for t in traces:
             (out_dir / f"trace_chain{t.meta.chain_id}.ndjson").write_text(
@@ -384,4 +316,4 @@ def run_experiment(
 
 
 def load_traces(paths: list[str | Path]) -> list[ChainTrace]:
-    return [trace_from_ndjson(Path(p).read_text()) for p in paths]
+    return [trace_from_ndjson(Path(p).read_text(), str(p)) for p in paths]

@@ -244,6 +244,9 @@ def psrf_report(traces: list[ChainTrace], data: DataMatrix) -> dict[str, float]:
         raise LengthMismatchError("need at least 2 chains")
     if len({len(t) for t in traces}) > 1 or len(traces[0]) < 2:
         raise TraceMismatchError("chains must have equal lengths of at least 2 snapshots")
+    bad = [t.meta for t in traces if (t.meta.n, t.meta.p) != (data.n, data.p)]
+    if bad:
+        raise TraceMismatchError(f"a trace of n={bad[0].n}, p={bad[0].p} for data of n={data.n}, p={data.p}")
     return _psrf_table(traces, align_labels([s for t in traces for s in t.snapshots], data))
 
 

@@ -224,7 +224,8 @@ def test_bad_config_exits_2(tmp_path, capsys):
                  {"run": {"init": {"kind": "random_k", "k": 2.5}}},
                  {"run": {"init": {"kind": "random_k", "k": 0}}},
                  {"scenario": {"p": 20.5}}, {"method": "cmle", "cmle": {"k": 2, "s": 2.5}},
-                 {"scenario": "one"}, {"transpose": "yes"}):
+                 {"scenario": "one"}, {"transpose": "yes"},
+                 {"run": {"seed": 1e20}}, {"run": {"seed": 2**64 - 1}}):
         source = {} if "scenario" in case else {"data_path": str(tmp_path / "absent.csv")}
         path = tmp_path / "case.json"
         path.write_text(json.dumps({**source, **case}))
@@ -332,7 +333,8 @@ def test_malformed_estimate_and_trace_exit_3(tmp_path, capsys):
                          ("mu_hat", [[0.0, 1.0], [0.0, "1.0"]]),
                          ("z_hat", [1.9, 1, 2]), ("z_hat", [True, 1, 2]), ("k_hat", 2.7),
                          ("k_hat", True), ("k_hat", "2"), ("k_hat", [2]),
-                         ("support", 5), ("support", "abc")):
+                         ("support", 5), ("support", "abc"),
+                         ("mu_hat", [[0.0, float("nan")], [0.0, 1.0]])):
         est.write_text(json.dumps({**fits, field: value}))
         _fails_with(capsys, 3, "evaluate", "--estimate", est, "--truth", truth)
     est.write_text(json.dumps(fits))
@@ -341,17 +343,24 @@ def test_malformed_estimate_and_trace_exit_3(tmp_path, capsys):
                          ("mu_true", [[0.0], [0.0, 1.0]]),
                          ("mu_true", [[False, True], [False, "1.0"]]),
                          ("mu_true", [[0.0, True], [0.0, 1.0]]),
-                         ("z_true", [1.9, 1, 2]), ("z_true", [True, 1, 2])):
+                         ("z_true", [1.9, 1, 2]), ("z_true", [True, 1, 2]),
+                         ("mu_true", [[0.0, float("inf")], [0.0, 1.0]])):
         truth.write_text(json.dumps({**good_truth, field: value}))
         _fails_with(capsys, 3, "evaluate", "--estimate", est, "--truth", truth)
     truth.write_text(json.dumps(good_truth))
     assert run_cli("evaluate", "--estimate", est, "--truth", truth) == 0
 
-    # snapshot records that are not JSON, lack a field, or do not fit the data
+    # meta records that lack a field, hold an unknown or mistyped one, or do
+    # not fit the data; snapshot records that are not JSON, lack a field,
+    # hold a mistyped or non-finite one, or do not fit the data
     meta = {"type": "meta", "n": 3, "p": 2, "n_burn": 0, "thin": 1, "seed": 0,
             "chain_id": 0, "hyper_digest": "", "ssl_mode": "joint"}
     snap = {"type": "snapshot", "z": [1, 1, 1], "k": 1, "theta": 0.5,
             "support": [1], "mu_support": [[0.0]]}
+    for field, value in (("n", "x"), ("n", 3.5), ("p", [2]), ("seed", "s"), ("ssl_mode", 5),
+                         ("chain_id", None), ("extra", 1), ("n", 4), ("p", 3)):
+        trace.write_text(json.dumps({**meta, field: value}) + "\n" + (json.dumps(snap) + "\n") * 2)
+        _fails_with(capsys, 3, "diagnose", "--data", data, "--traces", trace, trace)
     for line in (
         "{not json",
         json.dumps({key: v for key, v in snap.items() if key != "support"}),
@@ -364,9 +373,17 @@ def test_malformed_estimate_and_trace_exit_3(tmp_path, capsys):
         json.dumps({**snap, "mu_dense": "x"}),
         json.dumps({**snap, "k": 1.5}),
         json.dumps({**snap, "support": [1.5]}),
+        json.dumps({**snap, "z": [1, True, 1]}),
+        json.dumps({**snap, "support": [1, 2], "mu_support": [[0.5, True]]}),
+        json.dumps({**snap, "mu_support": [[float("nan")]]}),
+        json.dumps({**snap, "theta": float("nan")}),
+        json.dumps({**snap, "extra": 1}),
     ):
-        trace.write_text(json.dumps(meta) + "\n" + line + "\n")
+        trace.write_text(json.dumps(meta) + "\n" + (line + "\n") * 2)
         _fails_with(capsys, 3, "diagnose", "--data", data, "--traces", trace, trace)
+    # a whole number is an integral value, in traces as in estimates and configs
+    trace.write_text(json.dumps(meta) + "\n" + (json.dumps({**snap, "k": 1.0}) + "\n") * 2)
+    assert run_cli("diagnose", "--data", data, "--traces", trace, trace) == 0
 
     # chains of unequal lengths, and chains of one snapshot each
     other = tmp_path / "other.ndjson"
