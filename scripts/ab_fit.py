@@ -3,8 +3,9 @@
 
 Loads ``<checkout>/src/sparsegmm`` of two checkouts into one process, as
 the packages ``sparsegmm_a`` and ``sparsegmm_b``, and times their fits of
-one workload in alternating pairs (a first in even pairs, b first in odd
-ones).  Both sides fit data each generated itself from the same seed.
+each workload named, one after another, in alternating pairs (a first in
+even pairs, b first in odd ones).  Both sides fit data each generated
+itself from the same seed.
 Every pair must give byte-identical NDJSON traces on both sides, so the
 script only compares versions that make the same draws; it exits 1 on
 the first difference.
@@ -25,6 +26,7 @@ workloads of that name):
 
 Example (compare the parent commit's checkout with this one):
     python3 scripts/ab_fit.py --a ../parent --b . --workload chains_column --pairs 15
+    python3 scripts/ab_fit.py --a ../parent --b . --workload large_joint chains_column north_star
 """
 
 import argparse
@@ -77,29 +79,20 @@ class Side:
         return seconds, "".join(self.sg.core.trace_to_ndjson(t) for t in traces)
 
 
-def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__,
-                                 formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--a", type=Path, required=True, help="checkout of the base side")
-    ap.add_argument("--b", type=Path, required=True, help="checkout of the changed side")
-    ap.add_argument("--workload", choices=list(WORKLOADS), default="chains_column")
-    ap.add_argument("--pairs", type=int, default=10)
-    args = ap.parse_args(argv)
-    if args.pairs < 1:
-        ap.error("--pairs must be at least 1")
-
-    w = WORKLOADS[args.workload]
-    sides = {"a": Side(load_package(args.a, "sparsegmm_a"), w),
-             "b": Side(load_package(args.b, "sparsegmm_b"), w)}
+def compare(name: str, packages: dict, pairs: int) -> bool:
+    """Time ``pairs`` alternating pairs of fits of workload ``name`` by the
+    packages ``{"a": ..., "b": ...}`` and print the ratios; False at the
+    first pair whose traces differ."""
+    sides = {key: Side(sg, WORKLOADS[name]) for key, sg in packages.items()}
     for side in sides.values():  # warm caches and lazy imports, untimed
         side.fit()
     ratios = []
-    for pair in range(args.pairs):
+    for pair in range(pairs):
         order = "ab" if pair % 2 == 0 else "ba"
         out = {key: sides[key].fit() for key in order}
         if out["a"][1] != out["b"][1]:
-            print(f"pair {pair + 1}: the traces differ", flush=True)
-            return 1
+            print(f"{name}, pair {pair + 1}: the traces differ", flush=True)
+            return False
         ratio = out["b"][0] / out["a"][0]
         ratios.append(ratio)
         print(f"pair {pair + 1:2d} ({order} first): a {out['a'][0]:.4f} s  "
@@ -107,8 +100,28 @@ def main(argv=None):
     q1, med, q3 = (statistics.quantiles(ratios, n=4) if len(ratios) > 1
                    else (ratios[0],) * 3)
     wins = sum(r < 1.0 for r in ratios)
-    print(f"{args.workload}: median b/a {med:.3f} (quartiles {q1:.3f}-{q3:.3f}), "
-          f"b faster in {wins} of {len(ratios)} pairs; traces identical")
+    print(f"{name}: median b/a {med:.3f} (quartiles {q1:.3f}-{q3:.3f}), "
+          f"b faster in {wins} of {len(ratios)} pairs; traces identical", flush=True)
+    return True
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--a", type=Path, required=True, help="checkout of the base side")
+    ap.add_argument("--b", type=Path, required=True, help="checkout of the changed side")
+    ap.add_argument("--workload", nargs="+", choices=list(WORKLOADS),
+                    default=["chains_column"], help="one or more workloads, timed in turn")
+    ap.add_argument("--pairs", type=int, default=10, help="pairs of fits per workload")
+    args = ap.parse_args(argv)
+    if args.pairs < 1:
+        ap.error("--pairs must be at least 1")
+
+    packages = {"a": load_package(args.a, "sparsegmm_a"),
+                "b": load_package(args.b, "sparsegmm_b")}
+    for name in args.workload:
+        if not compare(name, packages, args.pairs):
+            return 1
     return 0
 
 

@@ -131,6 +131,14 @@ def fit_cmle(
     non-increasing in n_restarts.  ``init_centers`` replaces the seeding
     of the first restart (useful for warm starts).
     """
+    mu, z = _best_of_restarts(data, config, init_centers)
+    return mu, z, _objective(data.values, mu, z)
+
+
+def _best_of_restarts(
+    data: DataMatrix, config: CmleConfig, init_centers: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """``fit_cmle``'s (mu_hat, z_hat), without the objective's p x n pass."""
     values = data.values
     p, n = values.shape
     if config.k > n:
@@ -163,12 +171,13 @@ def fit_cmle(
         if score < best[2]:
             best = (mu, z, score)
     mu, z, _ = best
-    return mu, z, _objective(values, mu, z)
+    return mu, z
 
 
 def fit_kmeans(
     data: DataMatrix, k: int, n_restarts: int = 8, seed: int = 0, max_iters: int = 100
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Plain k-means: ``fit_cmle`` without a row budget."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """(mu_hat, z_hat) of plain k-means: ``fit_cmle`` without a row budget
+    and without the objective, which a start does not read."""
     config = CmleConfig(k=k, max_iters=max_iters, n_restarts=n_restarts, seed=seed)
-    return fit_cmle(data, config)
+    return _best_of_restarts(data, config, None)

@@ -287,6 +287,13 @@ class TraceMeta:
     hyper_digest: str
     ssl_mode: str
 
+    def __post_init__(self):
+        """Refuse values that no chain writes."""
+        if min(self.n, self.p, self.thin) < 1 or min(self.n_burn, self.chain_id) < 0:
+            raise ValueError("need n, p, thin >= 1 and n_burn, chain_id >= 0")
+        if self.ssl_mode not in (JOINT_SSL, COLUMN_SSL):
+            raise ValueError(f"unknown ssl_mode {self.ssl_mode!r}")
+
 
 @dataclass
 class ChainTrace:

@@ -188,8 +188,12 @@ class ReportBundle:
 
 def load_json_object(path: str | Path, error: type[SparseGmmError] = DataError) -> dict:
     """The JSON object in a file; ``error`` (DataError for a data file,
-    ConfigError for a config file) if the file holds none."""
-    return parse_json_object(Path(path).read_text(), str(path), error)
+    ConfigError for a config file) if the file cannot be read or holds none."""
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {path}: {exc}") from None
+    return parse_json_object(text, str(path), error)
 
 
 def write_truth(path: str | Path, z_true: np.ndarray, mu_true: np.ndarray) -> None:

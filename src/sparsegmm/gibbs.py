@@ -9,10 +9,12 @@ consumes randomness in this order:
    a block of p exponentials for its scales and a block of p standard
    normals for its mean.  Per observation: one categorical uniform;
    then, only if it opens a cluster, the same blocks for a fresh
-   auxiliary.  The pass draws its categorical uniforms as blocks (see
-   ``ReseatWorkspace``), which changes no draw: ``rng.random(m)`` gives
-   the values of m scalar draws, and before an auxiliary is drawn, and
-   at the pass's end, the generator is put just after the uniforms used;
+   auxiliary.  The pass draws its categorical uniforms as blocks and
+   reseats most observations in numpy blocks (see ``ReseatWorkspace``),
+   which changes no draw and no choice: ``rng.random(m)`` gives the
+   values of m scalar draws, before an auxiliary is drawn, and at the
+   pass's end, the generator is put just after the uniforms used, and a
+   block accepts only the choices the scalar step would make;
 2. scale update given the means and indicators, clusters ascending
    (inverse-Gaussian block then Gamma block per cluster);
 3. indicator update given the scales, with the means integrated out: in
@@ -166,7 +168,7 @@ def init_state(
         d2 = ((data.values.T[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         z = d2.argmin(axis=1) + 1
     else:
-        _, z, _ = fit_kmeans(data, k, seed=int(rng.integers(2**32)))
+        _, z = fit_kmeans(data, k, seed=int(rng.integers(2**32)))
     z, k = _compact_labels(z, k)
 
     return ModelState(
@@ -204,10 +206,15 @@ def sweep(
     hyper: Hyperparams,
     rng: np.random.Generator,
 ) -> ModelState:
-    """One full iteration: reseat all observations, then phi, xi, mu, theta."""
+    """One full iteration: reseat all observations, then phi, xi, mu, theta.
+
+    The reseat pass runs in blocks (``ReseatWorkspace.advance``); each
+    observation a block does not accept takes the scalar step."""
     ws = ReseatWorkspace(state, data, vn, hyper, rng)
-    for i in range(data.n):
+    i = ws.advance(state.z, 0)
+    while i < data.n:
         reseat_observation(i, state, ws, rng)
+        i = ws.advance(state.z, i + 1)
     ws.finish()
     sums, sizes = build_context(state, data)
     update_phi(state, hyper, rng)

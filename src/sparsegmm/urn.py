@@ -6,11 +6,14 @@ prior (Neal 2000, Algorithm 8, with the V_n ratio of Miller and Harrison
 the observations of a pass and redrawn only when it opens a cluster (the
 "ReUse" variant of Favaro and Teh 2013 with one auxiliary), and every
 distance comes from inner products, so an observation costs O(K)
-arithmetic and one categorical draw.  That arithmetic runs on Python
-floats and the categorical uniforms come from one block per pass, so
-reseating an observation makes no numpy call and changes no draw (see
-``ReseatWorkspace``).  The urn does not know the SSL mode: a new
-cluster's indicators come from ``ssl.sample_prior_xi``.
+arithmetic and one categorical draw.  The categorical uniforms come from
+one block per pass.  Most observations stay where they are, so
+``ReseatWorkspace.advance`` reseats whole blocks of observations in one
+numpy pass and hands every observation it cannot prove exact (an open, a
+close, a near-tie) to the scalar ``reseat_observation``, the reference
+step; a pass makes the same draws and the same choices either way.  The
+urn does not know the SSL mode: a new cluster's indicators come from
+``ssl.sample_prior_xi``.
 
 The exchangeable-partition coefficients V_n(t) control the probability of
 opening a new cluster while reseating a single observation.  They follow
@@ -26,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add, length_hint
+from operator import add
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
@@ -64,6 +67,12 @@ class VnTable:
         out[1:] = np.log(self.alpha) + (self.table[1:] - self.table[:-1])
         return out
 
+    @cached_property
+    def log_size(self) -> np.ndarray:
+        """Entry s: log(s + alpha), the urn's factor for joining a cluster of
+        s others, for s = 0..n; every reseat weight takes it from here."""
+        return np.array([math.log(s + self.alpha) for s in range(self.n + 1)])
+
 
 def build_vn_table(n: int, hyper: Hyperparams) -> VnTable:
     """Tabulate log V_n(t) for all t in 1..k_max."""
@@ -84,37 +93,52 @@ def build_vn_table(n: int, hyper: Hyperparams) -> VnTable:
 
 
 class UniformBlock:
-    """The next ``count`` uniforms of a generator, drawn as one block and
-    served one at a time by ``random()``.
+    """The next ``count`` uniforms of a generator, drawn as one block.
+
+    ``random()`` serves the next one; a caller that uses a run of them at
+    once reads ``values[served:]`` and adds the run's length to ``served``.
 
     ``rng.random(count)`` gives the values of ``count`` calls of
     ``rng.random()``, but it leaves the generator after all of them.
     ``sync()`` puts the generator just after the uniforms served so far: it
     restores the state saved before the block and redraws that many.
-    Serving more than ``count`` raises StopIteration.
+    Serving more than ``count`` raises IndexError.
     """
 
-    __slots__ = ("random", "_left", "_count", "_rng", "_state")
+    __slots__ = ("values", "served", "_rng", "_state")
 
     def __init__(self, rng: np.random.Generator, count: int):
         self._rng = rng
         self._state = rng.bit_generator.state
-        self._count = count
-        self._left = iter(rng.random(count).tolist())
-        self.random = self._left.__next__
+        self.values = rng.random(count)
+        self.served = 0
+
+    def random(self) -> float:
+        u = self.values[self.served]
+        self.served += 1
+        return float(u)
 
     def sync(self) -> int:
         """Leave the generator just after the uniforms served; return how
         many of the block were not served."""
-        left = length_hint(self._left)
+        left = self.values.size - self.served
         if left:
             self._rng.bit_generator.state = self._state
-            self._rng.random(self._count - left)
+            self._rng.random(self.served)
         return left
 
 
+# ``ReseatWorkspace.advance`` weighs this many observations per numpy pass,
+# and redraws them from refined guesses at most this many times.
+_BLOCK = 256
+_ROUNDS = 4
+# The share of a CDF's total within which an entry is a near-tie with
+# u * total: np.exp differs from math.exp by an ulp, far less than this.
+_TIE = 1e-9
+
+
 class ReseatWorkspace:
-    """Working state shared by the reseat calls of one pass over the observations.
+    """Working state shared by the reseat steps of one pass over the observations.
 
     Building one moves ``state.mu``, ``state.phi`` and ``state.xi`` into
     capacity-``k_max + 1`` buffers and rebinds the state's arrays to their
@@ -127,14 +151,20 @@ class ReseatWorkspace:
     log(n_k^- + alpha) - ||y_i - mu_k||^2 / 2, and that of the auxiliary a
     log(alpha) + log V_n(t+1) - log V_n(t) - ||y_i - a||^2 / 2.  All are
     shifted by ||y_i||^2 / 2, which leaves a distance as
-    y_i . mu_k - ||mu_k||^2 / 2.  The weights are summed on Python floats,
-    which make the same IEEE additions as numpy but cost no call per
-    observation: ``rows[i]`` is row i of G = Y^T mu^T, from one matrix
-    product per pass (an auxiliary's column is written into each row, or
-    appended, whenever one is drawn); per cluster ``half_sq`` =
-    ||mu_k||^2 / 2 and ``base``, which is log(n_k + alpha) - ||mu_k||^2 / 2
-    for a cluster and ``vn.log_open[K]`` - ||a||^2 / 2 for the auxiliary,
-    kept as sizes and K change.
+    y_i . mu_k - ||mu_k||^2 / 2.  Row i of ``g`` is row i of G = Y^T mu^T,
+    an (n, k_max + 1) array from one matrix product per pass (an
+    auxiliary's column is written whenever one is drawn); per cluster
+    ``half_sq`` = ||mu_k||^2 / 2 and ``base``, which is
+    ``vn.log_size[n_k]`` - ||mu_k||^2 / 2 for a cluster and
+    ``vn.log_open[K]`` - ||a||^2 / 2 for the auxiliary, kept as sizes and
+    K change.  A weight is base + G either way: the scalar step
+    (``reseat_observation``) adds them on Python floats, ``advance`` on
+    arrays, with the same IEEE operations.
+
+    ``advance`` reseats the observations that stay in, or move between,
+    existing clusters a block at a time, and stops at each one it cannot
+    show to make the scalar step's choice; the pass reseats that one with
+    the scalar step and calls ``advance`` again.
 
     The categorical uniforms of the pass come from one ``UniformBlock``
     sized for the observations left, so a pass of n reseats draws exactly
@@ -144,7 +174,8 @@ class ReseatWorkspace:
     ``finish()`` must follow the pass's last reseat: it leaves the
     generator just after the uniforms served, where the next draw of the
     sweep expects it.  The workspace is valid for one pass of at most n
-    reseats, while the state changes only through ``reseat_observation``.
+    reseats, while the state changes only through ``advance`` and
+    ``reseat_observation``.
 
     Keeping one auxiliary across observations leaves the posterior
     invariant (Favaro and Teh 2013, *Statistical Science* 28(3), "ReUse"
@@ -156,8 +187,8 @@ class ReseatWorkspace:
     G0 after it opens a cluster, or at the end of the pass, is a Gibbs step.
     """
 
-    __slots__ = ("k", "k_max", "mu", "phi", "xi", "sizes", "half_sq", "base", "rows",
-                 "log_open", "uniforms", "values", "alpha", "theta", "hyper")
+    __slots__ = ("k", "k_max", "mu", "phi", "xi", "sizes", "half_sq", "base", "g",
+                 "log_size", "log_open", "uniforms", "values", "theta", "hyper")
 
     def __init__(self, state: ModelState, data: DataMatrix, vn: VnTable, hyper: Hyperparams,
                  rng: np.random.Generator):
@@ -167,7 +198,6 @@ class ReseatWorkspace:
         self.k = k
         self.k_max = vn.k_max
         self.values = values
-        self.alpha = hyper.alpha
         self.theta = state.theta
         self.hyper = hyper
         self.mu = np.empty((cap, p))
@@ -182,8 +212,10 @@ class ReseatWorkspace:
         half_sq = 0.5 * (state.mu * state.mu).sum(axis=1)
         pad = [0.0] * (cap - k)
         self.half_sq = half_sq.tolist() + pad
-        self.base = (np.log(counts + hyper.alpha) - half_sq).tolist() + pad
-        self.rows = (values.T @ state.mu.T).tolist()
+        self.log_size = vn.log_size
+        self.base = (self.log_size[counts] - half_sq).tolist() + pad
+        self.g = np.empty((data.n, cap))
+        self.g[:, :k] = values.T @ state.mu.T
         self.log_open = vn.log_open.tolist()
         self.draw_auxiliary(rng)
         self.uniforms = UniformBlock(rng, data.n)
@@ -200,13 +232,7 @@ class ReseatWorkspace:
         mu = sample_prior_mu(xi, phi, self.hyper, rng)
         self.phi[t] = phi
         self.mu[t] = mu
-        column = (self.values.T @ mu).tolist()
-        if len(self.rows[0]) > t:
-            for row, g in zip(self.rows, column):
-                row[t] = g
-        else:
-            for row, g in zip(self.rows, column):
-                row.append(g)
+        self.g[:, t] = self.values.T @ mu
         self.half_sq[t] = float(0.5 * (mu @ mu))
         self.offer(t)
 
@@ -219,20 +245,18 @@ class ReseatWorkspace:
         """Add ``change`` to the size of cluster c and update its weight term."""
         size = self.sizes[c] + change
         self.sizes[c] = size
-        self.base[c] = math.log(size + self.alpha) - self.half_sq[c]
+        self.base[c] = float(self.log_size[size]) - self.half_sq[c]
 
     def close(self, state: ModelState, c: int) -> None:
         """Remove cluster c (0-based), keep labels dense, and park its
         parameters in row K-1: they replace the auxiliary."""
         k = self.k
-        for buf in (self.mu, self.phi, self.xi):
+        for buf in (self.mu, self.phi, self.xi, self.g.T):
             row = buf[c].copy()
             buf[c : k - 1] = buf[c + 1 : k]
             buf[k - 1] = row
         self.half_sq.insert(k - 1, self.half_sq.pop(c))
         self.base[c : k - 1] = self.base[c + 1 : k]
-        for row in self.rows:
-            row.insert(k - 1, row.pop(c))
         del self.sizes[c]
         z = state.z
         z[z > c + 1] -= 1
@@ -262,6 +286,96 @@ class ReseatWorkspace:
         state.phi = self.phi[:k]
         state.xi = self.xi[:k]
 
+    def advance(self, z: np.ndarray, start: int) -> int:
+        """Reseat observations start, start+1, ... (0-based) of the pass in
+        blocks, and return the first one left to ``reseat_observation``
+        (len(z) once none is).
+
+        A block guesses each observation's choice, first that it stays.  It
+        weighs every observation with the cluster sizes those guesses imply
+        and draws each choice from the cumulative sums of np.exp and that
+        observation's next uniform; then it redraws from the drawn choices,
+        while they change, up to ``_ROUNDS`` draws.  A choice is the scalar
+        step's when every earlier choice of the block equals its guess, so
+        that its sizes are exact, and no CDF entry lies within
+        ``_TIE`` * total of u * total: the weights are the scalar step's bit
+        for bit and np.exp differs from math.exp by an ulp at most.  The
+        block accepts the longest run of such choices that opens and closes
+        no cluster; an open, a close or a near-tie ends it, as does a run of
+        moves that the guesses have not caught up with.
+        """
+        n = z.size
+        t = self.k
+        m = t + 1 if t < self.k_max else t
+        clusters = np.arange(t)
+        half = np.array(self.half_sq[:t])
+        blocks = self.uniforms
+        while start < n:
+            stop = min(start + _BLOCK, n)
+            old = z[start:stop] - 1
+            u = blocks.values[blocks.served : blocks.served + stop - start]
+            g = self.g[start:stop, :m]
+            own = old[:, None] == clusters
+            left = np.array(self.sizes) - own  # each size without the observation
+            rows = np.arange(old.size)
+            guess = old
+            for rnd in range(_ROUNDS):
+                if guess is old:
+                    sizes = left
+                else:
+                    delta = (guess[:, None] == clusters).astype(int) - own
+                    sizes = left + (np.cumsum(delta, axis=0) - delta)
+                choice, clear = self._draw(sizes, half, g, u)
+                clear &= (choice < t) & (sizes[rows, old] > 0)
+                exact = clear & (choice == guess)
+                if exact.all():
+                    accepted = old.size
+                    break
+                first = int(exact.argmin())
+                if not clear[first] or rnd == _ROUNDS - 1:
+                    # the first inexact choice drew from exact sizes
+                    accepted = first + int(clear[first])
+                    break
+                guess = choice
+            self._accept(z, start, old[:accepted], choice[:accepted], half)
+            start += accepted
+            if accepted < old.size:
+                break
+        return start
+
+    def _draw(self, sizes: np.ndarray, half: np.ndarray, g: np.ndarray,
+              u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's categorical choice given the (b, K) cluster sizes that
+        exclude it, its (b, m) G entries and its uniform, and whether no CDF
+        entry is a near-tie."""
+        t = half.size
+        w = np.empty(g.shape)
+        # a size from wrong guesses may leave the table; its row is not exact
+        np.subtract(self.log_size.take(sizes, mode="clip"), half, out=w[:, :t])
+        if g.shape[1] > t:
+            w[:, t] = self.base[t]
+        w += g
+        w -= w.max(axis=1, keepdims=True)
+        cdf = np.cumsum(np.exp(w, out=w), axis=1)
+        total = cdf[:, -1:]
+        x = u[:, None] * total
+        choice = (cdf <= x).sum(axis=1)
+        clear = (np.abs(cdf - x) > _TIE * total).all(axis=1)
+        return choice, clear
+
+    def _accept(self, z: np.ndarray, start: int, old: np.ndarray, choice: np.ndarray,
+                half: np.ndarray) -> None:
+        """Apply accepted choices: labels, sizes, weight terms and uniforms."""
+        self.uniforms.served += old.size
+        if (choice == old).all():
+            return
+        t = half.size
+        z[start : start + old.size] = choice + 1
+        sizes = (np.array(self.sizes) + np.bincount(choice, minlength=t)
+                 - np.bincount(old, minlength=t))
+        self.sizes = sizes.tolist()
+        self.base[:t] = (self.log_size[sizes] - half).tolist()
+
 
 def reseat_observation(
     i: int, state: ModelState, ws: ReseatWorkspace, rng: np.random.Generator
@@ -286,7 +400,8 @@ def reseat_observation(
         ws.resize(old, -1)
     t = ws.k
     m = t + 1 if t < ws.k_max else t
-    choice = sample_categorical_log(list(map(add, ws.base[:m], ws.rows[i])), ws.uniforms)
+    choice = sample_categorical_log(list(map(add, ws.base[:m], ws.g[i, :m].tolist())),
+                                    ws.uniforms)
 
     state.z[i] = choice + 1
     if choice == t:

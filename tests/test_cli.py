@@ -235,6 +235,15 @@ def test_bad_config_exits_2(tmp_path, capsys):
             err = capsys.readouterr().err.strip()
             assert err.startswith("config error: ") and "\n" not in err, (case, err)
 
+    # a config file that cannot be read is a config error; a data file that
+    # cannot be read is still a data error
+    missing = tmp_path / "missing.json"
+    _fails_with(capsys, 2, "report", "--config", missing)
+    _fails_with(capsys, 2, "fit", "--config", missing, "--out", tmp_path / "f")
+    path = tmp_path / "absent_data.json"
+    path.write_text(json.dumps({"data_path": str(tmp_path / "absent.csv")}))
+    _fails_with(capsys, 3, "report", "--config", path)
+
     # sizes below 1 are rejected, not replaced by the defaults
     for flag, value in (("--p", 0), ("--n", 0), ("--s", 0), ("--s", -2)):
         _fails_with(capsys, 2, "simulate", flag, value, "--out", tmp_path / "sim")
@@ -358,7 +367,9 @@ def test_malformed_estimate_and_trace_exit_3(tmp_path, capsys):
     snap = {"type": "snapshot", "z": [1, 1, 1], "k": 1, "theta": 0.5,
             "support": [1], "mu_support": [[0.0]]}
     for field, value in (("n", "x"), ("n", 3.5), ("p", [2]), ("seed", "s"), ("ssl_mode", 5),
-                         ("chain_id", None), ("extra", 1), ("n", 4), ("p", 3)):
+                         ("chain_id", None), ("extra", 1), ("n", 4), ("p", 3),
+                         ("ssl_mode", "bogus"), ("thin", 0), ("chain_id", -5), ("n", 0),
+                         ("p", 0), ("n_burn", -1)):
         trace.write_text(json.dumps({**meta, field: value}) + "\n" + (json.dumps(snap) + "\n") * 2)
         _fails_with(capsys, 3, "diagnose", "--data", data, "--traces", trace, trace)
     for line in (

@@ -261,7 +261,7 @@ def test_inner_product_distances_match_direct(ssl_mode):
     def check(ws):
         rows = ws.mu[: ws.k + 1]  # the clusters, then the auxiliary
         half_sq = np.array(ws.half_sq[: ws.k + 1])
-        g = np.array([row[: ws.k + 1] for row in ws.rows])
+        g = ws.g[:, : ws.k + 1]
         got = sq_norms[:, None] + 2.0 * half_sq[None, :] - 2.0 * g
         want = ((values.T[:, None, :] - rows[None, :, :]) ** 2).sum(axis=2)
         assert got == pytest.approx(want, rel=1e-9, abs=0)
@@ -307,6 +307,31 @@ def test_finish_leaves_the_generator_after_the_uniforms_served(monkeypatch):
     ws.finish()
     assert served == expected
     assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("u,tie", [(0.5, True), (0.5 + 1e-12, True), (0.49, False)])
+def test_near_tie_goes_to_the_scalar_step(u, tie):
+    """Observation 2 sits halfway between two clusters of equal size without
+    it, so its CDF is [1, 2]: a uniform of 0.5 puts u * total on the first
+    entry.  The block stops there, and the scalar step reseats it as
+    bisect_right does, to the right; a uniform of 0.49 is no tie."""
+    hyper = _hyper(k_max=2)  # K = k_max: no auxiliary is offered
+    data = DataMatrix(np.array([[-5.0, -5.0, 0.0, 5.0, 5.0]]))
+    state = ModelState(z=np.array([1, 1, 1, 2, 2]), mu=np.array([[-1.0], [1.0]]),
+                       phi=np.ones((2, 1)), xi=np.zeros((2, 1), dtype=np.int8), theta=0.1)
+    rng = np.random.default_rng(0)
+    ws = ReseatWorkspace(state, data, build_vn_table(5, hyper), hyper, rng)
+    ws.uniforms.values[2] = u
+    if tie:
+        assert ws.advance(state.z, 0) == 2
+        assert ws.uniforms.served == 2
+        reseat_observation(2, state, ws, rng)
+        assert ws.advance(state.z, 3) == 5
+    else:
+        assert ws.advance(state.z, 0) == 5
+    ws.finish()
+    assert state.z.tolist() == [1, 1, 2 if tie else 1, 2, 2]
+    assert ws.sizes == ([2, 3] if tie else [3, 2])
 
 
 @pytest.mark.parametrize("ssl_mode", ["joint", "column"])

@@ -6,7 +6,8 @@ arithmetic (the loop ranks its iterates from cluster sums, the reference
 by the dense objective, and both must pick the same one); the reseat pass
 computes its distances from inner products, which changes the weights by
 rounding only, and the weights only steer categorical draws, whose
-uniforms it takes in blocks.  These tests hold them to the plain versions
+uniforms it takes in blocks, and which it makes for blocks of
+observations at once in numpy.  These tests hold them to the plain versions
 kept in ``oracles.py``: every array, and the generator's state, must be
 equal bit for bit, not close.
 """
@@ -22,7 +23,7 @@ from sparsegmm.core import DataMatrix, Hyperparams, ModelState, cluster_sums
 from sparsegmm.gibbs import InitSpec, RunConfig, init_state, sweep
 from sparsegmm.ssl import update_phi
 from sparsegmm.synthetic import ScenarioSpec, generate
-from sparsegmm.urn import build_vn_table
+from sparsegmm.urn import ReseatWorkspace, build_vn_table
 
 
 def _churning_design(ssl_mode):
@@ -38,10 +39,12 @@ def _churning_design(ssl_mode):
 
 
 def _count_moves(monkeypatch, k_max, check=None):
-    """Wrap the sweep's reseat to count clusters opened and closed and the
-    reseats started at K = k_max; ``check(state, ws)`` runs after each."""
-    moves = {"opened": 0, "closed": 0, "at_k_max": 0}
-    reseat = gibbs.reseat_observation
+    """Count over the sweep's reseat pass, whether a block of
+    ``ReseatWorkspace.advance`` or the scalar step reseated: clusters opened
+    and closed, reseats started at K = k_max, and moves between clusters
+    that blocks made.  ``check(state, ws)`` runs after each scalar step."""
+    moves = {"opened": 0, "closed": 0, "at_k_max": 0, "block_moves": 0}
+    reseat, advance = gibbs.reseat_observation, ReseatWorkspace.advance
 
     def counting_reseat(i, st, ws, rng):
         before = st.k_active
@@ -53,7 +56,16 @@ def _count_moves(monkeypatch, k_max, check=None):
             check(st, ws)
         return out
 
+    def counting_advance(ws, z, start):
+        labels = z.copy()
+        stop = advance(ws, z, start)
+        # a block opens and closes nothing, so K is the same for each of its reseats
+        moves["at_k_max"] += (stop - start) * (ws.k == k_max)
+        moves["block_moves"] += int((z != labels).sum())
+        return stop
+
     monkeypatch.setattr(gibbs, "reseat_observation", counting_reseat)
+    monkeypatch.setattr(ReseatWorkspace, "advance", counting_advance)
     return moves
 
 
@@ -85,6 +97,33 @@ def test_sweep_matches_reference_sweep_bitwise(ssl_mode, monkeypatch):
     # started at K = k_max, where a non-singleton is offered no new cluster
     assert moves["opened"] >= 5 and moves["closed"] >= 5, moves
     assert moves["at_k_max"] >= 50, moves
+
+
+@pytest.mark.parametrize("ssl_mode", ["joint", "column"])
+def test_sweep_matches_reference_sweep_bitwise_under_dense_moves(ssl_mode, monkeypatch):
+    """Three overlapping groups at p=2, n=200 and K = k_max = 3: about half
+    the observations change cluster in every pass, and the blocks, not the
+    scalar step, must make those moves with the reference's draws."""
+    rng = np.random.default_rng(3)
+    lab = rng.integers(0, 3, size=200)
+    centres = np.array([[1.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
+    data = DataMatrix(centres[:, lab] + rng.standard_normal((2, 200)))
+    hyper = Hyperparams(lambda0=2.0, lambda1=1.0, beta_theta=2.0, poisson_lambda=3.0,
+                        k_max=3, ssl_mode=ssl_mode)
+    vn = build_vn_table(data.n, hyper)
+    state = init_state(data, hyper, RunConfig(init=InitSpec("random_k", 3)),
+                       np.random.default_rng(1))
+    ref = state.copy()
+    moves = _count_moves(monkeypatch, hyper.k_max)
+    rng, rng_ref = np.random.default_rng(5), np.random.default_rng(5)
+    for s in range(20):
+        sweep(state, data, vn, hyper, rng)
+        reference_sweep(ref, data, vn, hyper, rng_ref)
+        assert np.array_equal(state.z, ref.z), s
+        assert np.array_equal(state.mu, ref.mu), s
+        assert np.array_equal(state.xi, ref.xi), s
+        assert rng.bit_generator.state == rng_ref.bit_generator.state, s
+    assert moves["block_moves"] >= 50 * 20, moves
 
 
 def test_joint_indicator_rows_stay_tied(monkeypatch):
@@ -180,7 +219,8 @@ def test_fit_kmeans_matches_reference_kmeans_bitwise(scenario, seed):
     spec = ScenarioSpec(scenario=scenario, p=60, n=120, s=6 if scenario == "one" else None,
                         mean_scale=1.5, seed=seed)
     data = generate(spec)[0]
-    mu, z, obj = fit_kmeans(data, 3, seed=seed)
+    mu, z = fit_kmeans(data, 3, seed=seed)
+    obj = fit_cmle(data, CmleConfig(k=3, seed=seed))[2]
     mu_ref, z_ref, obj_ref, _ = reference_kmeans(data.values, 3, seed=seed)
     assert np.array_equal(mu, mu_ref)
     assert np.array_equal(z, z_ref)
@@ -193,7 +233,8 @@ def test_fit_kmeans_matches_reference_through_empty_cluster_reseed():
     rng = np.random.default_rng(4)
     values = np.repeat(np.array([[0.0, 5.0, 10.0]]), 4, axis=1) + 0.1 * rng.standard_normal((1, 12))
     values = np.vstack([values, 0.1 * rng.standard_normal((1, 12))])
-    mu, z, obj = fit_kmeans(DataMatrix(values), 8, seed=3)
+    mu, z = fit_kmeans(DataMatrix(values), 8, seed=3)
+    obj = fit_cmle(DataMatrix(values), CmleConfig(k=8, seed=3))[2]
     mu_ref, z_ref, obj_ref, reseeds = reference_kmeans(values, 8, seed=3)
     assert reseeds > 0
     assert np.array_equal(mu, mu_ref)

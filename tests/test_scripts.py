@@ -68,6 +68,8 @@ def test_ab_fit_lists_the_north_star_workload():
     out = _run("ab_fit.py", "--help")
     assert re.search(r"^  north_star\s+scenario I, p=2000, n=3000", out, re.M), out
     assert re.search(r"\{large_joint,chains_column,north_star\}", out), out
+    # several workloads can be timed by one command
+    assert re.search(r"--workload \{[a-z_,]+\} \[\{[a-z_,]+\} \.\.\.\]", out), out
 
 
 def test_ab_fit_prints_the_pair_ratios():

@@ -25,9 +25,25 @@ def _tracing_module():
     return module
 
 
-def test_tracer_counts_every_reseat_and_categorical_draw():
+def test_tracer_counts_every_reseat_and_categorical_draw(monkeypatch):
+    """The tracer's ``urn.reseats`` counts the scalar steps, not the
+    observations that blocks of ``ReseatWorkspace.advance`` reseat."""
     data = generate(ScenarioSpec(scenario="one", p=20, n=30, s=4, seed=1))[0]
-    config = gibbs.RunConfig(n_burn=3, n_keep=5, seed=1)
+    # from eight random clusters the chain opens and closes clusters, which
+    # only the scalar step does
+    config = gibbs.RunConfig(n_burn=3, n_keep=5, seed=1, init=gibbs.InitSpec("random_k", 8))
+    scalar, opens = [], []
+    reseat = gibbs.reseat_observation
+
+    def counting(i, state, ws, rng):
+        out = reseat(i, state, ws, rng)
+        scalar.append(i)
+        # alone in the last cluster: i opened it, perhaps just after closing
+        # its own, and a fresh auxiliary was drawn
+        opens.append(state.z[i] == ws.k and ws.sizes[-1] == 1)
+        return out
+
+    monkeypatch.setattr(gibbs, "reseat_observation", counting)
     tracer = _tracing_module().Tracer()
     tracer.install()
     try:
@@ -37,9 +53,13 @@ def test_tracer_counts_every_reseat_and_categorical_draw():
     metrics = {name: value for name, (value, _unit) in tracer.metrics().items()}
     sweeps = 3 + 5
     assert metrics["gibbs.sweeps"] == sweeps
-    assert metrics["urn.reseats"] == data.n * sweeps
-    # one categorical draw per reseat, timed as its own layer
-    assert sum(acc.calls["urn.categorical"] for acc in tracer._accs) == data.n * sweeps
+    assert metrics["urn.reseats"] == len(scalar)
+    # every open and close is a scalar step; the blocks reseated the rest
+    opened = metrics["urn.clusters_opened"]
+    assert 0 < opened + metrics["urn.clusters_closed"] <= len(scalar) < data.n * sweeps
+    assert opened <= sum(opens)
+    # one categorical draw per scalar step, timed as its own layer
+    assert sum(acc.calls["urn.categorical"] for acc in tracer._accs) == len(scalar)
     assert metrics["urn.categorical_s"] > 0
     # one auxiliary per pass, and one more per cluster opened
-    assert metrics["urn.candidate_draws"] == sweeps + metrics["urn.clusters_opened"]
+    assert metrics["urn.candidate_draws"] == sweeps + sum(opens)
