@@ -13,6 +13,9 @@ the first difference.
 One process sees the same machine load, allocator and BLAS threads on
 both sides, so the ratios spread less than those of separate benchmark
 runs; they time the fit alone, without import or post-processing.
+Before the timed pairs, each side makes one untimed fit under
+``tracemalloc``, whose peak (the most memory the fit held at once, data
+aside) the script prints.
 
 Workloads (the first two are the data and chains of perfbench's
 workloads of that name):
@@ -34,6 +37,7 @@ import importlib.util
 import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 WORKLOADS = {
@@ -79,6 +83,16 @@ class Side:
         return seconds, "".join(self.sg.core.trace_to_ndjson(t) for t in traces)
 
 
+def traced_peak_mb(side: Side) -> float:
+    """Peak of the memory that one untimed fit allocates, in MB, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        side.fit()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
 def compare(name: str, packages: dict, pairs: int) -> bool:
     """Time ``pairs`` alternating pairs of fits of workload ``name`` by the
     packages ``{"a": ..., "b": ...}`` and print the ratios; False at the
@@ -86,6 +100,9 @@ def compare(name: str, packages: dict, pairs: int) -> bool:
     sides = {key: Side(sg, WORKLOADS[name]) for key, sg in packages.items()}
     for side in sides.values():  # warm caches and lazy imports, untimed
         side.fit()
+    peaks = {key: traced_peak_mb(side) for key, side in sides.items()}
+    print(f"{name}: tracemalloc peak of one fit: a {peaks['a']:.1f} MB  "
+          f"b {peaks['b']:.1f} MB", flush=True)
     ratios = []
     for pair in range(pairs):
         order = "ab" if pair % 2 == 0 else "ba"

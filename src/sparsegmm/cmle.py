@@ -17,6 +17,9 @@ import numpy as np
 from .core import DataMatrix, cluster_sums, residual_score
 from .errors import ConfigError
 
+# elements per block of squared rows in ``_sq_norms``: a 256 KB buffer
+_SQ_BLOCK = 2**15
+
 
 @dataclass(frozen=True)
 class CmleConfig:
@@ -59,6 +62,30 @@ def _objective(values: np.ndarray, mu: np.ndarray, z: np.ndarray) -> float:
     np.subtract(values, resid, out=resid)
     np.multiply(resid, resid, out=resid)
     return float(np.sum(resid))
+
+
+def _sq_norms(values: np.ndarray) -> np.ndarray:
+    """Squared norm of each column, bitwise equal to ``(values * values).sum(axis=0)``
+    without its p x n temporary.
+
+    On a C-ordered matrix with n > 1 that sum adds the squared rows one by
+    one into the running sum, so blocks of rows are squared into a small
+    buffer behind a first row holding the running sum, and each block is
+    reduced along axis 0 the same way.  Otherwise the reduction runs along
+    contiguous memory, where numpy sums pairwise, so the whole sum is taken.
+    """
+    p, n = values.shape
+    if n == 1 or not values.flags.c_contiguous:
+        return (values * values).sum(axis=0)
+    rows = max(1, _SQ_BLOCK // n)
+    buf = np.zeros((rows + 1, n))
+    out = np.zeros(n)
+    for start in range(0, p, rows):
+        block = values[start:start + rows]
+        buf[0] = out
+        np.multiply(block, block, out=buf[1:block.shape[0] + 1])
+        np.add.reduce(buf[:block.shape[0] + 1], axis=0, out=out)
+    return out
 
 
 def _assign(values: np.ndarray, sq_norms: np.ndarray, mu: np.ndarray) -> np.ndarray:
@@ -148,7 +175,7 @@ def _best_of_restarts(
     if config.s > p:
         raise ConfigError(f"s={config.s} exceeds p={p}")
     streams = np.random.SeedSequence(config.seed).spawn(config.n_restarts)
-    sq_norms = (values * values).sum(axis=0)
+    sq_norms = _sq_norms(values)
     best = (None, None, np.inf)
     for r in range(config.n_restarts):
         if r == 0 and init_centers is not None:

@@ -109,10 +109,11 @@ class ProgressEvent:
 ProgressCallback = Callable[[ProgressEvent], None]
 
 
-def _effective_k_max(hyper: Hyperparams, n: int) -> int:
+def _effective_k_max(hyper: Hyperparams, n: int, stacklevel: int = 3) -> int:
+    """k_max clamped to n, with a warning at the frame ``stacklevel`` up."""
     if hyper.k_max > n:
         warnings.warn(
-            f"k_max={hyper.k_max} exceeds n={n}; clamping to n", stacklevel=3
+            f"k_max={hyper.k_max} exceeds n={n}; clamping to n", stacklevel=stacklevel
         )
         return n
     return hyper.k_max
@@ -243,25 +244,29 @@ def _take_snapshot(state: ModelState, store_dense: bool) -> Snapshot:
     )
 
 
-def run_chain(
-    data: DataMatrix,
-    hyper: Hyperparams,
-    config: RunConfig,
-    chain_id: int = 0,
-    rng: np.random.Generator | None = None,
-    progress: ProgressCallback | None = None,
-) -> ChainTrace:
-    """Run one chain: n_burn discarded sweeps, then n_keep thinned snapshots.
-
-    ``progress``, if given, is called every 100 sweeps.
-    """
+def _prepare(data: DataMatrix, hyper: Hyperparams) -> tuple[Hyperparams, VnTable]:
+    """Check the data, clamp k_max to n (warning at the caller of the public
+    function that called this) and build the V_n table: once per run, for
+    every chain."""
     validate_dataset(data)
+    k_max = _effective_k_max(hyper, data.n, stacklevel=4)
+    hyper_run = hyper if k_max == hyper.k_max else replace(hyper, k_max=k_max)
+    return hyper_run, build_vn_table(data.n, hyper_run)
+
+
+def _run_prepared(
+    data: DataMatrix,
+    hyper_run: Hyperparams,
+    vn: VnTable,
+    config: RunConfig,
+    chain_id: int,
+    rng: np.random.Generator | None,
+    progress: ProgressCallback | None,
+) -> ChainTrace:
+    """``run_chain`` given what ``_prepare`` returns."""
     if rng is None:
         # the chain_id-th child of SeedSequence(seed).spawn(...)
         rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(chain_id,)))
-    k_max = _effective_k_max(hyper, data.n)
-    hyper_run = hyper if k_max == hyper.k_max else replace(hyper, k_max=k_max)
-    vn = build_vn_table(data.n, hyper_run)
     state = init_state(data, hyper_run, config, rng)
     total = config.n_burn + config.n_keep * config.thin
     y_sq = float(np.vdot(data.values, data.values)) if progress else 0.0
@@ -286,6 +291,22 @@ def run_chain(
     return ChainTrace(snapshots=snaps, meta=meta)
 
 
+def run_chain(
+    data: DataMatrix,
+    hyper: Hyperparams,
+    config: RunConfig,
+    chain_id: int = 0,
+    rng: np.random.Generator | None = None,
+    progress: ProgressCallback | None = None,
+) -> ChainTrace:
+    """Run one chain: n_burn discarded sweeps, then n_keep thinned snapshots.
+
+    ``progress``, if given, is called every 100 sweeps.
+    """
+    hyper_run, vn = _prepare(data, hyper)
+    return _run_prepared(data, hyper_run, vn, config, chain_id, rng, progress)
+
+
 def run_chains(
     data: DataMatrix,
     hyper: Hyperparams,
@@ -296,7 +317,9 @@ def run_chains(
 
     Chain c owns the generator of the c-th stream spawned from the master
     seed, so it equals ``run_chain(..., chain_id=c)``; output is ordered
-    by chain id.
+    by chain id.  The data check and the V_n table are made once, for
+    every chain.
     """
-    return [run_chain(data, hyper, config, chain_id=cid, progress=progress)
+    hyper_run, vn = _prepare(data, hyper)
+    return [_run_prepared(data, hyper_run, vn, config, cid, None, progress)
             for cid in range(config.n_chains)]

@@ -142,9 +142,14 @@ def generate(spec: ScenarioSpec) -> tuple[DataMatrix, np.ndarray, np.ndarray]:
         raise BadSpecError("need n >= 2")
     rng = np.random.default_rng(spec.seed)
     z = rng.choice(weights.size, size=n, p=weights) + 1
-    noise = rng.standard_normal((p, n)) * np.sqrt(variances[z - 1].T)
+    # in place, cluster by cluster: the same products and sums as
+    # means[:, z - 1] + noise * sqrt(variances[z - 1].T), without p x n temporaries
+    y = rng.standard_normal((p, n))
+    members = [np.flatnonzero(z == c + 1) for c in range(weights.size)]
+    for c, cols in enumerate(members):
+        y[:, cols] *= np.sqrt(variances[c])[:, None]
     if t_dof is not None:
-        scale = np.sqrt(t_dof / rng.chisquare(t_dof, size=n))
-        noise = noise * scale[None, :]
-    y = means[:, z - 1] + noise
+        y *= np.sqrt(t_dof / rng.chisquare(t_dof, size=n))
+    for c, cols in enumerate(members):
+        y[:, cols] += means[:, c, None]
     return DataMatrix(values=y), z, means

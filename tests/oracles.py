@@ -7,7 +7,9 @@ package does not provide.  ``reference_sweep`` writes the sampler's
 reseat pass plainly (direct distances, per-call allocation, scalar
 uniforms) and its scale update cluster by cluster, and
 ``reference_kmeans`` keeps the k-means Lloyd loop in its first form, as
-bitwise references for the lean ones.  ``dense_reconstruction_error``,
+bitwise references for the lean ones; ``reference_generate`` draws a
+synthetic dataset with whole-matrix expressions, where the package works
+in place.  ``dense_reconstruction_error``,
 ``reference_index`` and ``reference_kmeans`` rank alignment candidates
 and Lloyd iterates by the full p x n residual, which the package ranks
 from cluster sums instead.  ``reference_psrf_report`` matches each
@@ -30,6 +32,7 @@ from sparsegmm.ssl import (
     update_theta,
     update_xi,
 )
+from sparsegmm.synthetic import _resolve
 
 
 def gig_moment_quad(zeta: float, chi: float, tau: float, order: int) -> float:
@@ -503,3 +506,18 @@ def reference_kmeans(values, k, seed=0, n_restarts=8, max_iters=100, s=None):
         if run_best[2] < best[2]:
             best = run_best
     return best + (reseeds,)
+
+
+def reference_generate(spec):
+    """(values, z, means) of ``generate(spec)``, as whole p x n expressions:
+    the scenario's parameters, then labels, Gaussian noise scaled by the
+    standard deviations of each observation's cluster, the t scaling, and
+    the means added."""
+    p, n, means, weights, variances, t_dof = _resolve(spec)
+    rng = np.random.default_rng(spec.seed)
+    z = rng.choice(weights.size, size=n, p=weights) + 1
+    noise = rng.standard_normal((p, n)) * np.sqrt(variances[z - 1].T)
+    if t_dof is not None:
+        scale = np.sqrt(t_dof / rng.chisquare(t_dof, size=n))
+        noise = noise * scale[None, :]
+    return means[:, z - 1] + noise, z, means

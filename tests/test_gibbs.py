@@ -5,6 +5,7 @@ import pytest
 from scipy.special import expit
 
 from oracles import exact_partition_posterior, trunc_poisson_pmf_direct, vn_bruteforce
+import sparsegmm.gibbs as gibbs
 from sparsegmm import ssl
 from sparsegmm.core import COLUMN_SSL, DataMatrix, Hyperparams, trace_to_ndjson
 from sparsegmm.core import default_hyperparams as sg_default
@@ -357,15 +358,33 @@ def test_run_chains_single_equals_run_chain():
         assert np.array_equal(a.z, b.z) and a.theta == b.theta
 
 
-def test_run_chains_match_run_chain_per_chain_id():
-    """Chain c of run_chains is run_chain(..., chain_id=c), bit for bit."""
+def test_run_chains_match_run_chain_per_chain_id(monkeypatch):
+    """Chain c of run_chains is run_chain(..., chain_id=c), bit for bit,
+    and the four chains share one V_n table."""
     data, _ = _blobs(seed=10, n_per=5)
     cfg = RunConfig(n_burn=1, n_keep=5, seed=33, n_chains=4, store_dense_mu=True)
+    tables = []
+
+    def counting_build(n, hyper):
+        tables.append(build_vn_table(n, hyper))
+        return tables[-1]
+
+    monkeypatch.setattr(gibbs, "build_vn_table", counting_build)
     chains = run_chains(data, _hyper(), cfg)
+    assert len(tables) == 1
     assert [t.meta.chain_id for t in chains] == [0, 1, 2, 3]
     for cid, multi in enumerate(chains):
         solo = run_chain(data, _hyper(), cfg, chain_id=cid)
         assert trace_to_ndjson(solo) == trace_to_ndjson(multi)
+
+
+@pytest.mark.parametrize("run", [run_chain, run_chains])
+def test_k_max_clamp_warns_at_the_callers_line(run):
+    data, _ = _blobs(seed=10, n_per=2)
+    cfg = RunConfig(n_burn=1, n_keep=1, n_chains=2)
+    with pytest.warns(UserWarning, match="clamping to n") as caught:
+        run(data, _hyper(k_max=data.n + 1), cfg)
+    assert [w.filename for w in caught] == [__file__]
 
 
 def test_run_chains_five_chains_agree_on_separated_blobs():

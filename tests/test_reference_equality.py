@@ -1,7 +1,8 @@
 """Bitwise equality of the lean sampler paths with their naive references.
 
-The cluster sums, the scale update and the k-means Lloyd loop were
-rewritten to do less work with the same random draws and the same
+The cluster sums, the k-means start's squared norms, the scale update,
+the k-means Lloyd loop and the synthetic generator were rewritten to do
+less work, or to hold less memory, with the same random draws and the same
 arithmetic (the loop ranks its iterates from cluster sums, the reference
 by the dense objective, and both must pick the same one); the reseat pass
 computes its distances from inner products, which changes the weights by
@@ -12,14 +13,17 @@ kept in ``oracles.py``: every array, and the generator's state, must be
 equal bit for bit, not close.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import sparsegmm.cmle as cmle
 import sparsegmm.distributions as distributions
 import sparsegmm.gibbs as gibbs
-from oracles import reference_kmeans, reference_sweep, reference_update_phi
+from oracles import reference_generate, reference_kmeans, reference_sweep, reference_update_phi
 from sparsegmm.cmle import CmleConfig, fit_cmle, fit_kmeans
-from sparsegmm.core import DataMatrix, Hyperparams, ModelState, cluster_sums
+from sparsegmm.core import SPARSE_SUMS_MIN, DataMatrix, Hyperparams, ModelState, cluster_sums
 from sparsegmm.gibbs import InitSpec, RunConfig, init_state, sweep
 from sparsegmm.ssl import update_phi
 from sparsegmm.synthetic import ScenarioSpec, generate
@@ -185,22 +189,60 @@ def test_update_phi_matches_reference_bitwise(tiny_chi, monkeypatch):
 
 def _wide_range_data(p, n=300, k=5):
     """(values, z, k): a p x n matrix with magnitudes over 16 decades, so a
-    different order of addition shows, and labels with label 4 empty."""
+    different order of addition shows, and labels with label min(4, k)
+    empty if k > 1."""
     rng = np.random.default_rng(p)
     values = rng.standard_normal((p, n)) * 10.0 ** rng.integers(-8, 8, size=(p, n))
     z = rng.permutation(np.repeat(np.arange(1, k + 1), n // k))
-    z[z == 4] = 3
+    if k > 1:
+        z[z == min(4, k)] = min(4, k) - 1
     return values, z, k
 
 
-@pytest.mark.parametrize("p", [1, 2, 7, 64])
-def test_cluster_sums_match_add_at_bitwise(p):
-    values, z, k = _wide_range_data(p)
+# (p, n, k, order of obs, whether n * p reaches the sparse product's switch)
+@pytest.mark.parametrize("p,n,k,order,sparse", [
+    (1, 300, 5, "C", False), (2, 300, 5, "C", False), (7, 300, 5, "C", False),
+    (64, 300, 5, "C", False), (64, 300, 5, "F", False), (500, 300, 1, "C", True),
+    (1, 2**17, 4, "C", True), (1000, 300, 3, "C", True), (1000, 300, 3, "F", True),
+    (700, 420, 21, "C", True),
+], ids=["1", "2", "7", "64", "64-F", "sparse-k1", "sparse-p1", "sparse-k3", "sparse-k3-F",
+        "sparse-k21"])
+def test_cluster_sums_match_add_at_bitwise(p, n, k, order, sparse):
+    values, z, k = _wide_range_data(p, n, k)
+    obs = np.ascontiguousarray(values.T) if order == "C" else values.T
+    assert (obs.size >= SPARSE_SUMS_MIN) == sparse
     expected = np.zeros((k, p))
-    np.add.at(expected, z - 1, values.T)
-    got = cluster_sums(DataMatrix(values).obs, z, k)
+    np.add.at(expected, z - 1, obs)
+    got = cluster_sums(obs, z, k)
     assert np.array_equal(got, expected)
-    assert not got[3].any()
+    assert k == 1 or not got[min(4, k) - 1].any()
+
+
+def test_cluster_sums_above_the_switch_copy_no_rows():
+    # the gather copied each cluster's rows: here 3/5 of the matrix at once
+    values, z, k = _wide_range_data(600, 500, 5)
+    obs = np.ascontiguousarray(values.T)
+    z[z == 2] = 1
+    z[z == 3] = 1
+    tracemalloc.start()
+    try:
+        cluster_sums(obs, z, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert obs.size >= SPARSE_SUMS_MIN
+    assert peak < obs.nbytes / 4
+
+
+@pytest.mark.parametrize("p,n", [(1, 1), (1, 7), (9, 1), (300, 1), (5, 2), (64, 300),
+                                 (40, 5000), (1000, 33), (257, 129)])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_sq_norms_match_whole_sum_bitwise(p, n, order, monkeypatch):
+    # 256-element blocks: one row to a block at n >= 129, or a short last block
+    monkeypatch.setattr(cmle, "_SQ_BLOCK", 256)
+    values, _, _ = _wide_range_data(p, n, 1)
+    values = np.asarray(values, order=order)
+    assert np.array_equal(cmle._sq_norms(values), (values * values).sum(axis=0))
 
 
 @pytest.mark.parametrize("rows", [[0], [5, 1, 40], list(range(0, 64, 3))])
@@ -254,3 +296,25 @@ def test_fit_cmle_sparse_matches_reference_bitwise(scenario, seed, s):
     assert np.array_equal(mu, mu_ref)
     assert np.array_equal(z, z_ref)
     assert obj == obj_ref
+
+
+def _custom_t_mixture():
+    rng = np.random.default_rng(5)
+    variances = rng.random((4, 20)) * np.array([[0.0], [1.0], [2.0], [3.0]])
+    return ScenarioSpec(scenario="custom", means=rng.standard_normal((20, 4)),
+                        weights=np.full(4, 0.25), diag_variances=variances, t_dof=3.0,
+                        n=300, seed=9)
+
+
+@pytest.mark.parametrize("spec", [
+    *(ScenarioSpec(scenario=sc, p=p, n=n, s=min(p, 6), seed=seed)
+      for sc in ("one", "two", "three") for seed in (0, 1) for p, n in ((1, 2), (30, 40), (400, 200))),
+    ScenarioSpec(scenario="one", k_star=5, p=50, n=101, s=12, mean_scale=1.5, seed=4),
+    _custom_t_mixture(),
+], ids=lambda spec: f"{spec.scenario}-{spec.p}x{spec.n}-seed{spec.seed}")
+def test_generate_matches_reference_generate_bitwise(spec):
+    data, z, means = generate(spec)
+    values_ref, z_ref, means_ref = reference_generate(spec)
+    assert data.values.flags.c_contiguous
+    assert np.array_equal(data.values, values_ref)
+    assert np.array_equal(z, z_ref) and np.array_equal(means, means_ref)

@@ -76,5 +76,7 @@ def test_ab_fit_prints_the_pair_ratios():
     # one checkout against itself: the traces must be identical
     out = _run("ab_fit.py", "--a", ROOT, "--b", ROOT, "--workload", "chains_column",
                "--pairs", 1)
+    assert re.search(r"^chains_column: tracemalloc peak of one fit: a [\d.]+ MB  b [\d.]+ MB$",
+                     out, re.M), out
     assert re.search(r"^pair  1 \(ab first\): a \S+ s  b \S+ s  b/a \S+$", out, re.M), out
     assert re.search(r"^chains_column: median b/a \S+ .* traces identical$", out, re.M), out
