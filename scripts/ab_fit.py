@@ -80,7 +80,7 @@ class Side:
         t0 = time.perf_counter()
         traces = self.sg.run_chains(self.data, self.hyper, self.config)
         seconds = time.perf_counter() - t0
-        return seconds, "".join(self.sg.core.trace_to_ndjson(t) for t in traces)
+        return seconds, "".join(self.sg.trace_to_ndjson(t) for t in traces)
 
 
 def traced_peak_mb(side: Side) -> float:

@@ -15,6 +15,7 @@ import time
 import numpy as np
 
 import sparsegmm as sg
+from sparsegmm.metrics import min_hamming
 
 
 def run_one(scenario, seed, p, n, n_burn, n_keep, mean_scale):
@@ -28,8 +29,8 @@ def run_one(scenario, seed, p, n, n_burn, n_keep, mean_scale):
     return {
         "k_hat": est.k_hat,
         "ari": sg.ari(z_true, est.z_hat),
-        "d_h": sg.min_hamming(z_true, est.z_hat,
-                              max(est.k_hat, int(np.unique(z_true).size))),
+        "d_h": min_hamming(z_true, est.z_hat,
+                           max(est.k_hat, int(np.unique(z_true).size))),
         "err": sg.mean_matrix_error(est.mu_hat, est.z_hat, mu_true, z_true),
         "support": est.support_hat,
     }

@@ -13,33 +13,26 @@ from .core import (
     ClusterEstimate,
     DataMatrix,
     Hyperparams,
-    ModelState,
-    Snapshot,
     default_hyperparams,
     trace_from_ndjson,
     trace_to_ndjson,
-    validate_dataset,
 )
-from .distributions import sample_categorical_log
 from .gibbs import InitSpec, RunConfig, run_chain, run_chains
-from .metrics import ari, mean_matrix_error, min_hamming, nmi
+from .metrics import ari, mean_matrix_error
 from .preprocess import preprocess_scrna
-from .summarize import AlignedTrace, align_labels, point_estimates, psrf, psrf_report
+from .summarize import align_labels, point_estimates, psrf_report
 from .synthetic import ScenarioSpec, generate
 
 __all__ = [
     "__version__",
-    "AlignedTrace",
     "ChainTrace",
     "ClusterEstimate",
     "CmleConfig",
     "DataMatrix",
     "Hyperparams",
     "InitSpec",
-    "ModelState",
     "RunConfig",
     "ScenarioSpec",
-    "Snapshot",
     "align_labels",
     "ari",
     "default_hyperparams",
@@ -47,16 +40,11 @@ __all__ = [
     "fit_kmeans",
     "generate",
     "mean_matrix_error",
-    "min_hamming",
-    "nmi",
     "point_estimates",
     "preprocess_scrna",
-    "psrf",
     "psrf_report",
     "run_chain",
     "run_chains",
-    "sample_categorical_log",
     "trace_from_ndjson",
     "trace_to_ndjson",
-    "validate_dataset",
 ]

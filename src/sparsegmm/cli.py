@@ -3,14 +3,15 @@
 Subcommands: simulate, preprocess, fit, evaluate, diagnose, report.
 Configuration comes from a JSON file with flag overrides; outputs are
 deterministic given the same config and seed.  Exit codes: 0 success,
-2 configuration error, 3 data error, 4 runtime failure.
+2 configuration error (an output path that cannot be written included),
+3 data error (an input file that cannot be read included), 4 runtime
+failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from .core import DataMatrix, validate_dataset
 from .errors import ConfigError, DataError, SparseGmmError
@@ -24,8 +25,10 @@ from .experiment import (
     load_matrix_csv,
     load_traces,
     load_truth,
+    output_dir,
     run_experiment,
     save_matrix_csv,
+    write_text,
     write_truth,
 )
 from .preprocess import preprocess_scrna
@@ -102,8 +105,7 @@ def _cmd_simulate(args) -> int:
         seed=args.seed,
     )
     data, z_true, mu_true = generate(spec)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = output_dir(args.out)
     save_matrix_csv(out / "data.csv", data.values)
     write_truth(out / "truth.json", z_true, mu_true)
     print(f"wrote {out / 'data.csv'} ({data.p}x{data.n}) and truth.json")
@@ -166,7 +168,7 @@ def _cmd_evaluate(args) -> int:
     metrics = compute_metrics(est, *load_truth(args.truth))
     text = canonical_json(metrics)
     if args.out:
-        Path(args.out).write_text(text)
+        write_text(args.out, text)
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -181,7 +183,7 @@ def _cmd_diagnose(args) -> int:
     report = psrf_report(traces, data)
     text = canonical_json(report)
     if args.out:
-        Path(args.out).write_text(text)
+        write_text(args.out, text)
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -223,9 +225,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except FileNotFoundError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (SparseGmmError, ValueError) as exc:

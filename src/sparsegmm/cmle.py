@@ -56,12 +56,22 @@ def sparsify_rows(mu: np.ndarray, s: int, sizes: np.ndarray | None = None) -> np
     return out
 
 
-def _objective(values: np.ndarray, mu: np.ndarray, z: np.ndarray) -> float:
-    """||values - mu[:, z - 1]||_F^2 in one C-ordered p x n buffer."""
-    resid = np.take(mu, z - 1, axis=1)
+def _sq_residuals(values: np.ndarray, mu: np.ndarray, z: np.ndarray,
+                  order: str = "C") -> np.ndarray:
+    """(values - mu[:, z - 1]) ** 2 in one p x n buffer, without that
+    expression's two other p x n temporaries.  The buffer is C-ordered, or
+    with ``order="K"`` laid out as ``values``, as the expression lays out
+    its result, so that sums along an axis are bitwise the expression's."""
+    resid = np.empty_like(values, order=order)
+    np.take(mu, z - 1, axis=1, out=resid, mode="clip")  # "raise" would buffer a copy
     np.subtract(values, resid, out=resid)
     np.multiply(resid, resid, out=resid)
-    return float(np.sum(resid))
+    return resid
+
+
+def _objective(values: np.ndarray, mu: np.ndarray, z: np.ndarray) -> float:
+    """||values - mu[:, z - 1]||_F^2."""
+    return float(np.sum(_sq_residuals(values, mu, z)))
 
 
 def _sq_norms(values: np.ndarray) -> np.ndarray:
@@ -123,8 +133,7 @@ def _single_run(
         for _attempt in range(k):
             if not (sizes == 0).any():
                 break
-            resid = ((values - mu[:, z - 1]) ** 2).sum(axis=0)
-            worst = int(np.argmax(resid))
+            worst = int(np.argmax(_sq_residuals(values, mu, z, "K").sum(axis=0)))
             empty = int(np.flatnonzero(sizes == 0)[0])
             mu[:, empty] = values[:, worst]
             z = _assign(values, sq_norms, mu)

@@ -28,12 +28,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 import numpy as np
 from scipy.sparse import csr_array
 
-from .errors import (
-    DataError,
-    NonFiniteEntryError,
-    SparseGmmError,
-    TooFewObservationsError,
-)
+from .errors import DataError, SparseGmmError
 
 JOINT_SSL = "joint"
 COLUMN_SSL = "column"
@@ -71,24 +66,15 @@ class DataMatrix:
 
 
 def validate_dataset(data: DataMatrix) -> None:
-    """Check DataMatrix invariants; raise on violations.
-
-    Raises
-    ------
-    NonFiniteEntryError
-        If any entry is NaN or infinite (first offender in row-major order).
-    TooFewObservationsError
-        If n < 2 or p < 1.
-    """
+    """Check DataMatrix invariants; DataError if n < 2 or p < 1, or naming
+    the first NaN or infinite entry in row-major order."""
     v = data.values
     if v.shape[0] < 1 or v.shape[1] < 2:
-        raise TooFewObservationsError(
-            f"need p >= 1 and n >= 2, got p={v.shape[0]}, n={v.shape[1]}"
-        )
+        raise DataError(f"need p >= 1 and n >= 2, got p={v.shape[0]}, n={v.shape[1]}")
     bad = ~np.isfinite(v)
     if bad.any():
         r, c = np.argwhere(bad)[0]
-        raise NonFiniteEntryError(int(r), int(c))
+        raise DataError(f"non-finite entry at row {r}, column {c}")
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from bisect import bisect_right
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from .errors import AllWeightsNegInfiniteError
+from .errors import SparseGmmError
 
 # Below this, the inverse-Gaussian parameterization of the GIG degenerates;
 # such draws are routed to the chi=0 Gamma branch instead.
@@ -106,7 +106,7 @@ def sample_categorical_log(log_weights, rng: np.random.Generator) -> int:
         lw = np.asarray(log_weights, dtype=float).tolist()
     m = max(lw)
     if not math.isfinite(m):
-        raise AllWeightsNegInfiniteError("no finite log-weight")
+        raise SparseGmmError("no finite log-weight")
     exp = math.exp
     total = 0.0
     cdf = []
@@ -114,6 +114,6 @@ def sample_categorical_log(log_weights, rng: np.random.Generator) -> int:
         total += exp(w - m)
         cdf.append(total)
     if not total >= 1.0:  # a NaN after the first weight, which max() passes over
-        raise AllWeightsNegInfiniteError("a log-weight is NaN")
+        raise SparseGmmError("a log-weight is NaN")
     j = bisect_right(cdf, rng.random() * total)
     return j if j < len(cdf) else len(cdf) - 1

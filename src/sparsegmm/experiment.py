@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import io
 import json
 import platform
 from dataclasses import asdict, dataclass, replace
@@ -33,15 +34,7 @@ from .core import (
     trace_to_ndjson,
     validate_dataset,
 )
-from .errors import (
-    ConfigError,
-    DataError,
-    DegeneratePartitionError,
-    DimensionMismatchError,
-    LabelOutOfRangeError,
-    LengthMismatchError,
-    SparseGmmError,
-)
+from .errors import ConfigError, DataError, SparseGmmError
 from .gibbs import RunConfig, run_chains
 from .metrics import ari, mean_matrix_error, min_hamming, nmi
 from .summarize import _psrf_table, align_labels, point_estimates
@@ -53,31 +46,61 @@ METHOD_KMEANS = "kmeans"
 
 
 # ---------------------------------------------------------------------------
-# CSV / JSON helpers
+# CSV / JSON helpers.  Every file the CLI reads or writes goes through
+# read_text, write_text or output_dir: an input that cannot be read is a
+# DataError (a ConfigError for a config file), an output that cannot be
+# written a ConfigError, and each names the path.
 # ---------------------------------------------------------------------------
+
+
+def read_text(path: str | Path, error: type[SparseGmmError] = DataError) -> str:
+    """The text of a file; ``error`` naming it if it cannot be read or decoded."""
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {path}: {exc}") from None
+
+
+def write_text(path: str | Path, text: str) -> None:
+    """Write ``text`` to a file; ConfigError naming it if it cannot be written."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from None
+
+
+def output_dir(path: str | Path) -> Path:
+    """A directory, made with its parents if missing; ConfigError naming it
+    if it cannot be made."""
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create the output directory {path}: {exc}") from None
+    return path
 
 
 def load_matrix_csv(path: str | Path, transpose: bool = False) -> np.ndarray:
     """Read a numeric CSV matrix; a non-numeric first row is treated as a header."""
-    path = Path(path)
-    with path.open() as fh:
-        first = fh.readline()
-        if not first:
-            raise DataError(f"{path} is empty")
-        skip = 0
-        try:
-            [float(tok) for tok in first.strip().split(",") if tok != ""]
-        except ValueError:
-            skip = 1
+    text = read_text(path)
+    if not text:
+        raise DataError(f"{path} is empty")
+    skip = 0
     try:
-        mat = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
+        [float(tok) for tok in text.partition("\n")[0].strip().split(",") if tok != ""]
+    except ValueError:
+        skip = 1
+    try:
+        mat = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=skip, ndmin=2)
     except ValueError as exc:
         raise DataError(f"could not parse {path}: {exc}") from exc
     return mat.T if transpose else mat
 
 
 def save_matrix_csv(path: str | Path, values: np.ndarray) -> None:
-    np.savetxt(path, values, delimiter=",", fmt="%.17g")
+    buf = io.StringIO()
+    np.savetxt(buf, values, delimiter=",", fmt="%.17g")
+    write_text(path, buf.getvalue())
 
 
 def canonical_json(obj) -> str:
@@ -109,10 +132,10 @@ def estimate_from_dict(d: dict, where: str) -> ClusterEstimate:
 
 
 def write_estimate(out_dir: Path, est: ClusterEstimate) -> None:
-    (out_dir / "estimate.json").write_text(canonical_json(estimate_to_dict(est)))
+    write_text(out_dir / "estimate.json", canonical_json(estimate_to_dict(est)))
     lines = ["observation,label"]
     lines += [f"{i + 1},{int(z)}" for i, z in enumerate(est.z_hat)]
-    (out_dir / "assignments.csv").write_text("\n".join(lines) + "\n")
+    write_text(out_dir / "assignments.csv", "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -189,17 +212,12 @@ class ReportBundle:
 def load_json_object(path: str | Path, error: type[SparseGmmError] = DataError) -> dict:
     """The JSON object in a file; ``error`` (DataError for a data file,
     ConfigError for a config file) if the file cannot be read or holds none."""
-    try:
-        text = Path(path).read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise error(f"cannot read {path}: {exc}") from None
-    return parse_json_object(text, str(path), error)
+    return parse_json_object(read_text(path, error), str(path), error)
 
 
 def write_truth(path: str | Path, z_true: np.ndarray, mu_true: np.ndarray) -> None:
-    Path(path).write_text(
-        canonical_json({"z_true": [int(v) for v in z_true], "mu_true": mu_true.tolist()})
-    )
+    write_text(path, canonical_json({"z_true": [int(v) for v in z_true],
+                                     "mu_true": mu_true.tolist()}))
 
 
 def load_truth(path: str | Path) -> tuple[np.ndarray, np.ndarray | None]:
@@ -219,8 +237,9 @@ def compute_metrics(
     z_true: np.ndarray,
     mu_true: np.ndarray | None,
 ) -> dict:
-    """ARI, NMI, mis-clustering rate, reconstruction error for an estimate;
-    DataError if the estimate and the truth do not fit each other."""
+    """ARI, NMI (None unless both partitions have two labels or more),
+    mis-clustering rate, reconstruction error for an estimate; DataError if
+    the estimate and the truth do not fit each other."""
     try:
         k_common = max(int(np.max(z_true)), int(np.max(est.z_hat)))
         out = {
@@ -228,14 +247,12 @@ def compute_metrics(
             "ari": ari(z_true, est.z_hat),
             "d_h": min_hamming(z_true, est.z_hat, k_common),
         }
-        try:
-            out["nmi"] = nmi(z_true, est.z_hat)
-        except DegeneratePartitionError:
-            out["nmi"] = None
+        two_each = min(np.unique(z_true).size, np.unique(est.z_hat).size) >= 2
+        out["nmi"] = nmi(z_true, est.z_hat) if two_each else None
         out["mean_matrix_error"] = None if mu_true is None else mean_matrix_error(
             est.mu_hat, est.z_hat, mu_true, z_true
         )
-    except (LengthMismatchError, LabelOutOfRangeError, DimensionMismatchError) as exc:
+    except SparseGmmError as exc:
         raise DataError(f"the estimate does not fit the truth: {exc}") from None
     return out
 
@@ -278,8 +295,7 @@ def run_experiment(
     available), psrf.json (multi-chain Bayesian runs), per-chain trace
     files, and manifest.json into the output directory.
     """
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = output_dir(config.output_dir)
 
     z_true = mu_true = None
     if config.scenario is not None:
@@ -296,13 +312,11 @@ def run_experiment(
                          "config.hyperparams", ConfigError)
         traces = run_chains(data, hyper, config.run, progress=progress)
         for t in traces:
-            (out_dir / f"trace_chain{t.meta.chain_id}.ndjson").write_text(
-                trace_to_ndjson(t)
-            )
+            write_text(out_dir / f"trace_chain{t.meta.chain_id}.ndjson", trace_to_ndjson(t))
         aligned = align_labels([s for t in traces for s in t.snapshots], data)
         est = point_estimates(aligned)
         if len(traces) >= 2:
-            (out_dir / "psrf.json").write_text(canonical_json(_psrf_table(traces, aligned)))
+            write_text(out_dir / "psrf.json", canonical_json(_psrf_table(traces, aligned)))
     else:
         mu, z, _ = fit_cmle(data, config.cmle)
         est = _estimate_from_flat(mu, z)
@@ -312,12 +326,12 @@ def run_experiment(
     metrics = None
     if z_true is not None:
         metrics = compute_metrics(est, z_true, mu_true)
-        (out_dir / "metrics.json").write_text(canonical_json(metrics))
+        write_text(out_dir / "metrics.json", canonical_json(metrics))
 
     manifest = _manifest(config_dict or {}, data)
-    (out_dir / "manifest.json").write_text(canonical_json(manifest))
+    write_text(out_dir / "manifest.json", canonical_json(manifest))
     return ReportBundle(estimate=est, metrics=metrics)
 
 
 def load_traces(paths: list[str | Path]) -> list[ChainTrace]:
-    return [trace_from_ndjson(Path(p).read_text(), str(p)) for p in paths]
+    return [trace_from_ndjson(read_text(p), str(p)) for p in paths]

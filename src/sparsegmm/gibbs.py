@@ -54,13 +54,12 @@ from .core import (
     residual_score,
     validate_dataset,
 )
-from .errors import InvalidKError
+from .errors import ConfigError
 from .ssl import build_context, update_mu, update_phi, update_theta, update_xi
 from .urn import ReseatWorkspace, VnTable, build_vn_table, reseat_observation
 
 SINGLE_CLUSTER = "single"
 RANDOM_K = "random_k"
-KMEANS_PP = "kmeans_pp"
 KMEANS = "kmeans"
 
 _PROGRESS_EVERY = 100
@@ -74,7 +73,7 @@ class InitSpec:
     k: int | None = None
 
     def __post_init__(self):
-        if self.kind not in (SINGLE_CLUSTER, RANDOM_K, KMEANS_PP, KMEANS):
+        if self.kind not in (SINGLE_CLUSTER, RANDOM_K, KMEANS):
             raise ValueError(f"unknown init kind {self.kind!r}")
         if self.k is not None and self.k < 1:
             raise ValueError(f"init k must be at least 1, got {self.k}")
@@ -143,13 +142,11 @@ def init_state(
 
     Single-cluster: everything in one cluster at the sample mean.  Random
     assignment: labels uniform on 1..k, empty clusters compacted.
-    Kmeans++ seeding: k centers by the squared-distance rule, nearest
-    assignment.  k-means: the best of ``fit_kmeans``'s restarts (seeded
-    from ``rng``).  Means are set to the resulting cluster sample means;
-    auxiliaries start at 1, indicators at 0, theta at its prior mean
-    1 / (1 + beta_theta).  The start is k-means unless ``config.init``
-    says otherwise, and k is the prior count min(poisson rate, k_max)
-    unless it sets k.
+    k-means: the best of ``fit_kmeans``'s restarts (seeded from ``rng``).
+    Means are set to the resulting cluster sample means; auxiliaries start
+    at 1, indicators at 0, theta at its prior mean 1 / (1 + beta_theta).
+    The start is k-means unless ``config.init`` says otherwise, and k is
+    the prior count min(poisson rate, k_max) unless it sets k.
     """
     spec = config.init or InitSpec()
     k_max = _effective_k_max(hyper, data.n)
@@ -158,16 +155,12 @@ def init_state(
     prior_k = max(1, min(int(hyper.poisson_lambda), k_max))
     k = 1 if spec.kind == SINGLE_CLUSTER else spec.k or prior_k
     if k > k_max:
-        raise InvalidKError(f"init k={k} exceeds k_max={k_max}")
+        raise ConfigError(f"init k={k} exceeds k_max={k_max}")
 
     if spec.kind == SINGLE_CLUSTER:
         z = np.ones(n, dtype=int)
     elif spec.kind == RANDOM_K:
         z = rng.integers(1, k + 1, size=n)
-    elif spec.kind == KMEANS_PP:
-        centers = _kmeans_pp_centers(data.values, k, rng)
-        d2 = ((data.values.T[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        z = d2.argmin(axis=1) + 1
     else:
         _, z = fit_kmeans(data, k, seed=int(rng.integers(2**32)))
     z, k = _compact_labels(z, k)
@@ -179,25 +172,6 @@ def init_state(
         xi=np.zeros((k, p), dtype=np.int8),
         theta=1.0 / (1.0 + hyper.beta_theta),
     )
-
-
-def _kmeans_pp_centers(values: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Standard D^2 seeding; returns (k, p) centers chosen among observations."""
-    obs = values.T
-    n = obs.shape[0]
-    centers = [obs[rng.integers(n)]]
-    for _ in range(1, k):
-        d2 = np.min(
-            ((obs[:, None, :] - np.asarray(centers)[None, :, :]) ** 2).sum(axis=2),
-            axis=1,
-        )
-        total = d2.sum()
-        if total <= 0:
-            centers.append(obs[rng.integers(n)])
-            continue
-        u = rng.random() * total
-        centers.append(obs[min(np.searchsorted(np.cumsum(d2), u), n - 1)])
-    return np.asarray(centers)
 
 
 def sweep(

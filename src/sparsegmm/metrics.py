@@ -11,12 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .errors import (
-    DegeneratePartitionError,
-    DimensionMismatchError,
-    LabelOutOfRangeError,
-    LengthMismatchError,
-)
+from .errors import SparseGmmError
 
 
 @dataclass(frozen=True)
@@ -31,7 +26,7 @@ def contingency_table(z_true, z_est) -> ContingencyTable:
     zt = np.asarray(z_true)
     ze = np.asarray(z_est)
     if zt.shape != ze.shape or zt.ndim != 1:
-        raise LengthMismatchError("partitions must be equal-length vectors")
+        raise SparseGmmError("partitions must be equal-length vectors")
     _, ti = np.unique(zt, return_inverse=True)
     _, ei = np.unique(ze, return_inverse=True)
     counts = np.zeros((ti.max() + 1, ei.max() + 1), dtype=np.int64)
@@ -58,7 +53,7 @@ def ari(z_true, z_est) -> float:
     """
     table = contingency_table(z_true, z_est)
     if table.n < 2:
-        raise LengthMismatchError("need at least 2 observations")
+        raise SparseGmmError("need at least 2 observations")
     index = _comb2(table.counts).sum()
     row = _comb2(table.row_marginals).sum()
     col = _comb2(table.col_marginals).sum()
@@ -72,12 +67,12 @@ def ari(z_true, z_est) -> float:
 def nmi(z_true, z_est) -> float:
     """Normalized mutual information: MI over the geometric entropy mean.
 
-    Raises DegeneratePartitionError when either partition has a single
+    Raises SparseGmmError when either partition has a single
     cluster (zero entropy makes the normalizer vanish).
     """
     table = contingency_table(z_true, z_est)
     if table.counts.shape[0] < 2 or table.counts.shape[1] < 2:
-        raise DegeneratePartitionError("both partitions need at least 2 clusters")
+        raise SparseGmmError("both partitions need at least 2 clusters")
     n = float(table.n)
     p_joint = table.counts / n
     p_row = table.row_marginals / n
@@ -101,12 +96,12 @@ def min_hamming(z, z_prime, k: int | None = None) -> float:
     za = np.asarray(z, dtype=int)
     zb = np.asarray(z_prime, dtype=int)
     if za.shape != zb.shape or za.ndim != 1:
-        raise LengthMismatchError("partitions must be equal-length vectors")
+        raise SparseGmmError("partitions must be equal-length vectors")
     if k is None:
         k = max(np.unique(za).size, np.unique(zb).size)
     for arr in (za, zb):
         if arr.min() < 1 or arr.max() > k:
-            raise LabelOutOfRangeError(f"labels must lie in [1, {k}]")
+            raise SparseGmmError(f"labels must lie in [1, {k}]")
     matches = np.zeros((k, k), dtype=np.int64)
     np.add.at(matches, (za - 1, zb - 1), 1)
     rows, cols = linear_sum_assignment(matches, maximize=True)
@@ -124,10 +119,10 @@ def mean_matrix_error(mu_hat, z_hat, mu_true, z_true) -> float:
     zh = np.asarray(z_hat, dtype=int)
     zt = np.asarray(z_true, dtype=int)
     if mh.ndim != 2 or mt.ndim != 2 or mh.shape[0] != mt.shape[0]:
-        raise DimensionMismatchError("mean matrices must be p x K with equal p")
+        raise SparseGmmError("mean matrices must be p x K with equal p")
     if zh.shape != zt.shape or zh.ndim != 1:
-        raise DimensionMismatchError("label vectors must be equal-length")
+        raise SparseGmmError("label vectors must be equal-length")
     if zh.min() < 1 or zh.max() > mh.shape[1] or zt.min() < 1 or zt.max() > mt.shape[1]:
-        raise DimensionMismatchError("labels must index mean columns")
+        raise SparseGmmError("labels must index mean columns")
     diff = mh[:, zh - 1] - mt[:, zt - 1]
     return float(np.sum(diff * diff))

@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 
 from .core import DataMatrix
-from .errors import DataError, EmptyAfterFilterError
+from .errors import DataError
 
 
 def preprocess_scrna(counts: np.ndarray, min_total: int = 10) -> DataMatrix:
@@ -34,7 +34,7 @@ def preprocess_scrna(counts: np.ndarray, min_total: int = 10) -> DataMatrix:
 
     keep = c.sum(axis=1) > min_total
     if not keep.any():
-        raise EmptyAfterFilterError(
+        raise DataError(
             f"no gene exceeds the total-count threshold {min_total}"
         )
     x = np.log2(c[keep] + 1.0)
@@ -55,6 +55,6 @@ def preprocess_scrna(counts: np.ndarray, min_total: int = 10) -> DataMatrix:
         x = x[~constant]
         sd = sd[~constant]
     if x.shape[0] == 0:
-        raise EmptyAfterFilterError("every gene is constant after normalization")
+        raise DataError("every gene is constant after normalization")
     x = (x - x.mean(axis=1, keepdims=True)) / sd[:, None]
     return DataMatrix(values=x)

@@ -30,7 +30,7 @@ from scipy.special import expit
 
 from .core import JOINT_SSL, DataMatrix, Hyperparams, ModelState, cluster_sums
 from .distributions import sample_gig_half_rows
-from .errors import LengthMismatchError
+from .errors import SparseGmmError
 
 _THETA_FLOOR = 1e-300
 _THETA_CEIL = 1.0 - 1e-16
@@ -42,9 +42,9 @@ def build_context(state: ModelState, data: DataMatrix) -> tuple[np.ndarray, np.n
     sums = cluster_sums(data.obs, state.z, state.k_active)
     sizes = state.cluster_sizes()
     if sizes.sum() != data.n:
-        raise LengthMismatchError("cluster sizes do not sum to n")
+        raise SparseGmmError("cluster sizes do not sum to n")
     if (sizes < 1).any():
-        raise LengthMismatchError("every active cluster must be non-empty")
+        raise SparseGmmError("every active cluster must be non-empty")
     return sums, sizes
 
 

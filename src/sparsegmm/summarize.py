@@ -35,7 +35,7 @@ from .core import (
     cluster_sums,
     residual_score,
 )
-from .errors import LengthMismatchError, TraceMismatchError
+from .errors import DataError, SparseGmmError
 
 
 def solve_assignment(cost: np.ndarray) -> np.ndarray:
@@ -81,20 +81,20 @@ def reconstruction_error(snapshot: Snapshot, data: DataMatrix) -> float:
 
 
 def _check_fits(snaps: list[Snapshot], data: DataMatrix) -> None:
-    """Raise TraceMismatchError unless every snapshot fits the p x n data."""
+    """Raise DataError unless every snapshot fits the p x n data."""
     for b, s in enumerate(snaps):
         if s.z.shape != (data.n,):
-            raise TraceMismatchError(
+            raise DataError(
                 f"snapshot {b} labels {s.z.size} observations, the data has {data.n}"
             )
         if s.z.size and (s.z.min() < 1 or s.z.max() > s.k):
-            raise TraceMismatchError(f"snapshot {b} has labels outside 1..{s.k}")
+            raise DataError(f"snapshot {b} has labels outside 1..{s.k}")
         if s.support.size and (s.support.min() < 1 or s.support.max() > data.p):
-            raise TraceMismatchError(
+            raise DataError(
                 f"snapshot {b} has support outside the data's features 1..{data.p}"
             )
         if s.mu_dense is not None and s.mu_dense.shape != (s.k, data.p):
-            raise TraceMismatchError(
+            raise DataError(
                 f"snapshot {b} has dense means of shape {s.mu_dense.shape}, "
                 f"not ({s.k}, {data.p})"
             )
@@ -149,7 +149,7 @@ def align_labels(trace: ChainTrace | list[Snapshot], data: DataMatrix) -> Aligne
     """
     snaps = list(trace.snapshots if isinstance(trace, ChainTrace) else trace)
     if not snaps:
-        raise LengthMismatchError("cannot align an empty trace")
+        raise SparseGmmError("cannot align an empty trace")
     _check_fits(snaps, data)
     ref_index = _reference_index(snaps, data)
     mu_ref = snaps[ref_index].dense_mu(data.p)
@@ -218,12 +218,12 @@ def psrf(chains) -> float:
     """
     arrs = [np.asarray(c, dtype=float) for c in chains]
     if len(arrs) < 2:
-        raise LengthMismatchError("need at least 2 chains")
+        raise SparseGmmError("need at least 2 chains")
     length = arrs[0].size
     if any(a.size != length for a in arrs):
-        raise LengthMismatchError("chains must have equal lengths")
+        raise SparseGmmError("chains must have equal lengths")
     if length < 2:
-        raise LengthMismatchError("chains must have length >= 2")
+        raise SparseGmmError("chains must have length >= 2")
     mat = np.stack(arrs)
     w = mat.var(axis=1, ddof=1).mean()
     b = length * mat.mean(axis=1).var(ddof=1)
@@ -241,12 +241,12 @@ def psrf_report(traces: list[ChainTrace], data: DataMatrix) -> dict[str, float]:
     every snapshot of every chain.
     """
     if len(traces) < 2:
-        raise LengthMismatchError("need at least 2 chains")
+        raise SparseGmmError("need at least 2 chains")
     if len({len(t) for t in traces}) > 1 or len(traces[0]) < 2:
-        raise TraceMismatchError("chains must have equal lengths of at least 2 snapshots")
+        raise DataError("chains must have equal lengths of at least 2 snapshots")
     bad = [t.meta for t in traces if (t.meta.n, t.meta.p) != (data.n, data.p)]
     if bad:
-        raise TraceMismatchError(f"a trace of n={bad[0].n}, p={bad[0].p} for data of n={data.n}, p={data.p}")
+        raise DataError(f"a trace of n={bad[0].n}, p={bad[0].p} for data of n={data.n}, p={data.p}")
     return _psrf_table(traces, align_labels([s for t in traces for s in t.snapshots], data))
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DataMatrix
-from .errors import BadSpecError
+from .errors import ConfigError
 
 SCENARIO_ONE = "one"
 SCENARIO_TWO = "two"
@@ -54,7 +54,7 @@ class ScenarioSpec:
         for name in ("p", "n", "s"):
             value = getattr(self, name)
             if value is not None and value < 1:
-                raise BadSpecError(f"{name} must be at least 1, got {value}")
+                raise ConfigError(f"{name} must be at least 1, got {value}")
 
 
 def _scenario_one_means(p: int, k_star: int, s: int) -> np.ndarray:
@@ -71,7 +71,7 @@ def _scenario_one_means(p: int, k_star: int, s: int) -> np.ndarray:
         mu[:s, 3] = 4.0 * alt
         mu[:s, 4] = 1.5 * -alt
     else:
-        raise BadSpecError(f"scenario one supports k_star in {{3, 5}}, got {k_star}")
+        raise ConfigError(f"scenario one supports k_star in {{3, 5}}, got {k_star}")
     return mu
 
 
@@ -90,7 +90,7 @@ def _resolve(spec: ScenarioSpec):
         n = 200 if spec.n is None else spec.n
         s = 6 if spec.s is None else spec.s
         if s > p:
-            raise BadSpecError(f"support size {s} exceeds p={p}")
+            raise ConfigError(f"support size {s} exceeds p={p}")
         means = _scenario_one_means(p, spec.k_star, s) * spec.mean_scale
         weights = (
             np.array([0.3, 0.3, 0.4]) if spec.k_star == 3 else np.full(5, 0.2)
@@ -102,7 +102,7 @@ def _resolve(spec: ScenarioSpec):
         n = 200 if spec.n is None else spec.n
         s = 8 if spec.s is None else spec.s
         if s > p:
-            raise BadSpecError(f"support size {s} exceeds p={p}")
+            raise ConfigError(f"support size {s} exceeds p={p}")
         means = _scenario_two_means(p, s) * spec.mean_scale
         variances = np.ones((3, p))
         variances[1, :s] = 4.0
@@ -111,25 +111,25 @@ def _resolve(spec: ScenarioSpec):
         return p, n, means, np.array([0.2, 0.4, 0.4]), variances, 5.0
     if spec.scenario == CUSTOM:
         if spec.means is None or spec.weights is None:
-            raise BadSpecError("custom scenario requires means and weights")
+            raise ConfigError("custom scenario requires means and weights")
         means = np.asarray(spec.means, dtype=float) * spec.mean_scale
         weights = np.asarray(spec.weights, dtype=float)
         if means.ndim != 2 or weights.ndim != 1 or means.shape[1] != weights.size:
-            raise BadSpecError("means must be p x K with one weight per cluster")
+            raise ConfigError("means must be p x K with one weight per cluster")
         if not np.isclose(weights.sum(), 1.0):
-            raise BadSpecError(f"weights sum to {weights.sum()}, expected 1")
+            raise ConfigError(f"weights sum to {weights.sum()}, expected 1")
         p = means.shape[0]
         if spec.p is not None and spec.p != p:
-            raise BadSpecError("explicit p conflicts with means dimension")
+            raise ConfigError("explicit p conflicts with means dimension")
         n = 200 if spec.n is None else spec.n
         if spec.diag_variances is None:
             variances = np.ones((weights.size, p))
         else:
             variances = np.asarray(spec.diag_variances, dtype=float)
             if variances.shape != (weights.size, p):
-                raise BadSpecError("diag_variances must be K x p")
+                raise ConfigError("diag_variances must be K x p")
         return p, n, means, weights, variances, spec.t_dof
-    raise BadSpecError(f"unknown scenario {spec.scenario!r}")
+    raise ConfigError(f"unknown scenario {spec.scenario!r}")
 
 
 def generate(spec: ScenarioSpec) -> tuple[DataMatrix, np.ndarray, np.ndarray]:
@@ -139,7 +139,7 @@ def generate(spec: ScenarioSpec) -> tuple[DataMatrix, np.ndarray, np.ndarray]:
     """
     p, n, means, weights, variances, t_dof = _resolve(spec)
     if n < 2:
-        raise BadSpecError("need n >= 2")
+        raise ConfigError("need n >= 2")
     rng = np.random.default_rng(spec.seed)
     z = rng.choice(weights.size, size=n, p=weights) + 1
     # in place, cluster by cluster: the same products and sums as

@@ -404,3 +404,79 @@ def test_malformed_estimate_and_trace_exit_3(tmp_path, capsys):
         _fails_with(capsys, 3, "diagnose", "--data", data, "--traces", trace, other)
     other.write_text(json.dumps(meta) + "\n" + (json.dumps(snap) + "\n") * 2)
     assert run_cli("diagnose", "--data", data, "--traces", other, other) == 0
+
+
+def test_removed_start_kind_exits_2(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    data.write_text("1.0,2.0,3.0\n4.0,5.0,6.0\n")
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"run": {"init": {"kind": "kmeans_pp", "k": 2}}}))
+    _fails_with(capsys, 2, "fit", "--config", config, "--data", data, "--n-burn", 0,
+                "--n-keep", 2, "--out", tmp_path / "fit")
+    assert not (tmp_path / "fit").exists()
+
+
+def test_evaluate_one_cluster_estimate_has_null_nmi(tmp_path):
+    est, truth, out = tmp_path / "est.json", tmp_path / "truth.json", tmp_path / "m.json"
+    est.write_text(json.dumps({"k_hat": 1, "z_hat": [1, 1, 1, 1], "mu_hat": [[0.5]]}))
+    truth.write_text(json.dumps({"z_true": [1, 1, 2, 2]}))
+    assert run_cli("evaluate", "--estimate", est, "--truth", truth, "--out", out) == 0
+    metrics = json.loads(out.read_text())
+    assert metrics["nmi"] is None and metrics["d_h"] == 0.5
+
+
+def _unreadable(tmp_path, kind):
+    """A path that exists but holds no text: a directory, or bytes that are
+    not UTF-8."""
+    path = tmp_path / kind
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfe\x00\x81\xc3(\n" * 4)
+    return path
+
+
+@pytest.mark.parametrize("kind", ["directory", "undecodable"])
+@pytest.mark.parametrize("flag", ["--data", "--counts", "--traces"])
+def test_unreadable_input_exits_3(tmp_path, capsys, flag, kind):
+    bad = _unreadable(tmp_path, kind)
+    data = tmp_path / "data.csv"
+    data.write_text("1.0,2.0,3.0\n4.0,5.0,6.0\n")
+    args = {
+        "--data": ("fit", "--data", bad, "--method", "kmeans", "--k", 2,
+                   "--out", tmp_path / "fit"),
+        "--counts": ("preprocess", "--counts", bad, "--out", tmp_path / "x.csv"),
+        "--traces": ("diagnose", "--data", data, "--traces", bad, bad),
+    }[flag]
+    _fails_with(capsys, 3, *args)
+
+
+@pytest.mark.parametrize("command", ["simulate", "preprocess", "fit", "report",
+                                     "evaluate", "diagnose"])
+def test_unwritable_output_exits_2(tmp_path, capsys, command):
+    """An --out that is an existing file where a directory is wanted, a
+    directory where a file is wanted, or a file in a missing directory."""
+    sim = tmp_path / "sim"
+    assert run_cli("simulate", "--p", 10, "--n", 24, "--s", 2, "--out", sim) == 0
+    assert run_cli("fit", "--data", sim / "data.csv", "--n-burn", 0, "--n-keep", 2,
+                   "--n-chains", 2, "--quiet", "--out", tmp_path / "fit") == 0
+    capsys.readouterr()
+    a_file, a_dir = sim / "truth.json", tmp_path / "fit"
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"data_path": str(sim / "data.csv"), "method": "kmeans",
+                                  "cmle": {"k": 2}}))
+    traces = sorted(a_dir.glob("trace_chain*.ndjson"))
+    counts = tmp_path / "counts.csv"
+    np.savetxt(counts, np.random.default_rng(0).integers(1, 9, size=(4, 5)), delimiter=",")
+    args = {
+        "simulate": ("simulate", "--out", a_file),
+        "preprocess": ("preprocess", "--counts", counts, "--out", tmp_path / "no" / "x.csv"),
+        "fit": ("fit", "--data", sim / "data.csv", "--method", "kmeans", "--k", 2,
+                "--out", a_file),
+        "report": ("report", "--config", config, "--out", a_file),
+        "evaluate": ("evaluate", "--estimate", a_dir / "estimate.json", "--truth", a_file,
+                     "--out", a_dir),
+        "diagnose": ("diagnose", "--data", sim / "data.csv", "--traces", *traces,
+                     "--out", a_dir),
+    }[command]
+    _fails_with(capsys, 2, *args)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import cmle_exhaustive
+import sparsegmm.cmle as cmle
 from sparsegmm.cmle import CmleConfig, fit_cmle, fit_kmeans, sparsify_rows
 from sparsegmm.core import DataMatrix
 from sparsegmm.metrics import min_hamming
@@ -100,3 +101,44 @@ def test_exhaustive_oracle_random_instances():
         _, _, obj = fit_cmle(DataMatrix(values), cfg)
         target = cmle_exhaustive(values, 2, s)
         assert obj == pytest.approx(target, rel=1e-9, abs=1e-12)
+
+
+def _old_sq_residuals(values, mu, z, order="C"):
+    """The reseed's residual as it was written before ``_sq_residuals``."""
+    return (values - mu[:, z - 1]) ** 2
+
+
+@pytest.mark.parametrize("p, n", [(1, 5), (3, 7), (50, 40), (400, 200), (2000, 300)])
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_sq_residuals_match_the_expression_bit_for_bit(p, n, layout):
+    """The reseed's column sums and the objective, at value scales 1e-3 to 1e3."""
+    rng = np.random.default_rng(p * n)
+    for scale in (1e-3, 1.0, 1e3):
+        values = np.asarray(scale * rng.standard_normal((p, n)), order=layout)
+        mu = scale * rng.standard_normal((p, 4))
+        z = rng.integers(1, 5, size=n)
+        old = _old_sq_residuals(values, mu, z)
+        assert cmle._sq_residuals(values, mu, z, "K").sum(axis=0).tobytes() == \
+            old.sum(axis=0).tobytes()
+        assert cmle._objective(values, mu, z) == float(np.sum(np.ascontiguousarray(old)))
+
+
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_kmeans_reseed_matches_the_old_residual(monkeypatch, layout):
+    """Five centres for three distinct observations leave clusters empty,
+    so every restart reseeds; the fit is the one the old expression gave."""
+    base = np.random.default_rng(3).standard_normal((6, 3))
+    data = DataMatrix(np.asarray(base[:, np.repeat([0, 1, 2], 4)], order=layout))
+    calls, helper = [], cmle._sq_residuals
+
+    def spy(values, mu, z, order="C"):
+        calls.append(order)
+        return helper(values, mu, z, order)
+
+    monkeypatch.setattr(cmle, "_sq_residuals", spy)
+    mu_new, z_new = fit_kmeans(data, 5, n_restarts=4, seed=2)
+    assert "K" in calls
+    monkeypatch.setattr(cmle, "_sq_residuals", _old_sq_residuals)
+    mu_old, z_old = fit_kmeans(data, 5, n_restarts=4, seed=2)
+    assert mu_new.tobytes() == mu_old.tobytes()
+    assert np.array_equal(z_new, z_old)

@@ -9,7 +9,7 @@ import sparsegmm.gibbs as gibbs
 from sparsegmm import ssl
 from sparsegmm.core import COLUMN_SSL, DataMatrix, Hyperparams, trace_to_ndjson
 from sparsegmm.core import default_hyperparams as sg_default
-from sparsegmm.errors import InvalidKError
+from sparsegmm.errors import ConfigError
 from sparsegmm.gibbs import (
     InitSpec,
     RunConfig,
@@ -18,7 +18,6 @@ from sparsegmm.gibbs import (
     run_chains,
     sweep,
 )
-from sparsegmm.metrics import min_hamming
 from sparsegmm.priorsim import batch_means_se, forward_prior_state, regenerate_data
 from sparsegmm.urn import build_vn_table
 
@@ -56,21 +55,19 @@ def test_init_random_k_compacts_labels():
     assert k <= 3
 
 
-def test_init_kmeanspp_separates_blobs():
-    data, truth = _blobs(seed=3)
-    state = init_state(
-        data, _hyper(), RunConfig(init=InitSpec("kmeans_pp", 2)), np.random.default_rng(4)
-    )
-    assert state.k_active == 2
-    assert min_hamming(state.z, truth, 2) == 0.0
-
-
 def test_init_rejects_k_above_k_max():
     data, _ = _blobs()
-    with pytest.raises(InvalidKError):
+    with pytest.raises(ConfigError, match="init k=3 exceeds k_max=2"):
         init_state(
             data, _hyper(k_max=2), RunConfig(init=InitSpec("random_k", 3)), np.random.default_rng(0)
         )
+
+
+def test_init_spec_accepts_only_the_three_kinds():
+    for kind in ("single", "random_k", "kmeans"):
+        InitSpec(kind)
+    with pytest.raises(ValueError, match="unknown init kind 'kmeans_pp'"):
+        InitSpec("kmeans_pp")
 
 
 def test_default_init_uses_prior_rate():
@@ -100,7 +97,7 @@ def test_default_start_escapes_all_spike_trap():
     spec = ScenarioSpec(scenario="one", p=100, n=50, s=6, mean_scale=1.5, seed=1)
     data, _, _ = generate(spec)
     starts = [(mode, kind) for mode in ("joint", "column")
-              for kind in (None, "random_k", "kmeans_pp")] + [("joint", "single")]
+              for kind in (None, "random_k")] + [("joint", "single")]
     for ssl_mode, kind in starts:
         hyper = sg_default(100, ssl_mode=ssl_mode)
         init = None if kind is None else InitSpec(kind)

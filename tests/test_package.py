@@ -3,15 +3,20 @@ from pathlib import Path
 
 import sparsegmm as sg
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_readme_quick_start_names_are_exported():
-    text = README.read_text()
-    start = text.index("## Library quick start")
-    block = text[text.index("```python", start):text.index("```\n", start + 1)]
-    used = set(re.findall(r"\bsg\.(\w+)", block))
-    assert used and used <= set(sg.__all__), sorted(used - set(sg.__all__))
+def test_readme_and_script_names_are_exported():
+    """Every ``sg.<name>`` that README.md or a script in scripts/ uses is in
+    ``__all__``, so that a cut of the public surface cannot silently break
+    either; the README's quick start uses some."""
+    readme = (ROOT / "README.md").read_text()
+    start = readme.index("## Library quick start")
+    quick_start = readme[readme.index("```python", start):readme.index("```\n", start + 1)]
+    assert re.search(r"\bsg\.\w", quick_start)
+    for path in [ROOT / "README.md", *sorted((ROOT / "scripts").glob("*.py"))]:
+        used = set(re.findall(r"(?<![\w.])sg\.(\w+)", path.read_text()))
+        assert used <= set(sg.__all__), (path.name, sorted(used - set(sg.__all__)))
 
 
 def test_every_export_resolves():

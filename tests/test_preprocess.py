@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sparsegmm.errors import DataError, EmptyAfterFilterError
+from sparsegmm.errors import DataError
 from sparsegmm.preprocess import preprocess_scrna
 
 
@@ -36,7 +36,7 @@ def test_standardization_contract():
 
 
 def test_empty_after_filter():
-    with pytest.raises(EmptyAfterFilterError):
+    with pytest.raises(DataError, match="no gene exceeds the total-count threshold 10"):
         preprocess_scrna(np.ones((4, 3)), min_total=10)
 
 

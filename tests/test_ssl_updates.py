@@ -8,7 +8,7 @@ from scipy.integrate import quad
 
 from oracles import gig_moment_quad
 from sparsegmm.core import COLUMN_SSL, DataMatrix, Hyperparams, ModelState
-from sparsegmm.errors import LengthMismatchError
+from sparsegmm.errors import SparseGmmError
 from sparsegmm.ssl import (
     build_context,
     indicator_log_odds,
@@ -250,5 +250,5 @@ def test_context_rejects_empty_cluster():
     # labels 1, 1, 1 against K = 2: the sizes (3, 0) sum to n, cluster 2 is empty
     state = ModelState(z=np.ones(3, dtype=int), mu=np.zeros((2, 1)), phi=np.ones((2, 1)),
                        xi=np.zeros((2, 1), dtype=np.int8), theta=0.5)
-    with pytest.raises(LengthMismatchError):
+    with pytest.raises(SparseGmmError, match="every active cluster must be non-empty"):
         build_context(state, DataMatrix(np.zeros((1, 3))))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sparsegmm.errors import BadSpecError
+from sparsegmm.errors import ConfigError
 from sparsegmm.synthetic import ScenarioSpec, generate
 
 
@@ -102,11 +102,11 @@ def test_mean_scale_override():
 
 
 def test_bad_specs_rejected():
-    with pytest.raises(BadSpecError):
+    with pytest.raises(ConfigError, match="scenario one supports k_star in"):
         generate(ScenarioSpec(scenario="one", k_star=4))
-    with pytest.raises(BadSpecError):
+    with pytest.raises(ConfigError, match="custom scenario requires means and weights"):
         generate(ScenarioSpec(scenario="custom", means=None, weights=None))
-    with pytest.raises(BadSpecError):
+    with pytest.raises(ConfigError, match="weights sum to .*, expected 1"):
         generate(
             ScenarioSpec(
                 scenario="custom",
@@ -114,5 +114,5 @@ def test_bad_specs_rejected():
                 weights=np.array([0.9, 0.3]),
             )
         )
-    with pytest.raises(BadSpecError):
+    with pytest.raises(ConfigError, match="support size 500 exceeds p=100"):
         generate(ScenarioSpec(scenario="one", s=500, p=100))
