@@ -15,7 +15,9 @@ both sides, so the ratios spread less than those of separate benchmark
 runs; they time the fit alone, without import or post-processing.
 Before the timed pairs, each side makes one untimed fit under
 ``tracemalloc``, whose peak (the most memory the fit held at once, data
-aside) the script prints.
+aside) the script prints, and one untimed fit with ``gibbs.sweep`` and
+``gibbs.fit_kmeans`` wrapped in timers, whose median sweep and median
+k-means start (one per chain) it prints.
 
 Workloads (the first two are the data and chains of perfbench's
 workloads of that name):
@@ -93,6 +95,36 @@ def traced_peak_mb(side: Side) -> float:
         tracemalloc.stop()
 
 
+def stage_ms(side: Side) -> dict:
+    """Median time of a sweep and of a chain's k-means start in one untimed
+    fit, in ms, from timers wrapped around ``gibbs.sweep`` and
+    ``gibbs.fit_kmeans``."""
+    gibbs = side.sg.gibbs
+    times = {"sweep": [], "fit_kmeans": []}
+    originals = {stage: getattr(gibbs, stage) for stage in times}
+
+    def timed(stage):
+        func, out = originals[stage], times[stage]
+
+        def wrapper(*args, **kwargs):
+            t0 = time.perf_counter()
+            try:
+                return func(*args, **kwargs)
+            finally:
+                out.append(time.perf_counter() - t0)
+        return wrapper
+
+    for stage in times:
+        setattr(gibbs, stage, timed(stage))
+    try:
+        side.fit()
+    finally:
+        for stage, func in originals.items():
+            setattr(gibbs, stage, func)
+    return {stage: 1e3 * statistics.median(t) if t else float("nan")
+            for stage, t in times.items()}
+
+
 def compare(name: str, packages: dict, pairs: int) -> bool:
     """Time ``pairs`` alternating pairs of fits of workload ``name`` by the
     packages ``{"a": ..., "b": ...}`` and print the ratios; False at the
@@ -103,6 +135,11 @@ def compare(name: str, packages: dict, pairs: int) -> bool:
     peaks = {key: traced_peak_mb(side) for key, side in sides.items()}
     print(f"{name}: tracemalloc peak of one fit: a {peaks['a']:.1f} MB  "
           f"b {peaks['b']:.1f} MB", flush=True)
+    stages = {key: stage_ms(side) for key, side in sides.items()}
+    print(f"{name}: median sweep a {stages['a']['sweep']:.2f} ms  "
+          f"b {stages['b']['sweep']:.2f} ms; k-means start a "
+          f"{stages['a']['fit_kmeans']:.1f} ms  b {stages['b']['fit_kmeans']:.1f} ms",
+          flush=True)
     ratios = []
     for pair in range(pairs):
         order = "ab" if pair % 2 == 0 else "ba"

@@ -101,10 +101,12 @@ def _sq_norms(values: np.ndarray) -> np.ndarray:
 def _assign(values: np.ndarray, sq_norms: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """Nearest center per observation, ties to the lowest index.
 
-    ``sq_norms`` holds the squared norm of each observation (column).
+    ``sq_norms`` holds the squared norm of each observation (column).  The
+    (K, n) distances come from ``mu.T @ values``, the faster layout of the
+    product.
     """
-    d2 = sq_norms[:, None] - 2.0 * (values.T @ mu) + (mu * mu).sum(axis=0)[None, :]
-    return d2.argmin(axis=1) + 1
+    d2 = sq_norms[None, :] - 2.0 * (mu.T @ values) + (mu * mu).sum(axis=0)[:, None]
+    return d2.argmin(axis=0) + 1
 
 
 def _single_run(

@@ -232,6 +232,24 @@ def load_truth(path: str | Path) -> tuple[np.ndarray, np.ndarray | None]:
     return truth["z_true"], truth.get("mu_true")
 
 
+def _check_truth(z_true: np.ndarray, mu_true: np.ndarray | None, data: DataMatrix,
+                 path: str | Path) -> None:
+    """DataError naming the truth file unless it fits the data: one label
+    >= 1 per observation and, if given, p x K true means with a column for
+    every label."""
+    if z_true.size != data.n:
+        problem = f"{z_true.size} labels for n={data.n} observations"
+    elif z_true.min() < 1:
+        problem = "labels must be at least 1"
+    elif mu_true is not None and (mu_true.shape[0] != data.p
+                                  or mu_true.shape[1] < z_true.max()):
+        problem = (f"mu_true is {mu_true.shape[0]}x{mu_true.shape[1]}, not p={data.p} rows"
+                   f" with a column for each of labels 1..{int(z_true.max())}")
+    else:
+        return
+    raise DataError(f"{path}: the truth does not fit the data: {problem}")
+
+
 def compute_metrics(
     est: ClusterEstimate,
     z_true: np.ndarray,
@@ -305,6 +323,8 @@ def run_experiment(
         if config.truth_path:
             z_true, mu_true = load_truth(config.truth_path)
     validate_dataset(data)
+    if config.scenario is None and config.truth_path:
+        _check_truth(z_true, mu_true, data, config.truth_path)
 
     if config.method == METHOD_BAYESIAN:
         defaults = asdict(default_hyperparams(data.p))

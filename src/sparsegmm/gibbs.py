@@ -29,9 +29,15 @@ Steps 3 and 4 together draw (xi, mu) given phi as one block.
 This order is a contract.  A change that keeps it, and computes every
 weight and statistic with the same floating-point operations, gives
 byte-identical traces at equal seeds; ``scripts/trace_digest.py`` prints
-digests of fixed-seed traces to compare two versions.  A change to it
-changes every trace and must pass the Geweke joint-distribution checks in
-both SSL modes.
+digests of fixed-seed traces to compare two versions.  A change to the
+order changes every trace and must pass the Geweke joint-distribution
+checks in both SSL modes.
+
+The reseat inner products are the one exception to "the same operations":
+their layout sets their last bits, and they only steer categorical draws.
+A draw moves only if its uniform falls within such a difference of a CDF
+entry; moving every product by an ulp changes none of the tested
+fixed-seed traces (see ``ReseatWorkspace``).
 """
 
 from __future__ import annotations

@@ -151,10 +151,15 @@ class ReseatWorkspace:
     log(n_k^- + alpha) - ||y_i - mu_k||^2 / 2, and that of the auxiliary a
     log(alpha) + log V_n(t+1) - log V_n(t) - ||y_i - a||^2 / 2.  All are
     shifted by ||y_i||^2 / 2, which leaves a distance as
-    y_i . mu_k - ||mu_k||^2 / 2.  Row i of ``g`` is row i of G = Y^T mu^T,
-    an (n, k_max + 1) array from one matrix product per pass (an
-    auxiliary's column is written whenever one is drawn); per cluster
-    ``half_sq`` = ||mu_k||^2 / 2 and ``base``, which is
+    y_i . mu_k - ||mu_k||^2 / 2.  ``g`` holds these inner products
+    cluster-major, as G = mu Y in a (k_max + 1, n) array: row k, column i
+    is mu_k . y_i.  A pass draws its auxiliary first and fills rows 0..K,
+    the clusters and the auxiliary, with one matrix product, the faster
+    layout of that product; an auxiliary drawn after an open gets its row
+    from one vector-matrix product.  G's last bits depend on the layout,
+    but G only steers categorical draws, and moving it by an ulp changes
+    none of the tested fixed-seed traces.  Per cluster ``half_sq`` =
+    ||mu_k||^2 / 2 and ``base``, which is
     ``vn.log_size[n_k]`` - ||mu_k||^2 / 2 for a cluster and
     ``vn.log_open[K]`` - ||a||^2 / 2 for the auxiliary, kept as sizes and
     K change.  A weight is base + G either way: the scalar step
@@ -214,17 +219,18 @@ class ReseatWorkspace:
         self.half_sq = half_sq.tolist() + pad
         self.log_size = vn.log_size
         self.base = (self.log_size[counts] - half_sq).tolist() + pad
-        self.g = np.empty((data.n, cap))
-        self.g[:, :k] = values.T @ state.mu.T
         self.log_open = vn.log_open.tolist()
         self.draw_auxiliary(rng)
+        self.g = np.empty((cap, data.n))
+        np.matmul(self.mu[:k + 1], values, out=self.g[:k + 1])
         self.uniforms = UniformBlock(rng, data.n)
 
     def draw_auxiliary(self, rng: np.random.Generator) -> None:
         """Draw row K from the prior of a new cluster: its indicators from
         ``sample_prior_xi``, then phi_j ~ Exp(1/2) and
         mu_j ~ N(0, phi_j / lambda_{xi_j}^2), so that
-        mu_j ~ Laplace(lambda_{xi_j})."""
+        mu_j ~ Laplace(lambda_{xi_j}).  Row K of ``g`` is left to the
+        caller."""
         t = self.k
         xi = self.xi[t]
         xi[:] = sample_prior_xi(self.xi[:t], self.theta, self.hyper, rng)
@@ -232,7 +238,6 @@ class ReseatWorkspace:
         mu = sample_prior_mu(xi, phi, self.hyper, rng)
         self.phi[t] = phi
         self.mu[t] = mu
-        self.g[:, t] = self.values.T @ mu
         self.half_sq[t] = float(0.5 * (mu @ mu))
         self.offer(t)
 
@@ -251,7 +256,7 @@ class ReseatWorkspace:
         """Remove cluster c (0-based), keep labels dense, and park its
         parameters in row K-1: they replace the auxiliary."""
         k = self.k
-        for buf in (self.mu, self.phi, self.xi, self.g.T):
+        for buf in (self.mu, self.phi, self.xi, self.g):
             row = buf[c].copy()
             buf[c : k - 1] = buf[c + 1 : k]
             buf[k - 1] = row
@@ -273,6 +278,7 @@ class ReseatWorkspace:
         self.k = t + 1
         left = self.uniforms.sync()
         self.draw_auxiliary(rng)
+        np.matmul(self.mu[t + 1], self.values, out=self.g[t + 1])
         self.uniforms = UniformBlock(rng, left)
 
     def finish(self) -> None:
@@ -314,7 +320,7 @@ class ReseatWorkspace:
             stop = min(start + _BLOCK, n)
             old = z[start:stop] - 1
             u = blocks.values[blocks.served : blocks.served + stop - start]
-            g = self.g[start:stop, :m]
+            g = self.g[:m, start:stop].T
             own = old[:, None] == clusters
             left = np.array(self.sizes) - own  # each size without the observation
             rows = np.arange(old.size)
@@ -400,7 +406,7 @@ def reseat_observation(
         ws.resize(old, -1)
     t = ws.k
     m = t + 1 if t < ws.k_max else t
-    choice = sample_categorical_log(list(map(add, ws.base[:m], ws.g[i, :m].tolist())),
+    choice = sample_categorical_log(list(map(add, ws.base[:m], ws.g[:m, i].tolist())),
                                     ws.uniforms)
 
     state.z[i] = choice + 1

@@ -406,6 +406,27 @@ def test_malformed_estimate_and_trace_exit_3(tmp_path, capsys):
     assert run_cli("diagnose", "--data", data, "--traces", other, other) == 0
 
 
+def test_truth_that_does_not_fit_the_data_exits_3_before_fitting(tmp_path, capsys):
+    sim = tmp_path / "sim"
+    run_cli("simulate", "--scenario", "one", "--p", 30, "--n", 40, "--s", 3, "--seed", 1,
+            "--out", sim)
+    fit = tmp_path / "fit"
+    # transposed, the data has 30 observations and the truth 40 labels
+    _fails_with(capsys, 3, "fit", "--data", sim / "data.csv", "--transpose",
+                "--truth", sim / "truth.json", "--n-burn", 2, "--n-keep", 3,
+                "--n-chains", 2, "--out", fit, "--quiet")
+    assert not list(fit.glob("trace_chain*.ndjson"))
+    assert not (fit / "estimate.json").exists()
+    truth = json.loads((sim / "truth.json").read_text())
+    for field, value in (("z_true", [0] + truth["z_true"][1:]),
+                         ("mu_true", truth["mu_true"][1:]),
+                         ("mu_true", [row[:1] for row in truth["mu_true"]])):
+        (sim / "bad.json").write_text(json.dumps({**truth, field: value}))
+        _fails_with(capsys, 3, "fit", "--data", sim / "data.csv", "--truth", sim / "bad.json",
+                    "--method", "kmeans", "--k", 2, "--out", fit)
+        assert not (fit / "estimate.json").exists()
+
+
 def test_removed_start_kind_exits_2(tmp_path, capsys):
     data = tmp_path / "data.csv"
     data.write_text("1.0,2.0,3.0\n4.0,5.0,6.0\n")

@@ -142,3 +142,19 @@ def test_kmeans_reseed_matches_the_old_residual(monkeypatch, layout):
     mu_old, z_old = fit_kmeans(data, 5, n_restarts=4, seed=2)
     assert mu_new.tobytes() == mu_old.tobytes()
     assert np.array_equal(z_new, z_old)
+
+
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_assign_sends_ties_to_the_lowest_label(layout):
+    """Duplicated centres tie bit for bit: every observation takes the lower
+    label of its pair, the one that direct distances give."""
+    rng = np.random.default_rng(4)
+    values = np.asarray(rng.standard_normal((30, 50)), order=layout)
+    centres = rng.standard_normal((30, 2))
+    mu = centres[:, [0, 1, 0, 1, 1]]
+    z = cmle._assign(values, cmle._sq_norms(values), mu)
+    direct = ((values[:, :, None] - centres[:, None, :]) ** 2).sum(axis=0).argmin(axis=1) + 1
+    assert set(z) == {1, 2}
+    assert np.array_equal(z, direct)
+    same = cmle._assign(values, cmle._sq_norms(values), centres[:, [1, 1, 1]])
+    assert np.array_equal(same, np.ones(50, dtype=int))

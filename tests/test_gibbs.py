@@ -375,6 +375,42 @@ def test_run_chains_match_run_chain_per_chain_id(monkeypatch):
         assert trace_to_ndjson(solo) == trace_to_ndjson(multi)
 
 
+@pytest.mark.parametrize("ssl_mode", ["joint", COLUMN_SSL])
+@pytest.mark.parametrize("toward", [np.inf, -np.inf])
+def test_traces_ignore_the_last_bit_of_the_reseat_inner_products(monkeypatch, ssl_mode, toward):
+    """G only steers categorical draws, so the products' layout may change
+    its last bits: moving every entry of G one ulp leaves the trace
+    byte-identical, while moving the first row of each product by 1 does
+    not."""
+    from sparsegmm.synthetic import ScenarioSpec, generate
+    from sparsegmm.urn import ReseatWorkspace
+
+    data = generate(ScenarioSpec(scenario="one", p=100, n=100, s=6, mean_scale=1.5, seed=1))[0]
+    hyper = sg_default(data.p, ssl_mode=ssl_mode)
+    cfg = RunConfig(n_burn=10, n_keep=20, seed=1, store_dense_mu=True)
+    plain = trace_to_ndjson(run_chain(data, hyper, cfg))
+    build, open_ = ReseatWorkspace.__init__, ReseatWorkspace.open
+    opens = []
+
+    def fit(nudge):
+        def nudged_build(ws, *args):
+            build(ws, *args)
+            nudge(ws.g[: ws.k + 1])
+
+        def nudged_open(ws, rng):
+            open_(ws, rng)
+            nudge(ws.g[ws.k : ws.k + 1])  # the fresh auxiliary's row
+            opens.append(ws.k)
+
+        monkeypatch.setattr(ReseatWorkspace, "__init__", nudged_build)
+        monkeypatch.setattr(ReseatWorkspace, "open", nudged_open)
+        return trace_to_ndjson(run_chain(data, hyper, cfg))
+
+    assert fit(lambda g: np.nextafter(g, toward, out=g)) == plain
+    assert opens
+    assert fit(lambda g: np.add(g[:1], 1.0, out=g[:1])) != plain
+
+
 @pytest.mark.parametrize("run", [run_chain, run_chains])
 def test_k_max_clamp_warns_at_the_callers_line(run):
     data, _ = _blobs(seed=10, n_per=2)

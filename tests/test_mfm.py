@@ -261,7 +261,7 @@ def test_inner_product_distances_match_direct(ssl_mode):
     def check(ws):
         rows = ws.mu[: ws.k + 1]  # the clusters, then the auxiliary
         half_sq = np.array(ws.half_sq[: ws.k + 1])
-        g = ws.g[:, : ws.k + 1]
+        g = ws.g[: ws.k + 1].T
         got = sq_norms[:, None] + 2.0 * half_sq[None, :] - 2.0 * g
         want = ((values.T[:, None, :] - rows[None, :, :]) ** 2).sum(axis=2)
         assert got == pytest.approx(want, rel=1e-9, abs=0)

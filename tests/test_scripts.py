@@ -78,5 +78,7 @@ def test_ab_fit_prints_the_pair_ratios():
                "--pairs", 1)
     assert re.search(r"^chains_column: tracemalloc peak of one fit: a [\d.]+ MB  b [\d.]+ MB$",
                      out, re.M), out
+    assert re.search(r"^chains_column: median sweep a [\d.]+ ms  b [\d.]+ ms; "
+                     r"k-means start a [\d.]+ ms  b [\d.]+ ms$", out, re.M), out
     assert re.search(r"^pair  1 \(ab first\): a \S+ s  b \S+ s  b/a \S+$", out, re.M), out
     assert re.search(r"^chains_column: median b/a \S+ .* traces identical$", out, re.M), out
