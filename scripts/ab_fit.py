@@ -15,9 +15,11 @@ both sides, so the ratios spread less than those of separate benchmark
 runs; they time the fit alone, without import or post-processing.
 Before the timed pairs, each side makes one untimed fit under
 ``tracemalloc``, whose peak (the most memory the fit held at once, data
-aside) the script prints, and one untimed fit with ``gibbs.sweep`` and
-``gibbs.fit_kmeans`` wrapped in timers, whose median sweep and median
-k-means start (one per chain) it prints.
+aside) the script prints.  Then each side makes three untimed fits with
+``gibbs.sweep`` and ``gibbs.fit_kmeans`` wrapped in timers, in the order
+a b b a a b, and the script prints the median over all their sweeps and
+over all their k-means starts (one per chain), so no one slow fit
+decides the line.
 
 Workloads (the first two are the data and chains of perfbench's
 workloads of that name):
@@ -95,12 +97,14 @@ def traced_peak_mb(side: Side) -> float:
         tracemalloc.stop()
 
 
-def stage_ms(side: Side) -> dict:
-    """Median time of a sweep and of a chain's k-means start in one untimed
-    fit, in ms, from timers wrapped around ``gibbs.sweep`` and
-    ``gibbs.fit_kmeans``."""
+# the sides' order of the untimed fits that time the sweeps and starts
+STAGE_ORDER = "abbaab"
+
+
+def time_stages(side: Side, times: dict) -> None:
+    """Make one untimed fit with ``gibbs.sweep`` and ``gibbs.fit_kmeans``
+    wrapped in timers, and append each call's seconds to ``times[stage]``."""
     gibbs = side.sg.gibbs
-    times = {"sweep": [], "fit_kmeans": []}
     originals = {stage: getattr(gibbs, stage) for stage in times}
 
     def timed(stage):
@@ -121,8 +125,17 @@ def stage_ms(side: Side) -> dict:
     finally:
         for stage, func in originals.items():
             setattr(gibbs, stage, func)
-    return {stage: 1e3 * statistics.median(t) if t else float("nan")
-            for stage, t in times.items()}
+
+
+def stage_ms(sides: dict) -> dict:
+    """Per side, the median time of a sweep and of a chain's k-means start,
+    in ms, over the untimed fits of ``STAGE_ORDER``."""
+    times = {key: {"sweep": [], "fit_kmeans": []} for key in sides}
+    for key in STAGE_ORDER:
+        time_stages(sides[key], times[key])
+    return {key: {stage: 1e3 * statistics.median(t) if t else float("nan")
+                  for stage, t in side_times.items()}
+            for key, side_times in times.items()}
 
 
 def compare(name: str, packages: dict, pairs: int) -> bool:
@@ -135,7 +148,7 @@ def compare(name: str, packages: dict, pairs: int) -> bool:
     peaks = {key: traced_peak_mb(side) for key, side in sides.items()}
     print(f"{name}: tracemalloc peak of one fit: a {peaks['a']:.1f} MB  "
           f"b {peaks['b']:.1f} MB", flush=True)
-    stages = {key: stage_ms(side) for key, side in sides.items()}
+    stages = stage_ms(sides)
     print(f"{name}: median sweep a {stages['a']['sweep']:.2f} ms  "
           f"b {stages['b']['sweep']:.2f} ms; k-means start a "
           f"{stages['a']['fit_kmeans']:.1f} ms  b {stages['b']['fit_kmeans']:.1f} ms",

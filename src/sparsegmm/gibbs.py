@@ -114,16 +114,6 @@ class ProgressEvent:
 ProgressCallback = Callable[[ProgressEvent], None]
 
 
-def _effective_k_max(hyper: Hyperparams, n: int, stacklevel: int = 3) -> int:
-    """k_max clamped to n, with a warning at the frame ``stacklevel`` up."""
-    if hyper.k_max > n:
-        warnings.warn(
-            f"k_max={hyper.k_max} exceeds n={n}; clamping to n", stacklevel=stacklevel
-        )
-        return n
-    return hyper.k_max
-
-
 def _compact_labels(z: np.ndarray, k: int) -> tuple[np.ndarray, int]:
     """Relabel so that used labels become dense 1..K' preserving order."""
     used = np.unique(z)
@@ -152,16 +142,16 @@ def init_state(
     Means are set to the resulting cluster sample means; auxiliaries start
     at 1, indicators at 0, theta at its prior mean 1 / (1 + beta_theta).
     The start is k-means unless ``config.init`` says otherwise, and k is
-    the prior count min(poisson rate, k_max) unless it sets k.
+    the prior count min(poisson rate, k_max) unless it sets k.  k_max is
+    taken as given: ``run_chain`` clamps it to n before calling this.
     """
     spec = config.init or InitSpec()
-    k_max = _effective_k_max(hyper, data.n)
     n, p = data.n, data.p
 
-    prior_k = max(1, min(int(hyper.poisson_lambda), k_max))
+    prior_k = max(1, min(int(hyper.poisson_lambda), hyper.k_max))
     k = 1 if spec.kind == SINGLE_CLUSTER else spec.k or prior_k
-    if k > k_max:
-        raise ConfigError(f"init k={k} exceeds k_max={k_max}")
+    if k > hyper.k_max:
+        raise ConfigError(f"init k={k} exceeds k_max={hyper.k_max}")
 
     if spec.kind == SINGLE_CLUSTER:
         z = np.ones(n, dtype=int)
@@ -229,8 +219,10 @@ def _prepare(data: DataMatrix, hyper: Hyperparams) -> tuple[Hyperparams, VnTable
     function that called this) and build the V_n table: once per run, for
     every chain."""
     validate_dataset(data)
-    k_max = _effective_k_max(hyper, data.n, stacklevel=4)
-    hyper_run = hyper if k_max == hyper.k_max else replace(hyper, k_max=k_max)
+    hyper_run = hyper
+    if hyper.k_max > data.n:
+        warnings.warn(f"k_max={hyper.k_max} exceeds n={data.n}; clamping to n", stacklevel=3)
+        hyper_run = replace(hyper, k_max=data.n)
     return hyper_run, build_vn_table(data.n, hyper_run)
 
 

@@ -11,8 +11,10 @@ one block per pass.  Most observations stay where they are, so
 ``ReseatWorkspace.advance`` reseats whole blocks of observations in one
 numpy pass and hands every observation it cannot prove exact (an open, a
 close, a near-tie) to the scalar ``reseat_observation``, the reference
-step; a pass makes the same draws and the same choices either way.  The
-urn does not know the SSL mode: a new cluster's indicators come from
+step.  Both take their weights from one method,
+``ReseatWorkspace.weights``, on the workspace's numpy rows, so a pass
+makes the same draws and the same choices either way.  The urn does not
+know the SSL mode: a new cluster's indicators come from
 ``ssl.sample_prior_xi``.
 
 The exchangeable-partition coefficients V_n(t) control the probability of
@@ -29,7 +31,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
@@ -143,7 +144,9 @@ class ReseatWorkspace:
     Building one moves ``state.mu``, ``state.phi`` and ``state.xi`` into
     capacity-``k_max + 1`` buffers and rebinds the state's arrays to their
     leading K rows, so the state keeps its one representation while
-    clusters open and close without reallocation.
+    clusters open and close without reallocation.  Beside them, ``sizes``
+    holds the cluster sizes n_k and ``half_sq`` the halved squared norms
+    ||mu_k||^2 / 2, row for row.
     Row K holds the auxiliary cluster, drawn from the prior when the
     workspace is built (see ``draw_auxiliary``).
 
@@ -158,13 +161,10 @@ class ReseatWorkspace:
     layout of that product; an auxiliary drawn after an open gets its row
     from one vector-matrix product.  G's last bits depend on the layout,
     but G only steers categorical draws, and moving it by an ulp changes
-    none of the tested fixed-seed traces.  Per cluster ``half_sq`` =
-    ||mu_k||^2 / 2 and ``base``, which is
-    ``vn.log_size[n_k]`` - ||mu_k||^2 / 2 for a cluster and
-    ``vn.log_open[K]`` - ||a||^2 / 2 for the auxiliary, kept as sizes and
-    K change.  A weight is base + G either way: the scalar step
-    (``reseat_observation``) adds them on Python floats, ``advance`` on
-    arrays, with the same IEEE operations.
+    none of the tested fixed-seed traces.  Both the scalar step
+    (``reseat_observation``) and ``advance`` take their weights from
+    ``weights``, on these numpy rows, so the two make the same IEEE
+    operations.
 
     ``advance`` reseats the observations that stay in, or move between,
     existing clusters a block at a time, and stops at each one it cannot
@@ -192,7 +192,7 @@ class ReseatWorkspace:
     G0 after it opens a cluster, or at the end of the pass, is a Gibbs step.
     """
 
-    __slots__ = ("k", "k_max", "mu", "phi", "xi", "sizes", "half_sq", "base", "g",
+    __slots__ = ("k", "k_max", "mu", "phi", "xi", "sizes", "half_sq", "g",
                  "log_size", "log_open", "uniforms", "values", "theta", "hyper")
 
     def __init__(self, state: ModelState, data: DataMatrix, vn: VnTable, hyper: Hyperparams,
@@ -211,19 +211,22 @@ class ReseatWorkspace:
         self.phi[:k] = state.phi
         self.xi = np.empty((cap, p), dtype=np.int8)
         self.xi[:k] = state.xi
+        self.sizes = np.bincount(state.z, minlength=cap + 1)[1:]
+        self.half_sq = np.zeros(cap)
+        self.half_sq[:k] = 0.5 * (state.mu * state.mu).sum(axis=1)
         self.bind(state)
-        counts = np.bincount(state.z, minlength=k + 1)[1:]
-        self.sizes = counts.tolist()
-        half_sq = 0.5 * (state.mu * state.mu).sum(axis=1)
-        pad = [0.0] * (cap - k)
-        self.half_sq = half_sq.tolist() + pad
         self.log_size = vn.log_size
-        self.base = (self.log_size[counts] - half_sq).tolist() + pad
-        self.log_open = vn.log_open.tolist()
+        self.log_open = vn.log_open
         self.draw_auxiliary(rng)
         self.g = np.empty((cap, data.n))
         np.matmul(self.mu[:k + 1], values, out=self.g[:k + 1])
         self.uniforms = UniformBlock(rng, data.n)
+
+    @property
+    def m(self) -> int:
+        """The number of choices a reseat weighs: the K clusters, and the
+        auxiliary while K < k_max."""
+        return self.k + 1 if self.k < self.k_max else self.k
 
     def draw_auxiliary(self, rng: np.random.Generator) -> None:
         """Draw row K from the prior of a new cluster: its indicators from
@@ -238,43 +241,41 @@ class ReseatWorkspace:
         mu = sample_prior_mu(xi, phi, self.hyper, rng)
         self.phi[t] = phi
         self.mu[t] = mu
-        self.half_sq[t] = float(0.5 * (mu @ mu))
-        self.offer(t)
+        self.half_sq[t] = 0.5 * (mu @ mu)
 
-    def offer(self, t: int) -> None:
-        """Set row t's weight term to the auxiliary's when K = t < k_max."""
-        if t < self.k_max:
-            self.base[t] = self.log_open[t] - self.half_sq[t]
-
-    def resize(self, c: int, change: int) -> None:
-        """Add ``change`` to the size of cluster c and update its weight term."""
-        size = self.sizes[c] + change
-        self.sizes[c] = size
-        self.base[c] = float(self.log_size[size]) - self.half_sq[c]
+    def weights(self, sizes: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """Log-weights of the choices, given the K cluster sizes that
+        exclude the observation and its m G entries (or a (b, K) and a
+        (b, m) array for b observations): log_size[n_k] - ||mu_k||^2 / 2
+        for a cluster and log_open[K] - ||a||^2 / 2 for the auxiliary,
+        plus G."""
+        t = self.k
+        w = np.empty(g.shape)
+        # a size from wrong guesses may leave the table; its row is not exact
+        np.subtract(self.log_size.take(sizes, mode="clip"), self.half_sq[:t], out=w[..., :t])
+        if g.shape[-1] > t:
+            w[..., t] = self.log_open[t] - self.half_sq[t]
+        w += g
+        return w
 
     def close(self, state: ModelState, c: int) -> None:
         """Remove cluster c (0-based), keep labels dense, and park its
         parameters in row K-1: they replace the auxiliary."""
         k = self.k
-        for buf in (self.mu, self.phi, self.xi, self.g):
+        for buf in (self.mu, self.phi, self.xi, self.g, self.sizes, self.half_sq):
             row = buf[c].copy()
             buf[c : k - 1] = buf[c + 1 : k]
             buf[k - 1] = row
-        self.half_sq.insert(k - 1, self.half_sq.pop(c))
-        self.base[c : k - 1] = self.base[c + 1 : k]
-        del self.sizes[c]
         z = state.z
         z[z > c + 1] -= 1
         self.k = k - 1
-        self.offer(k - 1)
 
     def open(self, rng: np.random.Generator) -> None:
         """Make the auxiliary cluster K+1 with one member, then draw a fresh
         auxiliary into the new row K from the generator synced past the
         uniforms served, and serve the rest of the pass from a new block."""
         t = self.k
-        self.sizes.append(0)
-        self.resize(t, 1)
+        self.sizes[t] = 1
         self.k = t + 1
         left = self.uniforms.sync()
         self.draw_auxiliary(rng)
@@ -312,9 +313,8 @@ class ReseatWorkspace:
         """
         n = z.size
         t = self.k
-        m = t + 1 if t < self.k_max else t
+        m = self.m
         clusters = np.arange(t)
-        half = np.array(self.half_sq[:t])
         blocks = self.uniforms
         while start < n:
             stop = min(start + _BLOCK, n)
@@ -322,7 +322,7 @@ class ReseatWorkspace:
             u = blocks.values[blocks.served : blocks.served + stop - start]
             g = self.g[:m, start:stop].T
             own = old[:, None] == clusters
-            left = np.array(self.sizes) - own  # each size without the observation
+            left = self.sizes[:t] - own  # each size without the observation
             rows = np.arange(old.size)
             guess = old
             for rnd in range(_ROUNDS):
@@ -331,7 +331,7 @@ class ReseatWorkspace:
                 else:
                     delta = (guess[:, None] == clusters).astype(int) - own
                     sizes = left + (np.cumsum(delta, axis=0) - delta)
-                choice, clear = self._draw(sizes, half, g, u)
+                choice, clear = self._draw(sizes, g, u)
                 clear &= (choice < t) & (sizes[rows, old] > 0)
                 exact = clear & (choice == guess)
                 if exact.all():
@@ -343,24 +343,18 @@ class ReseatWorkspace:
                     accepted = first + int(clear[first])
                     break
                 guess = choice
-            self._accept(z, start, old[:accepted], choice[:accepted], half)
+            self._accept(z, start, old[:accepted], choice[:accepted])
             start += accepted
             if accepted < old.size:
                 break
         return start
 
-    def _draw(self, sizes: np.ndarray, half: np.ndarray, g: np.ndarray,
+    def _draw(self, sizes: np.ndarray, g: np.ndarray,
               u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Each row's categorical choice given the (b, K) cluster sizes that
         exclude it, its (b, m) G entries and its uniform, and whether no CDF
         entry is a near-tie."""
-        t = half.size
-        w = np.empty(g.shape)
-        # a size from wrong guesses may leave the table; its row is not exact
-        np.subtract(self.log_size.take(sizes, mode="clip"), half, out=w[:, :t])
-        if g.shape[1] > t:
-            w[:, t] = self.base[t]
-        w += g
+        w = self.weights(sizes, g)
         w -= w.max(axis=1, keepdims=True)
         cdf = np.cumsum(np.exp(w, out=w), axis=1)
         total = cdf[:, -1:]
@@ -369,18 +363,14 @@ class ReseatWorkspace:
         clear = (np.abs(cdf - x) > _TIE * total).all(axis=1)
         return choice, clear
 
-    def _accept(self, z: np.ndarray, start: int, old: np.ndarray, choice: np.ndarray,
-                half: np.ndarray) -> None:
-        """Apply accepted choices: labels, sizes, weight terms and uniforms."""
+    def _accept(self, z: np.ndarray, start: int, old: np.ndarray, choice: np.ndarray) -> None:
+        """Apply accepted choices: labels, sizes and uniforms."""
         self.uniforms.served += old.size
         if (choice == old).all():
             return
-        t = half.size
+        t = self.k
         z[start : start + old.size] = choice + 1
-        sizes = (np.array(self.sizes) + np.bincount(choice, minlength=t)
-                 - np.bincount(old, minlength=t))
-        self.sizes = sizes.tolist()
-        self.base[:t] = (self.log_size[sizes] - half).tolist()
+        self.sizes[:t] += np.bincount(choice, minlength=t) - np.bincount(old, minlength=t)
 
 
 def reseat_observation(
@@ -403,17 +393,16 @@ def reseat_observation(
     if ws.sizes[old] == 1:
         ws.close(state, old)
     else:
-        ws.resize(old, -1)
+        ws.sizes[old] -= 1
     t = ws.k
-    m = t + 1 if t < ws.k_max else t
-    choice = sample_categorical_log(list(map(add, ws.base[:m], ws.g[:m, i].tolist())),
-                                    ws.uniforms)
+    w = ws.weights(ws.sizes[:t], ws.g[: ws.m, i])
+    choice = sample_categorical_log(w.tolist(), ws.uniforms)
 
     state.z[i] = choice + 1
     if choice == t:
         ws.open(rng)
     else:
-        ws.resize(choice, 1)
+        ws.sizes[choice] += 1
     if ws.k != k:
         ws.bind(state)
     return state

@@ -25,9 +25,9 @@ from oracles import reference_generate, reference_kmeans, reference_sweep, refer
 from sparsegmm.cmle import CmleConfig, fit_cmle, fit_kmeans
 from sparsegmm.core import SPARSE_SUMS_MIN, DataMatrix, Hyperparams, ModelState, cluster_sums
 from sparsegmm.gibbs import InitSpec, RunConfig, init_state, sweep
-from sparsegmm.ssl import update_phi
+from sparsegmm.ssl import build_context, update_mu, update_phi, update_theta, update_xi
 from sparsegmm.synthetic import ScenarioSpec, generate
-from sparsegmm.urn import ReseatWorkspace, build_vn_table
+from sparsegmm.urn import ReseatWorkspace, build_vn_table, reseat_observation
 
 
 def _churning_design(ssl_mode):
@@ -154,6 +154,48 @@ def test_joint_indicator_rows_stay_tied(monkeypatch):
     assert moves["opened"] >= 5 and moves["closed"] >= 5, moves
     assert moves["at_k_max"] >= 50, moves
     assert values == {0, 1}  # the indicators switched, so tied rows are not trivial
+
+
+@pytest.mark.parametrize("ssl_mode", ["joint", "column"])
+def test_workspace_rows_follow_the_state_through_opens_and_closes(ssl_mode):
+    """The workspace's size row equals the state's cluster sizes, and its
+    halved squared norms those of the means and the auxiliary, after every
+    block and every scalar step of passes that open and close clusters and
+    reach k_max; the passes run as ``sweep`` runs them."""
+    data, hyper = _churning_design(ssl_mode)
+    vn = build_vn_table(data.n, hyper)
+    state = _churning_start(data, hyper)
+    rng = np.random.default_rng(7)
+    seen = {"opened": 0, "closed": 0, "at_k_max": 0}
+
+    def check(ws):
+        assert np.array_equal(ws.sizes[: ws.k], np.bincount(state.z)[1:])
+        rows = ws.mu[: ws.m]  # the clusters, then the auxiliary if offered
+        assert ws.half_sq[: ws.m] == pytest.approx(0.5 * (rows * rows).sum(axis=1),
+                                                   rel=1e-12, abs=0)
+        seen["at_k_max"] += ws.k == hyper.k_max
+
+    for _ in range(40):
+        ws = ReseatWorkspace(state, data, vn, hyper, rng)
+        check(ws)
+        i = ws.advance(state.z, 0)
+        check(ws)
+        while i < data.n:
+            before = ws.k
+            reseat_observation(i, state, ws, rng)
+            seen["opened"] += ws.k > before
+            seen["closed"] += ws.k < before
+            check(ws)
+            i = ws.advance(state.z, i + 1)
+            check(ws)
+        ws.finish()
+        sums, sizes = build_context(state, data)
+        update_phi(state, hyper, rng)
+        update_xi(state, sums, sizes, hyper, rng)
+        update_mu(state, sums, sizes, hyper, rng)
+        update_theta(state, hyper, rng)
+    assert seen["opened"] >= 5 and seen["closed"] >= 5, seen
+    assert seen["at_k_max"] > 0, seen
 
 
 @pytest.mark.parametrize("tiny_chi", [False, True])

@@ -40,7 +40,7 @@ def test_tracer_counts_every_reseat_and_categorical_draw(monkeypatch):
         scalar.append(i)
         # alone in the last cluster: i opened it, perhaps just after closing
         # its own, and a fresh auxiliary was drawn
-        opens.append(state.z[i] == ws.k and ws.sizes[-1] == 1)
+        opens.append(state.z[i] == ws.k and ws.sizes[ws.k - 1] == 1)
         return out
 
     monkeypatch.setattr(gibbs, "reseat_observation", counting)
