@@ -13,9 +13,10 @@ canonical JSON of ``point_estimates(align_labels(pooled))`` (k_hat, z_hat, mu_ha
 support), once from the dense means and once from the means on the
 support alone, as traces store them by default; multi-chain designs add
 the ``psrf_report`` table.  The baselines design has no trace: its
-digest covers the ``estimate.json`` that ``run_experiment`` writes.  Run
-the script on two checkouts to show that a change leaves every trace and
-every summary byte-identical.
+digest covers the ``estimate.json`` that ``run_experiment`` writes.  The
+baselines_large digests cover the bytes of each fit's means and labels
+and the repr of its objective.  Run the script on two checkouts to show
+that a change leaves every trace and every summary byte-identical.
 
 Designs (data seed = chain seed):
   3a             scenario I, p=n=100, s=6, mean_scale 1.5, seeds 1-5;
@@ -26,6 +27,9 @@ Designs (data seed = chain seed):
                  chains of 15 + 35 sweeps
   baselines      3a seed 1's data; methods kmeans and cmle, each with
                  cmle {"k": 3, "s": 6} (k-means ignores s)
+  baselines_large  large_joint's data; fit_kmeans(k=3) and
+                 fit_cmle(k=3, s=6), digesting (mu, z, objective): the
+                 baselines at the size of a benchmark's k-means start
 
 Example:
     PYTHONPATH=src python3 scripts/trace_digest.py
@@ -40,6 +44,8 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 import sparsegmm as sg
 from sparsegmm.core import trace_from_ndjson, trace_to_ndjson
 from sparsegmm.experiment import (
@@ -48,8 +54,6 @@ from sparsegmm.experiment import (
     estimate_to_dict,
     run_experiment,
 )
-
-
 
 
 def _estimate(snapshots, data) -> dict:
@@ -112,11 +116,23 @@ def design_baselines():
         yield f"baselines {method}", f"estimate {hashlib.sha256(estimate).hexdigest()}"
 
 
+def _fit_digest(mu, z, objective) -> str:
+    return f"fit {hashlib.sha256(mu.tobytes() + z.tobytes() + repr(objective).encode()).hexdigest()}"
+
+
+def design_baselines_large():
+    data = _data("one", 1000, 1000, 6, 1.5, 1001)
+    mu, z = sg.fit_kmeans(data, 3)
+    yield "baselines_large kmeans", _fit_digest(mu, z, float(np.sum((data.values - mu[:, z - 1]) ** 2)))
+    yield "baselines_large cmle", _fit_digest(*sg.fit_cmle(data, sg.CmleConfig(k=3, s=6)))
+
+
 DESIGNS = {
     "3a": design_3a,
     "large_joint": design_large_joint,
     "chains_column": design_chains_column,
     "baselines": design_baselines,
+    "baselines_large": design_baselines_large,
 }
 
 

@@ -6,15 +6,24 @@ feasible set; this module is an explicitly heuristic Lloyd-style
 alternation with a joint row-sparsity projection, run from multiple
 restarts.  With s = p the projection is the identity and the procedure
 reduces to ordinary k-means.
+
+The restarts run in lockstep: each Lloyd round reads the data twice for
+all of them together, once in one distance product over every live
+restart's stacked centers and once in one sparse product that sums every
+live restart's clusters.  Each restart still keeps its own assignment,
+empty-cluster reseeds, stopping round and best iterate.  The sums are
+bitwise those of ``core.cluster_sums``; the stacked product's last bits
+can differ from those of a product per restart, but they only steer the
+nearest-center argmin.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DataMatrix, cluster_sums, residual_score
+from .core import DataMatrix, residual_score, stacked_cluster_sums
 from .errors import ConfigError
 
 # elements per block of squared rows in ``_sq_norms``: a 256 KB buffer
@@ -98,60 +107,65 @@ def _sq_norms(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _assign(values: np.ndarray, sq_norms: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """Nearest center per observation, ties to the lowest index.
+def _assign_stacked(values: np.ndarray, sq_norms: np.ndarray, centers: np.ndarray, k: int,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """(A, n) nearest-center labels of A restarts at once, ties to the lowest
+    index within each restart.
 
-    ``sq_norms`` holds the squared norm of each observation (column).  The
-    (K, n) distances come from ``mu.T @ values``, the faster layout of the
-    product.
+    ``centers`` is (p, A * k): restart a's k centers are columns a * k to
+    a * k + k - 1.  ``sq_norms`` holds the squared norm of each observation
+    (column).  The (A * k, n) distances come from one ``centers.T @ values``,
+    the faster layout of the product, computed in place in ``out`` (a flat
+    buffer of at least A * k * n elements) when one is given.
     """
-    d2 = sq_norms[None, :] - 2.0 * (mu.T @ values) + (mu * mu).sum(axis=0)[:, None]
-    return d2.argmin(axis=0) + 1
+    rows = centers.shape[1]
+    n = values.shape[1]
+    buf = None if out is None else out[:rows * n].reshape(rows, n)
+    d2 = np.matmul(centers.T, values, out=buf)
+    d2 *= -2.0
+    d2 += sq_norms
+    d2 += (centers * centers).sum(axis=0)[:, None]
+    return np.stack([block.argmin(axis=0) + 1 for block in d2.reshape(-1, k, n)])
 
 
-def _single_run(
-    data: DataMatrix,
-    sq_norms: np.ndarray,
-    config: CmleConfig,
-    init_centers: np.ndarray,
-    max_iters: int,
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """(mu, z, score) of the best Lloyd iterate.  The score is the objective
-    less the constant ||values||_F^2, taken from the cluster sums, so it
-    ranks iterates and restarts as the objective does without a p x n pass.
-    The run stops at the first assignment equal to the one before it: that
-    partition's sums, means and score are the ones already taken.
-    ``sq_norms`` holds the squared norm of each observation."""
+def _assign(values: np.ndarray, sq_norms: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Nearest center per observation for one restart's (p, K) centers."""
+    return _assign_stacked(values, sq_norms, mu, mu.shape[1])[0]
+
+
+def _starting_centers(data: DataMatrix, config: CmleConfig,
+                      init_centers: np.ndarray | None) -> list[np.ndarray]:
+    """The (p, K) starting centers of every restart: even restarts at K
+    observations drawn without replacement, odd ones at the means of a
+    random partition (their sums taken in one product), restart 0 at
+    ``init_centers`` when given."""
     values = data.values
+    p, n = values.shape
     k = config.k
-    mu = init_centers.copy()
-    z_prev = None
-    best = (None, None, np.inf)
-    for _ in range(max_iters):
-        z = _assign(values, sq_norms, mu)
-        # re-seed empty clusters at the worst-fit observation (bounded:
-        # duplicated observations can make a reseed futile)
-        sizes = np.bincount(z, minlength=k + 1)[1:]
-        for _attempt in range(k):
-            if not (sizes == 0).any():
-                break
-            worst = int(np.argmax(_sq_residuals(values, mu, z, "K").sum(axis=0)))
-            empty = int(np.flatnonzero(sizes == 0)[0])
-            mu[:, empty] = values[:, worst]
-            z = _assign(values, sq_norms, mu)
-            sizes = np.bincount(z, minlength=k + 1)[1:]
-        if z_prev is not None and np.array_equal(z, z_prev):
-            break
-        sums = cluster_sums(data.obs, z, k)
-        nonempty = sizes > 0
-        new_mu = mu.copy()
-        new_mu[:, nonempty] = sums.T[:, nonempty] / sizes[nonempty][None, :]
-        mu = sparsify_rows(new_mu, config.s, sizes)
-        score = residual_score(sums, mu.T, z)
-        if score < best[2]:
-            best = (mu.copy(), z.copy(), score)
-        z_prev = z
-    return best
+    streams = np.random.SeedSequence(config.seed).spawn(config.n_restarts)
+    centers: list[np.ndarray | None] = [None] * config.n_restarts
+    partitions = {}
+    for r in range(config.n_restarts):
+        if r == 0 and init_centers is not None:
+            centers[0] = np.asarray(init_centers, dtype=float).copy()
+            if centers[0].shape != (p, k):
+                raise ConfigError("init_centers must be p x K")
+            continue
+        rng = np.random.default_rng(streams[r])
+        if r % 2 == 0:
+            centers[r] = values[:, rng.choice(n, size=k, replace=False)].copy()
+        else:
+            z0 = np.empty(n, dtype=int)
+            z0[:k] = np.arange(1, k + 1)
+            z0[k:] = rng.integers(1, k + 1, size=n - k)
+            rng.shuffle(z0)
+            partitions[r] = z0
+    if partitions:
+        sums = stacked_cluster_sums(data.obs, list(partitions.values()), k)
+        for j, (r, z0) in enumerate(partitions.items()):
+            sizes = np.bincount(z0, minlength=k + 1)[1:]
+            centers[r] = sums[j * k:(j + 1) * k].T / sizes[None, :]
+    return centers
 
 
 def fit_cmle(
@@ -168,6 +182,13 @@ def fit_cmle(
     independent stream, so the best-of-restarts objective is
     non-increasing in n_restarts.  ``init_centers`` replaces the seeding
     of the first restart (useful for warm starts).
+
+    The restarts advance in lockstep, one Lloyd round at a time: one
+    distance product and one sparse sums product per round serve every
+    restart still running.  Each run stops at its first repeated
+    assignment (or after max_iters rounds) and keeps its best iterate; the
+    first restart with the strictly smallest score wins, as when the
+    restarts ran one after another.
     """
     mu, z = _best_of_restarts(data, config, init_centers)
     return mu, z, _objective(data.values, mu, z)
@@ -176,39 +197,66 @@ def fit_cmle(
 def _best_of_restarts(
     data: DataMatrix, config: CmleConfig, init_centers: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``fit_cmle``'s (mu_hat, z_hat), without the objective's p x n pass."""
+    """``fit_cmle``'s (mu_hat, z_hat), without the objective's p x n pass.
+
+    A run keeps the best of its iterates by score: the objective less the
+    constant ||values||_F^2, taken from the cluster sums, so it ranks
+    iterates and restarts as the objective does without a p x n pass.  A
+    run stops at the first assignment equal to the one before it: that
+    partition's sums, means and score are the ones already taken.
+    """
     values = data.values
     p, n = values.shape
-    if config.k > n:
-        raise ConfigError(f"k={config.k} exceeds n={n}")
-    if config.s is None:
-        config = replace(config, s=p)
-    if config.s > p:
-        raise ConfigError(f"s={config.s} exceeds p={p}")
-    streams = np.random.SeedSequence(config.seed).spawn(config.n_restarts)
+    k = config.k
+    if k > n:
+        raise ConfigError(f"k={k} exceeds n={n}")
+    s = p if config.s is None else config.s
+    if s > p:
+        raise ConfigError(f"s={s} exceeds p={p}")
     sq_norms = _sq_norms(values)
-    best = (None, None, np.inf)
-    for r in range(config.n_restarts):
-        if r == 0 and init_centers is not None:
-            centers = np.asarray(init_centers, dtype=float).copy()
-            if centers.shape != (p, config.k):
-                raise ConfigError("init_centers must be p x K")
-        else:
-            rng = np.random.default_rng(streams[r])
-            if r % 2 == 0:
-                idx = rng.choice(n, size=config.k, replace=False)
-                centers = values[:, idx].copy()
-            else:
-                z0 = np.empty(n, dtype=int)
-                z0[: config.k] = np.arange(1, config.k + 1)
-                z0[config.k :] = rng.integers(1, config.k + 1, size=n - config.k)
-                rng.shuffle(z0)
-                sizes = np.bincount(z0, minlength=config.k + 1)[1:]
-                centers = cluster_sums(data.obs, z0, config.k).T / sizes[None, :]
-        mu, z, score = _single_run(data, sq_norms, config, centers, config.max_iters)
-        if score < best[2]:
-            best = (mu, z, score)
-    mu, z, _ = best
+    mus = _starting_centers(data, config, init_centers)
+    restarts = config.n_restarts
+    best = [(None, None, np.inf)] * restarts
+    z_prev = [None] * restarts
+    live = list(range(restarts))
+    # flat buffers for the live restarts' stacked centers and distances
+    stacked_buf = np.empty(p * k * restarts)
+    dist_buf = np.empty(k * restarts * n)
+    for _ in range(config.max_iters):
+        stacked = stacked_buf[:p * k * len(live)].reshape(p, k * len(live))
+        np.concatenate([mus[r] for r in live], axis=1, out=stacked)
+        labels = _assign_stacked(values, sq_norms, stacked, k, dist_buf)
+        moved = []
+        for j, r in enumerate(live):
+            z, mu = labels[j], mus[r]
+            # re-seed empty clusters at the worst-fit observation (bounded:
+            # duplicated observations can make a reseed futile)
+            sizes = np.bincount(z, minlength=k + 1)[1:]
+            for _attempt in range(k):
+                if not (sizes == 0).any():
+                    break
+                worst = int(np.argmax(_sq_residuals(values, mu, z, "K").sum(axis=0)))
+                mu[:, int(np.flatnonzero(sizes == 0)[0])] = values[:, worst]
+                z = _assign(values, sq_norms, mu)
+                sizes = np.bincount(z, minlength=k + 1)[1:]
+            if z_prev[r] is None or not np.array_equal(z, z_prev[r]):
+                moved.append((r, z, sizes))
+        if not moved:
+            break
+        sums = stacked_cluster_sums(data.obs, [z for _, z, _ in moved], k)
+        for j, (r, z, sizes) in enumerate(moved):
+            run_sums = sums[j * k:(j + 1) * k]
+            nonempty = sizes > 0
+            new_mu = mus[r].copy()
+            new_mu[:, nonempty] = run_sums.T[:, nonempty] / sizes[nonempty][None, :]
+            mus[r] = sparsify_rows(new_mu, s, sizes)
+            score = residual_score(run_sums, mus[r].T, z)
+            if score < best[r][2]:
+                best[r] = (mus[r].copy(), z.copy(), score)
+            z_prev[r] = z
+        live = [r for r, _, _ in moved]
+    # the first restart with the strictly smallest score
+    mu, z, _ = min(best, key=lambda run: run[2])
     return mu, z
 
 

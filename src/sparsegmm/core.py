@@ -26,7 +26,7 @@ import warnings
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 
 import numpy as np
-from scipy.sparse import csr_array
+from scipy.sparse import csc_array
 
 from .errors import DataError, SparseGmmError
 
@@ -71,10 +71,16 @@ def validate_dataset(data: DataMatrix) -> None:
     v = data.values
     if v.shape[0] < 1 or v.shape[1] < 2:
         raise DataError(f"need p >= 1 and n >= 2, got p={v.shape[0]}, n={v.shape[1]}")
-    bad = ~np.isfinite(v)
-    if bad.any():
-        r, c = np.argwhere(bad)[0]
-        raise DataError(f"non-finite entry at row {r}, column {c}")
+    # a finite sum proves every entry finite without an n x p temporary; a
+    # sum that overflows on finite entries is searched row by row and passes
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = v.sum()
+    if math.isfinite(total):
+        return
+    for r, row in enumerate(v):
+        bad = ~np.isfinite(row)
+        if bad.any():
+            raise DataError(f"non-finite entry at row {r}, column {int(bad.argmax())}")
 
 
 @dataclass(frozen=True)
@@ -160,21 +166,17 @@ def cluster_sums(obs: np.ndarray, z: np.ndarray, k: int) -> np.ndarray:
     cluster sums to 0.
 
     From ``SPARSE_SUMS_MIN`` elements up, the sums are one product of the
-    (k, n) 0/1 indicator matrix and ``obs``: row c of the CSR matrix lists
-    cluster c's observations in ascending order (a stable argsort of z),
-    and scipy's CSR-times-dense loop adds 1.0 * x_i, which is x_i, into
-    the zeroed row in that order.  That reads the data once and copies
-    none of it.  Below, each cluster's rows are gathered and the (m, p)
-    block reduced along its first axis, which adds row by row; at p = 1
-    that axis is the contiguous one, where numpy would sum pairwise, so
-    the running sum is taken instead.
+    (k, n) 0/1 indicator matrix and ``obs`` (``stacked_cluster_sums`` with
+    one labelling), which adds the observations into their rows in that
+    order.  That reads the data once and copies none of it.  Below, each
+    cluster's rows are gathered and the (m, p) block reduced along its
+    first axis, which adds row by row; at p = 1 that axis is the
+    contiguous one, where numpy would sum pairwise, so the running sum is
+    taken instead.
     """
     n, p = obs.shape
     if n * p >= SPARSE_SUMS_MIN:
-        indptr = np.zeros(k + 1, dtype=np.intp)
-        np.cumsum(np.bincount(z, minlength=k + 1)[1:], out=indptr[1:])
-        order = np.argsort(z, kind="stable")
-        return csr_array((np.ones(n), order, indptr), shape=(k, n)) @ obs
+        return stacked_cluster_sums(obs, [z], k)
     out = np.zeros((k, p))
     for c in range(k):
         members = obs[z == c + 1]
@@ -183,6 +185,26 @@ def cluster_sums(obs: np.ndarray, z: np.ndarray, k: int) -> np.ndarray:
         elif members.size:
             out[c] += np.add.accumulate(members[:, 0])[-1]
     return out
+
+
+def stacked_cluster_sums(obs: np.ndarray, z: typing.Sequence[np.ndarray], k: int) -> np.ndarray:
+    """(A * k, p) cluster sums of A labellings at once: row a * k + c sums
+    the observations that the labels ``z[a]`` mark c + 1.
+
+    One product of the (A * k, n) 0/1 indicator matrix and ``obs``.  Column
+    i of the CSC matrix holds observation i's row in each labelling, and
+    scipy's CSC-times-dense loop takes the columns in ascending order,
+    adding 1.0 * x_i, which is x_i, into each of those zeroed rows.  So
+    every row adds its observations in ascending order, as ``cluster_sums``
+    does, and each row of ``obs`` is read once for all A labellings.
+    """
+    n = obs.shape[0]
+    a = len(z)
+    rows = np.empty((n, a), dtype=np.intp)
+    for j, labels in enumerate(z):
+        np.add(labels, j * k - 1, out=rows[:, j])
+    indptr = np.arange(0, a * n + 1, a)
+    return csc_array((np.ones(a * n), rows.ravel(), indptr), shape=(a * k, n)) @ obs
 
 
 def residual_score(sums: np.ndarray, mu: np.ndarray, z: np.ndarray) -> float:

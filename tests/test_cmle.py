@@ -147,14 +147,28 @@ def test_kmeans_reseed_matches_the_old_residual(monkeypatch, layout):
 @pytest.mark.parametrize("layout", ["C", "F"])
 def test_assign_sends_ties_to_the_lowest_label(layout):
     """Duplicated centres tie bit for bit: every observation takes the lower
-    label of its pair, the one that direct distances give."""
+    label of its pair, the one that direct distances give.  Stacked into
+    one product, each restart's block sends ties to its own lowest label."""
     rng = np.random.default_rng(4)
     values = np.asarray(rng.standard_normal((30, 50)), order=layout)
+    sq_norms = cmle._sq_norms(values)
     centres = rng.standard_normal((30, 2))
     mu = centres[:, [0, 1, 0, 1, 1]]
-    z = cmle._assign(values, cmle._sq_norms(values), mu)
+    z = cmle._assign(values, sq_norms, mu)
     direct = ((values[:, :, None] - centres[:, None, :]) ** 2).sum(axis=0).argmin(axis=1) + 1
     assert set(z) == {1, 2}
     assert np.array_equal(z, direct)
-    same = cmle._assign(values, cmle._sq_norms(values), centres[:, [1, 1, 1]])
+    same = cmle._assign(values, sq_norms, centres[:, [1, 1, 1]])
     assert np.array_equal(same, np.ones(50, dtype=int))
+
+    centres = np.hstack([centres, rng.standard_normal((30, 1))])
+    blocks = [[0, 1, 0, 1, 1], [1, 1, 1, 1, 1], [2, 0, 2, 0, 1], [1, 2, 2, 0, 0]]
+    stacked = centres[:, [c for block in blocks for c in block]]
+    for out in (None, np.empty(len(blocks) * 5 * 50)):
+        z = cmle._assign_stacked(values, sq_norms, stacked, 5, out)
+        assert z.shape == (len(blocks), 50)
+        for row, block in zip(z, blocks):
+            assert all(block.index(block[c - 1]) == c - 1 for c in set(row))
+            direct = ((values[:, :, None] - centres[:, None, block]) ** 2).sum(axis=0)
+            assert np.array_equal(row, direct.argmin(axis=1) + 1)
+            assert np.array_equal(row, cmle._assign(values, sq_norms, centres[:, block]))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,6 +39,34 @@ def test_validate_rejects_nan_with_location():
     values[1, 2] = np.nan
     with pytest.raises(DataError, match="non-finite entry at row 1, column 2"):
         validate_dataset(DataMatrix(values))
+
+
+@pytest.mark.parametrize("bad, row, col", [(np.nan, 1, 2), (np.inf, 0, 3), (-np.inf, 2, 0)])
+def test_validate_names_the_first_non_finite_entry(bad, row, col):
+    values = np.ones((3, 4))
+    values[row, col] = bad
+    values[2, 3] = np.nan  # a later entry in row-major order is not named
+    with pytest.raises(DataError, match=f"non-finite entry at row {row}, column {col}$"):
+        validate_dataset(DataMatrix(values))
+
+
+def test_validate_accepts_a_finite_matrix_whose_sum_overflows():
+    values = np.full((4, 5), 1e308)
+    with np.errstate(over="ignore"):
+        assert not math.isfinite(values.sum())
+    assert validate_dataset(DataMatrix(values)) is None
+
+
+def test_validate_builds_no_matrix_sized_temporary():
+    data = DataMatrix(np.random.default_rng(0).standard_normal((400, 500)))
+    tracemalloc.start()
+    try:
+        validate_dataset(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a boolean mask of the matrix would be 200 KB
+    assert peak < data.values.size // 20
 
 
 def test_validate_rejects_single_observation():

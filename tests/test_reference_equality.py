@@ -23,7 +23,8 @@ import sparsegmm.distributions as distributions
 import sparsegmm.gibbs as gibbs
 from oracles import reference_generate, reference_kmeans, reference_sweep, reference_update_phi
 from sparsegmm.cmle import CmleConfig, fit_cmle, fit_kmeans
-from sparsegmm.core import SPARSE_SUMS_MIN, DataMatrix, Hyperparams, ModelState, cluster_sums
+from sparsegmm.core import (SPARSE_SUMS_MIN, DataMatrix, Hyperparams, ModelState, cluster_sums,
+                            stacked_cluster_sums)
 from sparsegmm.gibbs import InitSpec, RunConfig, init_state, sweep
 from sparsegmm.ssl import build_context, update_mu, update_phi, update_theta, update_xi
 from sparsegmm.synthetic import ScenarioSpec, generate
@@ -260,6 +261,21 @@ def test_cluster_sums_match_add_at_bitwise(p, n, k, order, sparse):
     assert k == 1 or not got[min(4, k) - 1].any()
 
 
+@pytest.mark.parametrize("p,n,order", [(1, 300, "C"), (7, 300, "C"), (1000, 300, "C"),
+                                         (1000, 300, "F")])
+def test_stacked_cluster_sums_match_add_at_per_labelling_bitwise(p, n, order):
+    # three labellings, one with an empty cluster, summed in one product
+    values, z, k = _wide_range_data(p, n, 5)
+    obs = np.ascontiguousarray(values.T) if order == "C" else values.T
+    rng = np.random.default_rng(p)
+    labellings = [z, rng.integers(1, k + 1, size=n), np.sort(z)[::-1].copy()]
+    got = stacked_cluster_sums(obs, labellings, k)
+    for a, labels in enumerate(labellings):
+        expected = np.zeros((k, p))
+        np.add.at(expected, labels - 1, obs)
+        assert np.array_equal(got[a * k:(a + 1) * k], expected)
+
+
 def test_cluster_sums_above_the_switch_copy_no_rows():
     # the gather copied each cluster's rows: here 3/5 of the matrix at once
     values, z, k = _wide_range_data(600, 500, 5)
@@ -338,6 +354,29 @@ def test_fit_cmle_sparse_matches_reference_bitwise(scenario, seed, s):
     assert np.array_equal(mu, mu_ref)
     assert np.array_equal(z, z_ref)
     assert obj == obj_ref
+
+
+@pytest.mark.parametrize("s", [None, 6], ids=["kmeans", "s6"])
+@pytest.mark.parametrize("max_iters", [1, 2, 3, 100])
+@pytest.mark.parametrize("n_restarts", [1, 3])
+def test_fit_cmle_matches_reference_at_the_samplers_size(s, max_iters, n_restarts):
+    # p=400, n=200 (the chains_column data): the size of a sampler's start,
+    # above the sampler's switch to sparse sums.  Runs are cut after 1-3
+    # rounds or run to convergence.  Uncut, three restarts stop at rounds 3,
+    # 4 and 4 (k-means) and at rounds 7, 8 and 14 (s=6)
+    spec = ScenarioSpec(scenario="two", p=400, n=200, s=8, seed=1)
+    data = generate(spec)[0]
+    assert data.values.size >= SPARSE_SUMS_MIN
+    config = CmleConfig(k=3, s=s, max_iters=max_iters, n_restarts=n_restarts, seed=5)
+    mu, z, obj = fit_cmle(data, config)
+    mu_ref, z_ref, obj_ref, _ = reference_kmeans(data.values, 3, seed=5, n_restarts=n_restarts,
+                                                 max_iters=max_iters, s=s)
+    assert np.array_equal(mu, mu_ref)
+    assert np.array_equal(z, z_ref)
+    assert obj == obj_ref
+    if s is None:
+        mu_k, z_k = fit_kmeans(data, 3, n_restarts=n_restarts, seed=5, max_iters=max_iters)
+        assert np.array_equal(mu_k, mu_ref) and np.array_equal(z_k, z_ref)
 
 
 def _custom_t_mixture():

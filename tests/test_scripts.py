@@ -42,6 +42,12 @@ def test_trace_digest_covers_the_baselines():
     assert lines == ["kmeans", "cmle"], out
 
 
+def test_trace_digest_covers_the_large_baselines():
+    out = _run("trace_digest.py", "--designs", "baselines_large")
+    lines = re.findall(r"^baselines_large (\w+)\s+fit [0-9a-f]{64}", out, re.M)
+    assert lines == ["kmeans", "cmle"], out
+
+
 def test_split_odds_prints_the_seed():
     out = _run("split_odds.py", "--seeds", "1", "--samples", 1000)
     assert re.search(r"^seed 1: sizes \[.*\]  split odds per cluster .* total ", out, re.M), out
