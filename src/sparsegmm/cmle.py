@@ -11,10 +11,12 @@ The restarts run in lockstep: each Lloyd round reads the data twice for
 all of them together, once in one distance product over every live
 restart's stacked centers and once in one sparse product that sums every
 live restart's clusters.  Each restart still keeps its own assignment,
-empty-cluster reseeds, stopping round and best iterate.  The sums are
-bitwise those of ``core.cluster_sums``; the stacked product's last bits
-can differ from those of a product per restart, but they only steer the
-nearest-center argmin.
+empty-cluster reseeds, stopping round and best iterate.  The sums feed the
+centers and are bitwise those of ``core.cluster_sums``.  The distances and
+the reseed's residual sums only choose an argmin or an argmax, so they
+keep no bits for their own sake: the distances leave out each
+observation's squared norm, the same for every center, and their last
+bits can differ from those of a product per restart.
 """
 
 from __future__ import annotations
@@ -25,9 +27,6 @@ import numpy as np
 
 from .core import DataMatrix, residual_score, stacked_cluster_sums
 from .errors import ConfigError
-
-# elements per block of squared rows in ``_sq_norms``: a 256 KB buffer
-_SQ_BLOCK = 2**15
 
 
 @dataclass(frozen=True)
@@ -65,13 +64,10 @@ def sparsify_rows(mu: np.ndarray, s: int, sizes: np.ndarray | None = None) -> np
     return out
 
 
-def _sq_residuals(values: np.ndarray, mu: np.ndarray, z: np.ndarray,
-                  order: str = "C") -> np.ndarray:
-    """(values - mu[:, z - 1]) ** 2 in one p x n buffer, without that
-    expression's two other p x n temporaries.  The buffer is C-ordered, or
-    with ``order="K"`` laid out as ``values``, as the expression lays out
-    its result, so that sums along an axis are bitwise the expression's."""
-    resid = np.empty_like(values, order=order)
+def _sq_residuals(values: np.ndarray, mu: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """(values - mu[:, z - 1]) ** 2 in one C-ordered p x n buffer, without
+    that expression's two other p x n temporaries."""
+    resid = np.empty_like(values, order="C")
     np.take(mu, z - 1, axis=1, out=resid, mode="clip")  # "raise" would buffer a copy
     np.subtract(values, resid, out=resid)
     np.multiply(resid, resid, out=resid)
@@ -83,62 +79,37 @@ def _objective(values: np.ndarray, mu: np.ndarray, z: np.ndarray) -> float:
     return float(np.sum(_sq_residuals(values, mu, z)))
 
 
-def _sq_norms(values: np.ndarray) -> np.ndarray:
-    """Squared norm of each column, bitwise equal to ``(values * values).sum(axis=0)``
-    without its p x n temporary.
-
-    On a C-ordered matrix with n > 1 that sum adds the squared rows one by
-    one into the running sum, so blocks of rows are squared into a small
-    buffer behind a first row holding the running sum, and each block is
-    reduced along axis 0 the same way.  Otherwise the reduction runs along
-    contiguous memory, where numpy sums pairwise, so the whole sum is taken.
-    """
-    p, n = values.shape
-    if n == 1 or not values.flags.c_contiguous:
-        return (values * values).sum(axis=0)
-    rows = max(1, _SQ_BLOCK // n)
-    buf = np.zeros((rows + 1, n))
-    out = np.zeros(n)
-    for start in range(0, p, rows):
-        block = values[start:start + rows]
-        buf[0] = out
-        np.multiply(block, block, out=buf[1:block.shape[0] + 1])
-        np.add.reduce(buf[:block.shape[0] + 1], axis=0, out=out)
-    return out
-
-
-def _assign_stacked(values: np.ndarray, sq_norms: np.ndarray, centers: np.ndarray, k: int,
+def _assign_stacked(values: np.ndarray, centers: np.ndarray, k: int,
                     out: np.ndarray | None = None) -> np.ndarray:
     """(A, n) nearest-center labels of A restarts at once, ties to the lowest
     index within each restart.
 
     ``centers`` is (p, A * k): restart a's k centers are columns a * k to
-    a * k + k - 1.  ``sq_norms`` holds the squared norm of each observation
-    (column).  The (A * k, n) distances come from one ``centers.T @ values``,
-    the faster layout of the product, computed in place in ``out`` (a flat
-    buffer of at least A * k * n elements) when one is given.
+    a * k + k - 1.  Each observation y goes to the center c with the least
+    ||c||^2 - 2 c.y: its squared distance less ||y||^2, which is the same
+    for every center and so cannot change the argmin.  The (A * k, n)
+    products come from one ``centers.T @ values``, the faster layout of the
+    product, computed in place in ``out`` (a flat buffer of at least
+    A * k * n elements) when one is given.
     """
     rows = centers.shape[1]
     n = values.shape[1]
     buf = None if out is None else out[:rows * n].reshape(rows, n)
     d2 = np.matmul(centers.T, values, out=buf)
     d2 *= -2.0
-    d2 += sq_norms
     d2 += (centers * centers).sum(axis=0)[:, None]
     return np.stack([block.argmin(axis=0) + 1 for block in d2.reshape(-1, k, n)])
 
 
-def _assign(values: np.ndarray, sq_norms: np.ndarray, mu: np.ndarray) -> np.ndarray:
+def _assign(values: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """Nearest center per observation for one restart's (p, K) centers."""
-    return _assign_stacked(values, sq_norms, mu, mu.shape[1])[0]
+    return _assign_stacked(values, mu, mu.shape[1])[0]
 
 
-def _starting_centers(data: DataMatrix, config: CmleConfig,
-                      init_centers: np.ndarray | None) -> list[np.ndarray]:
+def _starting_centers(data: DataMatrix, config: CmleConfig) -> list[np.ndarray]:
     """The (p, K) starting centers of every restart: even restarts at K
     observations drawn without replacement, odd ones at the means of a
-    random partition (their sums taken in one product), restart 0 at
-    ``init_centers`` when given."""
+    random partition (their sums taken in one product)."""
     values = data.values
     p, n = values.shape
     k = config.k
@@ -146,11 +117,6 @@ def _starting_centers(data: DataMatrix, config: CmleConfig,
     centers: list[np.ndarray | None] = [None] * config.n_restarts
     partitions = {}
     for r in range(config.n_restarts):
-        if r == 0 and init_centers is not None:
-            centers[0] = np.asarray(init_centers, dtype=float).copy()
-            if centers[0].shape != (p, k):
-                raise ConfigError("init_centers must be p x K")
-            continue
         rng = np.random.default_rng(streams[r])
         if r % 2 == 0:
             centers[r] = values[:, rng.choice(n, size=k, replace=False)].copy()
@@ -168,11 +134,7 @@ def _starting_centers(data: DataMatrix, config: CmleConfig,
     return centers
 
 
-def fit_cmle(
-    data: DataMatrix,
-    config: CmleConfig,
-    init_centers: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, float]:
+def fit_cmle(data: DataMatrix, config: CmleConfig) -> tuple[np.ndarray, np.ndarray, float]:
     """(mu_hat, z_hat, objective): best of n_restarts alternating runs.
 
     mu_hat is p x K with at most s non-zero rows (p if s is None); z_hat
@@ -180,8 +142,7 @@ def fit_cmle(
     without replacement, odd restarts at the means of a random partition
     (better basin coverage on small instances); each restart uses an
     independent stream, so the best-of-restarts objective is
-    non-increasing in n_restarts.  ``init_centers`` replaces the seeding
-    of the first restart (useful for warm starts).
+    non-increasing in n_restarts.
 
     The restarts advance in lockstep, one Lloyd round at a time: one
     distance product and one sparse sums product per round serve every
@@ -190,13 +151,11 @@ def fit_cmle(
     first restart with the strictly smallest score wins, as when the
     restarts ran one after another.
     """
-    mu, z = _best_of_restarts(data, config, init_centers)
+    mu, z = _best_of_restarts(data, config)
     return mu, z, _objective(data.values, mu, z)
 
 
-def _best_of_restarts(
-    data: DataMatrix, config: CmleConfig, init_centers: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray]:
+def _best_of_restarts(data: DataMatrix, config: CmleConfig) -> tuple[np.ndarray, np.ndarray]:
     """``fit_cmle``'s (mu_hat, z_hat), without the objective's p x n pass.
 
     A run keeps the best of its iterates by score: the objective less the
@@ -213,8 +172,7 @@ def _best_of_restarts(
     s = p if config.s is None else config.s
     if s > p:
         raise ConfigError(f"s={s} exceeds p={p}")
-    sq_norms = _sq_norms(values)
-    mus = _starting_centers(data, config, init_centers)
+    mus = _starting_centers(data, config)
     restarts = config.n_restarts
     best = [(None, None, np.inf)] * restarts
     z_prev = [None] * restarts
@@ -225,7 +183,7 @@ def _best_of_restarts(
     for _ in range(config.max_iters):
         stacked = stacked_buf[:p * k * len(live)].reshape(p, k * len(live))
         np.concatenate([mus[r] for r in live], axis=1, out=stacked)
-        labels = _assign_stacked(values, sq_norms, stacked, k, dist_buf)
+        labels = _assign_stacked(values, stacked, k, dist_buf)
         moved = []
         for j, r in enumerate(live):
             z, mu = labels[j], mus[r]
@@ -235,9 +193,9 @@ def _best_of_restarts(
             for _attempt in range(k):
                 if not (sizes == 0).any():
                     break
-                worst = int(np.argmax(_sq_residuals(values, mu, z, "K").sum(axis=0)))
+                worst = int(np.argmax(_sq_residuals(values, mu, z).sum(axis=0)))
                 mu[:, int(np.flatnonzero(sizes == 0)[0])] = values[:, worst]
-                z = _assign(values, sq_norms, mu)
+                z = _assign(values, mu)
                 sizes = np.bincount(z, minlength=k + 1)[1:]
             if z_prev[r] is None or not np.array_equal(z, z_prev[r]):
                 moved.append((r, z, sizes))
@@ -266,4 +224,4 @@ def fit_kmeans(
     """(mu_hat, z_hat) of plain k-means: ``fit_cmle`` without a row budget
     and without the objective, which a start does not read."""
     config = CmleConfig(k=k, max_iters=max_iters, n_restarts=n_restarts, seed=seed)
-    return _best_of_restarts(data, config, None)
+    return _best_of_restarts(data, config)

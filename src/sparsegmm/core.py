@@ -108,8 +108,16 @@ class Hyperparams:
             raise ValueError(
                 f"need lambda0 > lambda1 > 0, got {self.lambda0}, {self.lambda1}"
             )
-        if self.beta_theta <= 0 or self.poisson_lambda <= 0:
-            raise ValueError("beta_theta and poisson_lambda must be positive")
+        for name in ("lambda0", "lambda1"):
+            # squared as a float, as the sampler squares it: 1e200 overflows
+            try:
+                rate = float(getattr(self, name))
+            except OverflowError:
+                rate = math.inf
+            if not 0 < rate * rate < math.inf:
+                raise ValueError(f"{name}**2 must be a positive finite float, got {rate * rate}")
+        if not (self.alpha > 0 and self.beta_theta > 0 and self.poisson_lambda > 0):
+            raise ValueError("alpha, beta_theta and poisson_lambda must be positive")
         if self.k_max < 1:
             raise ValueError("k_max must be >= 1")
         if self.ssl_mode not in (JOINT_SSL, COLUMN_SSL):

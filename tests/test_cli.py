@@ -219,14 +219,21 @@ def test_bad_config_exits_2(tmp_path, capsys):
     # a section that is not an object, or a value of the wrong kind, is
     # refused before the (missing) data file is read, whether or not a flag
     # would replace it
-    for case in ({"hyperparams": 5}, {"hyperparams": {"lambda0": "x"}}, {"run": [1, 2]},
-                 {"output_dir": 5}, {"run": {"n_burn": 2.5}}, {"run": {"seed": 1.5}},
-                 {"run": {"init": {"kind": "random_k", "k": 2.5}}},
-                 {"run": {"init": {"kind": "random_k", "k": 0}}},
-                 {"scenario": {"p": 20.5}}, {"method": "cmle", "cmle": {"k": 2, "s": 2.5}},
-                 {"scenario": "one"}, {"transpose": "yes"},
-                 {"run": {"seed": 1e20}}, {"run": {"seed": 2**64 - 1}}):
-        source = {} if "scenario" in case else {"data_path": str(tmp_path / "absent.csv")}
+    absent = {"data_path": str(tmp_path / "absent.csv")}
+    cases = [({} if "scenario" in case else absent, case) for case in (
+        {"hyperparams": 5}, {"hyperparams": {"lambda0": "x"}}, {"run": [1, 2]},
+        {"output_dir": 5}, {"run": {"n_burn": 2.5}}, {"run": {"seed": 1.5}},
+        {"run": {"init": {"kind": "random_k", "k": 2.5}}},
+        {"run": {"init": {"kind": "random_k", "k": 0}}},
+        {"scenario": {"p": 20.5}}, {"method": "cmle", "cmle": {"k": 2, "s": 2.5}},
+        {"scenario": "one"}, {"transpose": "yes"},
+        {"run": {"seed": 1e20}}, {"run": {"seed": 2**64 - 1}})]
+    # a degenerate prior is refused once the data load (the defaults it
+    # overrides depend on p), so these cases simulate their data
+    simulated = {"scenario": {"scenario": "one", "p": 20, "n": 30, "s": 4}}
+    cases += [(simulated, {"hyperparams": prior}) for prior in (
+        {"alpha": 0}, {"alpha": -1}, {"lambda0": 1e200}, {"lambda1": 1e-200})]
+    for source, case in cases:
         path = tmp_path / "case.json"
         path.write_text(json.dumps({**source, **case}))
         for args in (("report", "--config", path),

@@ -19,11 +19,14 @@ def _sparse_blobs(seed=0, noise=0.0):
 
 
 def test_noiseless_truth_is_fixed_point():
+    # the best of several restarts on noiseless blobs lands on the truth
     data, z_true, mu_true = _sparse_blobs()
-    cfg = CmleConfig(k=2, s=2, n_restarts=1, seed=0)
-    mu, z, obj = fit_cmle(data, cfg, init_centers=mu_true)
+    cfg = CmleConfig(k=2, s=2, n_restarts=8, seed=0)
+    mu, z, obj = fit_cmle(data, cfg)
     assert obj == 0.0
     assert min_hamming(z, z_true, 2) == 0.0
+    if z[0] != z_true[0]:
+        mu = mu[:, ::-1]
     assert mu == pytest.approx(mu_true)
 
 
@@ -103,7 +106,7 @@ def test_exhaustive_oracle_random_instances():
         assert obj == pytest.approx(target, rel=1e-9, abs=1e-12)
 
 
-def _old_sq_residuals(values, mu, z, order="C"):
+def _old_sq_residuals(values, mu, z):
     """The reseed's residual as it was written before ``_sq_residuals``."""
     return (values - mu[:, z - 1]) ** 2
 
@@ -111,16 +114,18 @@ def _old_sq_residuals(values, mu, z, order="C"):
 @pytest.mark.parametrize("p, n", [(1, 5), (3, 7), (50, 40), (400, 200), (2000, 300)])
 @pytest.mark.parametrize("layout", ["C", "F"])
 def test_sq_residuals_match_the_expression_bit_for_bit(p, n, layout):
-    """The reseed's column sums and the objective, at value scales 1e-3 to 1e3."""
+    """The reseed's residuals, their column sums and the objective, at value
+    scales 1e-3 to 1e3: those of the expression, laid out C-ordered."""
     rng = np.random.default_rng(p * n)
     for scale in (1e-3, 1.0, 1e3):
         values = np.asarray(scale * rng.standard_normal((p, n)), order=layout)
         mu = scale * rng.standard_normal((p, 4))
         z = rng.integers(1, 5, size=n)
-        old = _old_sq_residuals(values, mu, z)
-        assert cmle._sq_residuals(values, mu, z, "K").sum(axis=0).tobytes() == \
-            old.sum(axis=0).tobytes()
-        assert cmle._objective(values, mu, z) == float(np.sum(np.ascontiguousarray(old)))
+        old = np.ascontiguousarray(_old_sq_residuals(values, mu, z))
+        new = cmle._sq_residuals(values, mu, z)
+        assert new.flags.c_contiguous and new.tobytes() == old.tobytes()
+        assert new.sum(axis=0).tobytes() == old.sum(axis=0).tobytes()
+        assert cmle._objective(values, mu, z) == float(np.sum(old))
 
 
 @pytest.mark.parametrize("layout", ["C", "F"])
@@ -131,13 +136,13 @@ def test_kmeans_reseed_matches_the_old_residual(monkeypatch, layout):
     data = DataMatrix(np.asarray(base[:, np.repeat([0, 1, 2], 4)], order=layout))
     calls, helper = [], cmle._sq_residuals
 
-    def spy(values, mu, z, order="C"):
-        calls.append(order)
-        return helper(values, mu, z, order)
+    def spy(values, mu, z):
+        calls.append(z)
+        return helper(values, mu, z)
 
     monkeypatch.setattr(cmle, "_sq_residuals", spy)
     mu_new, z_new = fit_kmeans(data, 5, n_restarts=4, seed=2)
-    assert "K" in calls
+    assert calls
     monkeypatch.setattr(cmle, "_sq_residuals", _old_sq_residuals)
     mu_old, z_old = fit_kmeans(data, 5, n_restarts=4, seed=2)
     assert mu_new.tobytes() == mu_old.tobytes()
@@ -151,24 +156,23 @@ def test_assign_sends_ties_to_the_lowest_label(layout):
     one product, each restart's block sends ties to its own lowest label."""
     rng = np.random.default_rng(4)
     values = np.asarray(rng.standard_normal((30, 50)), order=layout)
-    sq_norms = cmle._sq_norms(values)
     centres = rng.standard_normal((30, 2))
     mu = centres[:, [0, 1, 0, 1, 1]]
-    z = cmle._assign(values, sq_norms, mu)
+    z = cmle._assign(values, mu)
     direct = ((values[:, :, None] - centres[:, None, :]) ** 2).sum(axis=0).argmin(axis=1) + 1
     assert set(z) == {1, 2}
     assert np.array_equal(z, direct)
-    same = cmle._assign(values, sq_norms, centres[:, [1, 1, 1]])
+    same = cmle._assign(values, centres[:, [1, 1, 1]])
     assert np.array_equal(same, np.ones(50, dtype=int))
 
     centres = np.hstack([centres, rng.standard_normal((30, 1))])
     blocks = [[0, 1, 0, 1, 1], [1, 1, 1, 1, 1], [2, 0, 2, 0, 1], [1, 2, 2, 0, 0]]
     stacked = centres[:, [c for block in blocks for c in block]]
     for out in (None, np.empty(len(blocks) * 5 * 50)):
-        z = cmle._assign_stacked(values, sq_norms, stacked, 5, out)
+        z = cmle._assign_stacked(values, stacked, 5, out)
         assert z.shape == (len(blocks), 50)
         for row, block in zip(z, blocks):
             assert all(block.index(block[c - 1]) == c - 1 for c in set(row))
             direct = ((values[:, :, None] - centres[:, None, block]) ** 2).sum(axis=0)
             assert np.array_equal(row, direct.argmin(axis=1) + 1)
-            assert np.array_equal(row, cmle._assign(values, sq_norms, centres[:, block]))
+            assert np.array_equal(row, cmle._assign(values, centres[:, block]))

@@ -93,6 +93,12 @@ def test_default_hyperparams_small_p():
 def test_hyperparams_reject_bad_rates():
     with pytest.raises(ValueError):
         Hyperparams(lambda0=1.0, lambda1=2.0, beta_theta=1.0)
+    # a rate whose square is not a positive finite float, as an int too,
+    # and a Dirichlet weight that is not positive
+    for bad in ({"alpha": 0}, {"alpha": -1}, {"alpha": 0.0}, {"lambda0": 1e200},
+                {"lambda0": 10**200}, {"lambda0": 10**400}, {"lambda1": 1e-200}):
+        with pytest.raises(ValueError):
+            Hyperparams(**{"lambda0": 2.0, "lambda1": 1.0, "beta_theta": 1.0, **bad})
 
 
 def test_hyperparams_warn_small_alpha():

@@ -1,10 +1,11 @@
 """Bitwise equality of the lean sampler paths with their naive references.
 
-The cluster sums, the k-means start's squared norms, the scale update,
-the k-means Lloyd loop and the synthetic generator were rewritten to do
-less work, or to hold less memory, with the same random draws and the same
-arithmetic (the loop ranks its iterates from cluster sums, the reference
-by the dense objective, and both must pick the same one); the reseat pass
+The cluster sums, the scale update, the k-means Lloyd loop and the
+synthetic generator were rewritten to do less work, or to hold less
+memory, with the same random draws and the same arithmetic (the loop
+ranks its iterates from cluster sums, the reference by the dense
+objective, and both must pick the same one; its distances leave out the
+observation's squared norm, which only the argmin reads); the reseat pass
 computes its distances from inner products, which changes the weights by
 rounding only, and the weights only steer categorical draws, whose
 uniforms it takes in blocks, and which it makes for blocks of
@@ -18,7 +19,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import sparsegmm.cmle as cmle
 import sparsegmm.distributions as distributions
 import sparsegmm.gibbs as gibbs
 from oracles import reference_generate, reference_kmeans, reference_sweep, reference_update_phi
@@ -290,17 +290,6 @@ def test_cluster_sums_above_the_switch_copy_no_rows():
         tracemalloc.stop()
     assert obs.size >= SPARSE_SUMS_MIN
     assert peak < obs.nbytes / 4
-
-
-@pytest.mark.parametrize("p,n", [(1, 1), (1, 7), (9, 1), (300, 1), (5, 2), (64, 300),
-                                 (40, 5000), (1000, 33), (257, 129)])
-@pytest.mark.parametrize("order", ["C", "F"])
-def test_sq_norms_match_whole_sum_bitwise(p, n, order, monkeypatch):
-    # 256-element blocks: one row to a block at n >= 129, or a short last block
-    monkeypatch.setattr(cmle, "_SQ_BLOCK", 256)
-    values, _, _ = _wide_range_data(p, n, 1)
-    values = np.asarray(values, order=order)
-    assert np.array_equal(cmle._sq_norms(values), (values * values).sum(axis=0))
 
 
 @pytest.mark.parametrize("rows", [[0], [5, 1, 40], list(range(0, 64, 3))])

@@ -16,8 +16,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _run(script, *args, ok=(0,)):
-    env = dict(os.environ)
+def _run(script, *args, ok=(0,), env_override=None):
+    env = {**os.environ, **(env_override or {})}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *map(str, args)],
                           cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
@@ -29,6 +29,20 @@ def test_trace_digest_prints_one_line_per_seed():
     out = _run("trace_digest.py", "--designs", "3a")
     lines = re.findall(r"^3a seed (\d)\s+trace [0-9a-f]{64}  post [0-9a-f]{64}", out, re.M)
     assert lines == ["1", "2", "3", "4", "5"], out
+
+
+def test_trace_digests_do_not_depend_on_the_blas_thread_count():
+    """The k-means distances and the reseat inner products come from BLAS,
+    whose last bits may change with its thread count; they only steer an
+    argmin and categorical draws, so every digest must not change."""
+    designs = ("large_joint", "baselines_large", "chains_column")
+    outs = [_run("trace_digest.py", "--designs", *designs,
+                 env_override={"OPENBLAS_NUM_THREADS": threads})
+            for threads in ("1", "2")]
+    # each line ends in its design's run time, which is not digested
+    digests = [re.sub(r"  \([\d.]+ s\)$", "", out, flags=re.M) for out in outs]
+    assert len(digests[0].splitlines()) == 4, outs[0]
+    assert digests[0] == digests[1], outs
 
 
 def test_trace_digest_covers_the_psrf_table():
