@@ -15,8 +15,12 @@ support alone, as traces store them by default; multi-chain designs add
 the ``psrf_report`` table.  The baselines design has no trace: its
 digest covers the ``estimate.json`` that ``run_experiment`` writes.  The
 baselines_large digests cover the bytes of each fit's means and labels
-and the repr of its objective.  Run the script on two checkouts to show
-that a change leaves every trace and every summary byte-identical.
+and the repr of its objective.  The data design prints, for each dataset
+above, the SHA-256 of its p x n values in C order (the hash that
+``manifest.json``'s ``data_digest`` truncates), so that a change to the
+generator shows apart from a change to the sampler.  Run the script on
+two checkouts to show that a change leaves the data and every trace and
+summary byte-identical.
 
 Designs (data seed = chain seed):
   3a             scenario I, p=n=100, s=6, mean_scale 1.5, seeds 1-5;
@@ -30,6 +34,9 @@ Designs (data seed = chain seed):
   baselines_large  large_joint's data; fit_kmeans(k=3) and
                  fit_cmle(k=3, s=6), digesting (mu, z, objective): the
                  baselines at the size of a benchmark's k-means start
+  data           the data digest of 3a's five datasets, large_joint's and
+                 chains_column's (baselines and baselines_large reuse
+                 3a seed 1's and large_joint's)
 
 Example:
     PYTHONPATH=src python3 scripts/trace_digest.py
@@ -51,6 +58,7 @@ from sparsegmm.core import trace_from_ndjson, trace_to_ndjson
 from sparsegmm.experiment import (
     ExperimentConfig,
     canonical_json,
+    data_sha256,
     estimate_to_dict,
     run_experiment,
 )
@@ -78,28 +86,37 @@ def _chain_digests(data, traces) -> str:
     return f"trace {trace}  post {post}"
 
 
-def _data(scenario, p, n, s, mean_scale, seed):
+# (scenario, p, n, s, mean_scale, seed) of each design's data
+DATA = {
+    **{f"3a seed {seed}": ("one", 100, 100, 6, 1.5, seed) for seed in range(1, 6)},
+    "large_joint": ("one", 1000, 1000, 6, 1.5, 1001),
+    "chains_column": ("two", 400, 200, 8, 1.0, 1),
+}
+
+
+def _data(label):
+    scenario, p, n, s, mean_scale, seed = DATA[label]
     spec = sg.ScenarioSpec(scenario=scenario, p=p, n=n, s=s, mean_scale=mean_scale, seed=seed)
     return sg.generate(spec)[0]
 
 
 def design_3a():
     for seed in range(1, 6):
-        data = _data("one", 100, 100, 6, 1.5, seed)
+        data = _data(f"3a seed {seed}")
         config = sg.RunConfig(n_burn=40, n_keep=120, seed=seed, store_dense_mu=True)
         traces = [sg.run_chain(data, sg.default_hyperparams(100), config)]
         yield f"3a seed {seed}", _chain_digests(data, traces)
 
 
 def design_large_joint():
-    data = _data("one", 1000, 1000, 6, 1.5, 1001)
+    data = _data("large_joint")
     config = sg.RunConfig(n_burn=10, n_keep=30, seed=1001, store_dense_mu=True)
     traces = [sg.run_chain(data, sg.default_hyperparams(1000), config)]
     yield "large_joint", _chain_digests(data, traces)
 
 
 def design_chains_column():
-    data = _data("two", 400, 200, 8, 1.0, 1)
+    data = _data("chains_column")
     hyper = sg.default_hyperparams(400, ssl_mode="column")
     config = sg.RunConfig(n_burn=15, n_keep=35, n_chains=4, seed=1, store_dense_mu=True)
     yield "chains_column", _chain_digests(data, sg.run_chains(data, hyper, config))
@@ -121,10 +138,15 @@ def _fit_digest(mu, z, objective) -> str:
 
 
 def design_baselines_large():
-    data = _data("one", 1000, 1000, 6, 1.5, 1001)
+    data = _data("large_joint")
     mu, z = sg.fit_kmeans(data, 3)
     yield "baselines_large kmeans", _fit_digest(mu, z, float(np.sum((data.values - mu[:, z - 1]) ** 2)))
     yield "baselines_large cmle", _fit_digest(*sg.fit_cmle(data, sg.CmleConfig(k=3, s=6)))
+
+
+def design_data():
+    for label in DATA:
+        yield label, f"data {data_sha256(_data(label))}"
 
 
 DESIGNS = {
@@ -133,6 +155,7 @@ DESIGNS = {
     "chains_column": design_chains_column,
     "baselines": design_baselines,
     "baselines_large": design_baselines_large,
+    "data": design_data,
 }
 
 

@@ -38,23 +38,25 @@ COLUMN_SSL = "column"
 class DataMatrix:
     """Dense p x n observation matrix (rows = features, cols = observations).
 
-    ``obs`` is an observation-major (n, p) C-ordered copy, built on first
-    use and kept for the life of the matrix: the sampler's cluster sums
-    read its rows.  ``values`` stays p x n for the matrix products (the reseat
-    distances, k-means assignment), whose last bits depend on the layout.
+    The data is held once, observation-major: ``values`` is a p x n
+    F-ordered array, and ``obs`` is its transpose, an (n, p) C-ordered view
+    of the same buffer whose rows the sampler's cluster sums read.  An
+    F-ordered float input is kept as it is, so later edits to it show
+    through; any other input (a C-ordered array, a list, ints) is copied
+    once, and later edits to the caller's array are not seen.
     """
 
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        v = np.asarray(self.values, dtype=float, order="F")
         if v.ndim != 2:
             raise DataError(f"expected a 2-d matrix, got ndim={v.ndim}")
         object.__setattr__(self, "values", v)
 
-    @functools.cached_property
+    @property
     def obs(self) -> np.ndarray:
-        return np.ascontiguousarray(self.values.T)
+        return self.values.T
 
     @property
     def p(self) -> int:

@@ -286,8 +286,22 @@ def _estimate_from_flat(mu: np.ndarray, z: np.ndarray) -> ClusterEstimate:
     )
 
 
+# elements of ``values`` that ``data_sha256`` copies at a time (128 KB)
+_DIGEST_BLOCK = 2**14
+
+
+def data_sha256(data: DataMatrix) -> str:
+    """SHA-256 of the p x n values' bytes in C order, hashed a block of
+    feature rows at a time, so no full C-ordered copy is made."""
+    h = hashlib.sha256()
+    step = max(_DIGEST_BLOCK // data.n, 1)
+    for j in range(0, data.p, step):
+        h.update(np.ascontiguousarray(data.values[j : j + step]))
+    return h.hexdigest()
+
+
 def _manifest(config_dict: dict, data: DataMatrix) -> dict:
-    digest = hashlib.sha256(np.ascontiguousarray(data.values).tobytes()).hexdigest()[:16]
+    digest = data_sha256(data)[:16]
     return {
         "config": config_dict,
         "data_digest": digest,

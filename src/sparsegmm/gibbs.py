@@ -241,7 +241,7 @@ def _run_prepared(
         rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(chain_id,)))
     state = init_state(data, hyper_run, config, rng)
     total = config.n_burn + config.n_keep * config.thin
-    y_sq = float(np.vdot(data.values, data.values)) if progress else 0.0
+    y_sq = float(np.vdot(data.obs, data.obs)) if progress else 0.0  # obs ravels without a copy
     snaps: list[Snapshot] = []
     for it in range(1, total + 1):
         sweep(state, data, vn, hyper_run, rng)

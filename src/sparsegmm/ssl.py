@@ -116,9 +116,16 @@ def update_xi(
 
 
 def theta_conditional_shapes(xi: np.ndarray, beta_theta: float) -> tuple[float, float]:
-    """Beta shapes (1 + sum xi, beta_theta + #indicators - sum xi)."""
+    """Beta shapes (1 + sum xi, beta_theta + #indicators - sum xi).
+
+    With every indicator on the second shape is beta_theta itself: summed
+    left to right, a tiny beta_theta would be lost in (beta_theta + count)
+    and the difference would be 0, which no Beta draw accepts.
+    """
     total = int(xi.sum())
     count = int(xi.size)
+    if total == count:
+        return 1.0 + total, float(beta_theta)
     return 1.0 + total, beta_theta + count - total
 
 

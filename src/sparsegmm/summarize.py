@@ -66,18 +66,29 @@ class AlignedTrace:
         return len(self.snapshots)
 
 
-def reconstruction_error(snapshot: Snapshot, data: DataMatrix) -> float:
+def reconstruction_error(snapshot: Snapshot, data: DataMatrix,
+                         obs: np.ndarray | None = None) -> float:
     """||Y - mu L^T||_F^2 - ||Y||_F^2 for one snapshot, from its cluster sums.
 
     The dropped ||Y||_F^2 is the same for every snapshot, so this orders
-    snapshots exactly as the reconstruction error does.
+    snapshots exactly as the reconstruction error does.  ``obs`` is the
+    (n, |support|) block of ``data.obs`` that a support-only snapshot
+    reads; pass it to gather the support's columns once for the snapshots
+    that share it.
     """
     if snapshot.mu_dense is not None:
         obs, mu = data.obs, snapshot.mu_dense
     else:
-        # the support's rows of values gather faster than its columns of obs
-        obs, mu = data.values[snapshot.support - 1].T, snapshot.mu_support
+        if obs is None:
+            obs = _support_obs(data, snapshot.support)
+        mu = snapshot.mu_support
     return residual_score(cluster_sums(obs, snapshot.z, snapshot.k), mu, snapshot.z)
+
+
+def _support_obs(data: DataMatrix, support: np.ndarray) -> np.ndarray:
+    """The support's columns of ``data.obs``, C-ordered: a strided gather,
+    each observation's row read once."""
+    return np.take(data.obs, support - 1, axis=1)
 
 
 def _check_fits(snaps: list[Snapshot], data: DataMatrix) -> None:
@@ -110,7 +121,17 @@ def _modal_k(snaps: list[Snapshot]) -> int:
 def _reference_index(snaps: list[Snapshot], data: DataMatrix) -> int:
     """Index of the best-reconstructing snapshot among those with the modal K."""
     k_mode = _modal_k(snaps)
-    errors = [reconstruction_error(s, data) if s.k == k_mode else np.inf for s in snaps]
+    errors = np.full(len(snaps), np.inf)
+    # snapshots with the same support share one gather of its columns
+    by_support: dict[bytes | None, list[int]] = {}
+    for b, s in enumerate(snaps):
+        if s.k == k_mode:
+            key = None if s.mu_dense is not None else s.support.tobytes()
+            by_support.setdefault(key, []).append(b)
+    for key, members in by_support.items():
+        args = (data,) if key is None else (data, _support_obs(data, snaps[members[0]].support))
+        for b in members:
+            errors[b] = reconstruction_error(snaps[b], *args)
     return int(np.argmin(errors))
 
 

@@ -448,8 +448,11 @@ def reference_kmeans(values, k, seed=0, n_restarts=8, max_iters=100, s=None):
     the empty clusters re-seeded at the worst-fit observation.  Iterates
     and restarts are ranked by the dense objective.  With ``s`` < p the
     means keep only the s rows of largest size-weighted squared norm
-    (lower row first on ties), as ``fit_cmle`` does.
+    (lower row first on ties), as ``fit_cmle`` does.  ``values`` is read
+    C-ordered whatever its layout, so that the objective's ``np.sum`` adds
+    in the order of ``fit_kmeans``' C-ordered residual buffer.
     """
+    values = np.ascontiguousarray(values)
     p, n = values.shape
     streams = np.random.SeedSequence(seed).spawn(n_restarts)
 

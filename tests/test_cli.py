@@ -1,11 +1,14 @@
+import hashlib
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sparsegmm.cli import main
-from sparsegmm.experiment import load_matrix_csv
+from sparsegmm.core import DataMatrix
+from sparsegmm.experiment import _manifest, data_sha256, load_matrix_csv
 
 
 def run_cli(*args):
@@ -29,6 +32,34 @@ def test_simulate_writes_data_and_truth(tmp_path):
     truth = json.loads((out / "truth.json").read_text())
     assert len(truth["z_true"]) == 15
     assert len(truth["mu_true"]) == 20
+
+
+def test_data_digest_hashes_the_c_ordered_values_without_a_copy():
+    for p, n in ((400, 500), (3, 20000), (7, 2)):
+        data = DataMatrix(np.random.default_rng(p).standard_normal((p, n)))
+        expected = hashlib.sha256(np.ascontiguousarray(data.values).tobytes()).hexdigest()
+        tracemalloc.start()
+        try:
+            digest = data_sha256(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert digest == expected
+        assert _manifest({}, data)["data_digest"] == expected[:16]
+        if p == 400:
+            assert peak < data.values.nbytes / 8
+
+
+def test_tiny_beta_theta_runs(tmp_path):
+    # every indicator turns on, where (beta_theta + p) - p used to be 0
+    for beta_theta in (1e-300, 3e-308, 1e-310, 1e-320):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "scenario": {"scenario": "one", "p": 20, "n": 30, "s": 4},
+            "hyperparams": {"beta_theta": beta_theta},
+            "run": {"n_burn": 50, "n_keep": 50},
+            "output_dir": str(tmp_path / "out")}))
+        assert run_cli("report", "--config", path) == 0, beta_theta
 
 
 def test_simulate_deterministic_bytes(tmp_path):

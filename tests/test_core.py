@@ -20,14 +20,20 @@ from sparsegmm.core import (
 from sparsegmm.errors import DataError
 
 
-def test_observation_major_copy_is_lazy_and_kept():
+def test_values_and_obs_share_one_buffer():
     values = np.arange(12.0).reshape(3, 4)
     data = DataMatrix(values)
-    assert "obs" not in vars(data)  # not built by the constructor
     obs = data.obs
     assert obs.shape == (4, 3) and obs.flags.c_contiguous
-    assert np.array_equal(obs, values.T)
-    assert data.obs is obs
+    assert np.array_equal(obs, values.T) and np.array_equal(data.values, values)
+    assert np.shares_memory(data.values, obs)
+    # a C-ordered input is copied once: later edits to it are not seen
+    assert data.values.flags.f_contiguous and not np.shares_memory(data.values, values)
+    values[0, 0] = -1.0
+    assert data.values[0, 0] == 0.0
+    # an F-ordered float input is kept as it is
+    f_values = np.asfortranarray(values)
+    assert DataMatrix(f_values).values is f_values
 
 
 def test_validate_accepts_wellformed_matrix():
@@ -48,6 +54,16 @@ def test_validate_names_the_first_non_finite_entry(bad, row, col):
     values[2, 3] = np.nan  # a later entry in row-major order is not named
     with pytest.raises(DataError, match=f"non-finite entry at row {row}, column {col}$"):
         validate_dataset(DataMatrix(values))
+
+
+@pytest.mark.parametrize("bad, row, col", [(np.nan, 1, 2), (np.inf, 0, 3), (-np.inf, 2, 0)])
+def test_validate_names_the_same_entry_in_f_ordered_data(bad, row, col):
+    values = np.ones((3, 4))
+    values[row, col] = bad
+    values[2, 3] = np.nan
+    for data in (DataMatrix(values), DataMatrix(np.asfortranarray(values))):
+        with pytest.raises(DataError, match=f"non-finite entry at row {row}, column {col}$"):
+            validate_dataset(data)
 
 
 def test_validate_accepts_a_finite_matrix_whose_sum_overflows():

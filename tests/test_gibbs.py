@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -299,6 +300,25 @@ def test_run_chain_reports_progress_and_snapshots_after_burn_in():
         labels.append(state.z.copy())
     for j, snap in enumerate(trace.snapshots, start=1):
         assert np.array_equal(snap.z, labels[150 + j * 3 - 1])
+
+
+def test_progress_copies_no_data(monkeypatch):
+    # ||Y||_F^2 for the log-likelihood is read from the data in place
+    data = DataMatrix(np.random.default_rng(0).standard_normal((400, 500)))
+    cfg = RunConfig(n_burn=99, n_keep=1, init=InitSpec("random_k", 3))
+    hyper_run, vn = gibbs._prepare(data, sg_default(data.p))
+    state = init_state(data, hyper_run, cfg, np.random.default_rng(1))
+    monkeypatch.setattr(gibbs, "init_state", lambda *args: state)
+    monkeypatch.setattr(gibbs, "sweep", lambda *args: None)
+    events = []
+    tracemalloc.start()
+    try:
+        gibbs._run_prepared(data, hyper_run, vn, cfg, 0, np.random.default_rng(2), events.append)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [e.iteration for e in events] == [100]
+    assert peak < data.values.nbytes / 8
 
 
 def test_progress_loglik_matches_the_direct_residual():

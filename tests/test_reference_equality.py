@@ -385,6 +385,6 @@ def _custom_t_mixture():
 def test_generate_matches_reference_generate_bitwise(spec):
     data, z, means = generate(spec)
     values_ref, z_ref, means_ref = reference_generate(spec)
-    assert data.values.flags.c_contiguous
+    assert data.obs.flags.c_contiguous and np.shares_memory(data.values, data.obs)
     assert np.array_equal(data.values, values_ref)
     assert np.array_equal(z, z_ref) and np.array_equal(means, means_ref)

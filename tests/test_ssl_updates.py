@@ -217,6 +217,17 @@ def test_theta_shapes():
     assert theta_conditional_shapes(np.array([1, 0, 0]), 10.0) == (2.0, 12.0)
 
 
+@pytest.mark.parametrize("beta_theta", [1e-300, 3e-308, 1e-310, 1e-320])
+def test_theta_update_takes_a_tiny_beta_theta_with_every_indicator_on(beta_theta):
+    # (beta_theta + 20) - 20 would be 0, which the Beta draw refuses
+    xi = np.ones((1, 20), dtype=np.int8)
+    assert theta_conditional_shapes(xi, beta_theta) == (21.0, beta_theta)
+    hyper = Hyperparams(lambda0=100.0, lambda1=1.0, beta_theta=beta_theta)
+    state = SimpleNamespace(xi=xi, theta=0.5)
+    update_theta(state, hyper, np.random.default_rng(0))
+    assert 0.0 < state.theta < 1.0
+
+
 def test_theta_column_mode_counts_all_indicators():
     xi = np.array([[1, 0, 0], [1, 1, 0]], dtype=np.int8)
     assert theta_conditional_shapes(xi, 5.0) == (4.0, 5.0 + 6 - 3)

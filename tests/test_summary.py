@@ -238,6 +238,43 @@ def test_reference_and_psrf_table_match_dense_oracle(fixed_traces, monkeypatch):
     assert report == psrf_report(traces, data)
 
 
+def test_reference_search_gathers_each_support_once(fixed_traces, monkeypatch):
+    data, traces = fixed_traces
+    pooled = [s for t in traces for s in t.snapshots]
+    # widen the supports (the added features at mean 0): a third keep their
+    # own, a third share the union of all, a third share every feature;
+    # every fourth snapshot keeps its dense means
+    union = np.unique(np.concatenate([s.support for s in pooled]))
+    snaps = []
+    for b, s in enumerate(pooled):
+        support = (s.support, union, np.arange(1, data.p + 1))[b % 3]
+        snaps.append(replace(s, support=support, mu_support=s.dense_mu(data.p)[:, support - 1],
+                             mu_dense=s.mu_dense if b % 4 == 0 else None))
+    gathers, errors = [], {}
+    gather, score = summarize._support_obs, summarize.reconstruction_error
+
+    def spy(snap, *args):
+        errors[id(snap)] = score(snap, *args)
+        return errors[id(snap)]
+
+    monkeypatch.setattr(summarize, "_support_obs", lambda d, sup: gathers.append(sup) or gather(d, sup))
+    monkeypatch.setattr(summarize, "reconstruction_error", spy)
+    ref = summarize._reference_index(snaps, data)
+    monkeypatch.undo()
+
+    assert ref == reference_index(snaps, data)
+    k_mode = summarize._modal_k(snaps)
+    modal = [s for s in snaps if s.k == k_mode]
+    shared = {s.support.tobytes() for s in modal if s.mu_dense is None}
+    assert sorted(g.tobytes() for g in gathers) == sorted(shared)
+    assert len(shared) < sum(s.mu_dense is None for s in modal)  # some gathers are shared
+    assert errors.keys() == {id(s) for s in modal}
+    y_norm = float(np.sum(data.values * data.values))
+    for s in modal:
+        assert errors[id(s)] == reconstruction_error(s, data)  # bit for bit, gathered alone
+        assert errors[id(s)] + y_norm == pytest.approx(dense_reconstruction_error(s, data), rel=1e-12)
+
+
 @pytest.mark.parametrize("variant", ["dense", "support_only"])
 def test_psrf_table_matches_brute_force_alignment(fixed_traces, variant):
     data, traces = fixed_traces

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -116,3 +118,16 @@ def test_bad_specs_rejected():
         )
     with pytest.raises(ConfigError, match="support size 500 exceeds p=100"):
         generate(ScenarioSpec(scenario="one", s=500, p=100))
+
+
+def test_generate_writes_in_place():
+    spec = ScenarioSpec(scenario="three", p=400, n=500, seed=2)
+    tracemalloc.start()
+    try:
+        data = generate(spec)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the data itself, and blocks of the draws: no p x n temporary
+    assert peak <= 1.1 * data.values.nbytes
+    assert np.shares_memory(data.values, data.obs) and data.obs.flags.c_contiguous
