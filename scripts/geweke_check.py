@@ -20,16 +20,11 @@ Example:
 """
 
 import argparse
-import math
 import sys
 import time
 
-import numpy as np
-
 from sparsegmm.core import Hyperparams
-from sparsegmm.gibbs import sweep
-from sparsegmm.priorsim import batch_means_se, forward_prior_state, regenerate_data
-from sparsegmm.urn import build_vn_table
+from sparsegmm.priorsim import geweke, geweke_z, k_probability_z
 
 
 STATS = ("theta", "K", "mu11", "mu_z1^2", "xi_on")
@@ -59,38 +54,16 @@ def main(argv=None):
         alpha=args.alpha, poisson_lambda=2.0, k_max=args.k_max,
         ssl_mode=args.ssl_mode,
     )
-    rounds = args.rounds
-    rng_f = np.random.default_rng(args.seed)
-    fwd = np.empty((rounds, len(STATS)))
-    for r in range(rounds):
-        fwd[r] = _stats(forward_prior_state(args.n, args.p, hyper, rng_f))
-
-    rng_c = np.random.default_rng(args.seed + 1)
-    st = forward_prior_state(args.n, args.p, hyper, rng_c)
-    vn = build_vn_table(args.n, hyper)
-    chain = np.empty((rounds, len(STATS)))
     t0 = time.time()
-    for r in range(rounds):
-        data = regenerate_data(st, rng_c)
-        sweep(st, data, vn, hyper, rng_c)
-        chain[r] = _stats(st)
-    print(f"chain side: {time.time() - t0:.1f}s for {rounds} rounds")
+    fwd, chain = geweke(args.n, args.p, hyper, args.rounds, _stats, (args.seed, args.seed + 1))
+    print(f"{time.time() - t0:.1f}s for {args.rounds} rounds on each side")
 
-    worst = 0.0
-    for j, name in enumerate(STATS):
-        se = math.hypot(fwd[:, j].std(ddof=1) / math.sqrt(rounds),
-                        batch_means_se(chain[:, j]))
-        z = abs(fwd[:, j].mean() - chain[:, j].mean()) / se
-        worst = max(worst, z)
-        print(f"  {name:8s} forward={fwd[:, j].mean():9.4f} "
-              f"chain={chain[:, j].mean():9.4f}  |z|={z:5.2f}")
-    for k in range(1, args.k_max + 1):
-        pf = (fwd[:, 1] == k).mean()
-        se = math.hypot(math.sqrt(pf * (1 - pf) / rounds),
-                        batch_means_se((chain[:, 1] == k).astype(float)))
-        z = abs(pf - (chain[:, 1] == k).mean()) / se
-        worst = max(worst, z)
-        print(f"  P(K={k})  forward={pf:9.4f} chain={(chain[:, 1] == k).mean():9.4f}  |z|={z:5.2f}")
+    rows = [(f"{name:8s}", fwd[:, j], chain[:, j]) for j, name in enumerate(STATS)]
+    rows += [(f"P(K={k}) ", fwd[:, 1] == k, chain[:, 1] == k) for k in range(1, args.k_max + 1)]
+    z = [*geweke_z(fwd, chain), *k_probability_z(fwd[:, 1], chain[:, 1], args.k_max)]
+    for (label, f, c), z_one in zip(rows, z):
+        print(f"  {label} forward={f.mean():9.4f} chain={c.mean():9.4f}  |z|={z_one:5.2f}")
+    worst = max(z)
     print("worst |z| =", round(worst, 2), "(expect < 4 for a correct sampler)")
     return 0 if worst < 4.0 else 1
 

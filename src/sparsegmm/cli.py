@@ -138,40 +138,34 @@ def _fit_config(args) -> tuple[ExperimentConfig, dict]:
     return config_from_dict(cfg, overrides)
 
 
-def _progress_printer(quiet: bool):
-    if quiet:
-        return None
+def _run(config: ExperimentConfig, cfg_dict: dict, quiet: bool):
+    """``run_experiment``, printing progress to stderr unless ``quiet``."""
+    def progress(ev):
+        print(f"chain {ev.chain_id}: {ev.iteration}/{ev.total} K={ev.k_active} "
+              f"loglik={ev.loglik:.1f}", file=sys.stderr)
 
-    def cb(ev):
-        print(
-            f"chain {ev.chain_id}: {ev.iteration}/{ev.total} K={ev.k_active} "
-            f"loglik={ev.loglik:.1f}",
-            file=sys.stderr,
-        )
+    return run_experiment(config, config_dict=cfg_dict, progress=None if quiet else progress)
 
-    return cb
+
+def _emit(obj, out: str | None) -> int:
+    """Write ``obj``'s canonical JSON to ``out``, or to stdout if None."""
+    if out:
+        write_text(out, canonical_json(obj))
+    else:
+        sys.stdout.write(canonical_json(obj))
+    return EXIT_OK
 
 
 def _cmd_fit(args) -> int:
     config, cfg_dict = _fit_config(args)
-    bundle = run_experiment(
-        config,
-        config_dict=cfg_dict,
-        progress=_progress_printer(args.quiet),
-    )
+    bundle = _run(config, cfg_dict, args.quiet)
     print(f"k_hat={bundle.estimate.k_hat} -> {config.output_dir}")
     return EXIT_OK
 
 
 def _cmd_evaluate(args) -> int:
     est = estimate_from_dict(load_json_object(args.estimate), str(args.estimate))
-    metrics = compute_metrics(est, *load_truth(args.truth))
-    text = canonical_json(metrics)
-    if args.out:
-        write_text(args.out, text)
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
+    return _emit(compute_metrics(est, *load_truth(args.truth)), args.out)
 
 
 def _cmd_diagnose(args) -> int:
@@ -179,31 +173,17 @@ def _cmd_diagnose(args) -> int:
     validate_dataset(data)
     if len(args.traces) < 2:
         raise ConfigError("diagnose needs at least 2 --traces files")
-    traces = load_traces(args.traces)
-    report = psrf_report(traces, data)
-    text = canonical_json(report)
-    if args.out:
-        write_text(args.out, text)
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
+    return _emit(psrf_report(load_traces(args.traces), data), args.out)
 
 
 def _cmd_report(args) -> int:
-    config, cfg_dict = config_from_dict(
-        load_json_object(args.config, ConfigError),
-        {"output_dir": args.out} if args.out else None,
-    )
-    bundle = run_experiment(
-        config,
-        config_dict=cfg_dict,
-        progress=_progress_printer(args.quiet),
-    )
+    config, cfg_dict = config_from_dict(load_json_object(args.config, ConfigError),
+                                        {"output_dir": args.out} if args.out else None)
+    bundle = _run(config, cfg_dict, args.quiet)
     summary = {"k_hat": bundle.estimate.k_hat, "output_dir": config.output_dir}
     if bundle.metrics:
         summary["metrics"] = bundle.metrics
-    sys.stdout.write(canonical_json(summary))
-    return EXIT_OK
+    return _emit(summary, None)
 
 
 _COMMANDS = {

@@ -42,6 +42,8 @@ class CmleConfig:
     def __post_init__(self):
         if min(self.k, 1 if self.s is None else self.s, self.max_iters, self.n_restarts) < 1:
             raise ConfigError("k, s, max_iters, n_restarts must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be at least 0, got {self.seed}")
 
 
 def sparsify_rows(mu: np.ndarray, s: int, sizes: np.ndarray | None = None) -> np.ndarray:

@@ -100,6 +100,8 @@ class RunConfig:
     def __post_init__(self):
         if self.n_burn < 0 or self.n_keep < 1 or self.thin < 1 or self.n_chains < 1:
             raise ValueError("need n_burn >= 0, n_keep >= 1, thin >= 1, n_chains >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be at least 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

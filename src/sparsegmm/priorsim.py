@@ -1,36 +1,48 @@
-"""Direct forward simulation from the model's prior.
+"""Direct forward simulation from the model's prior, and Geweke's (2004)
+joint-distribution test built on it.
 
-Independent of the sweep/reseating code path on purpose: joint-
-distribution checks compare statistics of states drawn here against
-states produced by alternating data regeneration with sampler
-transitions.  Only active mixture components are materialized (empty
-components are marginalized out, matching the partition representation
-the sampler works with).
+``forward_prior_state`` is independent of the sweep/reseating code path on
+purpose; ``geweke`` is what calls the sweep, to compare states drawn here
+with states from alternating data regeneration and sampler transitions.
+Only active mixture components are materialized (empty components are
+marginalized out, matching the partition representation of the sampler).
 """
 
 from __future__ import annotations
 
+import functools
+import math
+from typing import Callable
+
 import numpy as np
 
+from . import gibbs
 from .core import COLUMN_SSL, DataMatrix, Hyperparams, ModelState
 from .distributions import log_trunc_poisson_table
+from .urn import build_vn_table
+
+
+@functools.cache
+def _k_prior(poisson_lambda: float, k_max: int) -> np.ndarray:
+    """P(K = k), k = 1..k_max, built once per prior (read-only)."""
+    pk = np.exp(log_trunc_poisson_table(poisson_lambda, k_max))
+    pk.flags.writeable = False
+    return pk
 
 
 def forward_prior_state(n: int, p: int, hyper: Hyperparams, rng: np.random.Generator) -> ModelState:
     """One state drawn from the prior: component count, weights, labels,
     inclusion probability, indicators, auxiliaries, means."""
-    log_pk = log_trunc_poisson_table(hyper.poisson_lambda, hyper.k_max)
-    k_comp = rng.choice(hyper.k_max, p=np.exp(log_pk)) + 1
+    k_comp = rng.choice(hyper.k_max, p=_k_prior(hyper.poisson_lambda, hyper.k_max)) + 1
     w = rng.dirichlet(np.full(k_comp, hyper.alpha))
     z_raw = rng.choice(k_comp, size=n, p=w) + 1
 
     # densify by order of first appearance; empty components vanish
-    _, first_idx = np.unique(z_raw, return_index=True)
-    order = z_raw[np.sort(first_idx)]
+    order = list(dict.fromkeys(z_raw.tolist()))
     lut = np.zeros(k_comp + 1, dtype=int)
-    lut[order] = np.arange(1, order.size + 1)
+    lut[order] = np.arange(1, len(order) + 1)
     z = lut[z_raw]
-    k = order.size
+    k = len(order)
 
     theta = float(rng.beta(1.0, hyper.beta_theta))
     xi_shape = (k, p) if hyper.ssl_mode == COLUMN_SSL else (p,)
@@ -55,3 +67,42 @@ def batch_means_se(x: np.ndarray, n_batches: int = 50) -> float:
         raise ValueError("sequence too short for the requested batch count")
     batches = x[:length].reshape(n_batches, -1).mean(axis=1)
     return float(batches.std(ddof=1) / np.sqrt(n_batches))
+
+
+def geweke(n: int, p: int, hyper: Hyperparams, rounds: int, stats: Callable,
+           seeds: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """``(forward, chain)``, two ``(rounds, m)`` arrays of ``stats(state)``:
+    of independent prior states on ``default_rng(seeds[0])``, and of a chain
+    on ``default_rng(seeds[1])`` that starts from one and, each round,
+    regenerates the data, then sweeps.  Exact transitions keep both at the prior."""
+    rng = np.random.default_rng(seeds[0])
+    forward = np.array([stats(forward_prior_state(n, p, hyper, rng)) for _ in range(rounds)],
+                       dtype=float)
+    rng = np.random.default_rng(seeds[1])
+    state = forward_prior_state(n, p, hyper, rng)
+    vn = build_vn_table(n, hyper)
+    chain = np.empty_like(forward)
+    for row in chain:
+        gibbs.sweep(state, regenerate_data(state, rng), vn, hyper, rng)
+        row[:] = stats(state)
+    return forward, chain
+
+
+def geweke_z(forward: np.ndarray, chain: np.ndarray) -> np.ndarray:
+    """|z| per column of ``geweke``'s arrays; the forward side's standard
+    error is the iid one, the chain's is by batch means."""
+    root = math.sqrt(forward.shape[0])
+    return np.array([abs(f.mean() - c.mean())
+                     / math.hypot(f.std(ddof=1) / root, batch_means_se(c))
+                     for f, c in zip(forward.T, chain.T)])
+
+
+def k_probability_z(forward_k: np.ndarray, chain_k: np.ndarray, k_max: int) -> np.ndarray:
+    """|z| of P(K = k), k = 1..k_max, from the two sides' K columns; the
+    forward side's standard error is the binomial one."""
+    out = []
+    for k in range(1, k_max + 1):
+        pf, on = (forward_k == k).mean(), (chain_k == k).astype(float)
+        se = math.hypot(math.sqrt(pf * (1 - pf) / forward_k.size), batch_means_se(on))
+        out.append(abs(pf - on.mean()) / se)
+    return np.array(out)

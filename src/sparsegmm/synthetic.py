@@ -22,6 +22,7 @@ then (t only) the chi-square scaling block.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,10 +55,17 @@ class ScenarioSpec:
     t_dof: float | None = None
 
     def __post_init__(self):
-        for name in ("p", "n", "s"):
+        for name, least in (("p", 1), ("n", 1), ("s", 1), ("seed", 0)):
             value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ConfigError(f"{name} must be at least 1, got {value}")
+            if value is not None and value < least:
+                raise ConfigError(f"{name} must be at least {least}, got {value}")
+        if not math.isfinite(self.mean_scale):
+            raise ConfigError(f"mean_scale must be finite, got {self.mean_scale}")
+        if self.t_dof is not None and not (math.isfinite(self.t_dof) and self.t_dof > 0):
+            raise ConfigError(f"t_dof must be finite and positive, got {self.t_dof}")
+        weights = None if self.weights is None else np.asarray(self.weights, dtype=float)
+        if weights is not None and not (np.isfinite(weights).all() and (weights >= 0).all()):
+            raise ConfigError(f"weights must be finite and non-negative, got {weights.tolist()}")
 
 
 def _scenario_one_means(p: int, k_star: int, s: int) -> np.ndarray:
@@ -87,35 +95,27 @@ def _scenario_two_means(p: int, s: int) -> np.ndarray:
 
 
 def _resolve(spec: ScenarioSpec):
-    """(p, n, means, weights, variances, t_dof) for any scenario."""
-    if spec.scenario == SCENARIO_ONE:
+    """(p, n, means, weights, variances, t_dof) for any scenario; the means
+    are scaled by ``mean_scale`` and must stay finite."""
+    if spec.scenario in (SCENARIO_ONE, SCENARIO_TWO, SCENARIO_THREE):
         p = 400 if spec.p is None else spec.p
-        n = 200 if spec.n is None else spec.n
-        s = 6 if spec.s is None else spec.s
+        s = spec.s if spec.s is not None else 6 if spec.scenario == SCENARIO_ONE else 8
         if s > p:
             raise ConfigError(f"support size {s} exceeds p={p}")
-        means = _scenario_one_means(p, spec.k_star, s) * spec.mean_scale
-        weights = (
-            np.array([0.3, 0.3, 0.4]) if spec.k_star == 3 else np.full(5, 0.2)
-        )
-        variances = np.ones((means.shape[1], p))
-        return p, n, means, weights, variances, None
-    if spec.scenario in (SCENARIO_TWO, SCENARIO_THREE):
-        p = 400 if spec.p is None else spec.p
-        n = 200 if spec.n is None else spec.n
-        s = 8 if spec.s is None else spec.s
-        if s > p:
-            raise ConfigError(f"support size {s} exceeds p={p}")
-        means = _scenario_two_means(p, s) * spec.mean_scale
-        variances = np.ones((3, p))
-        variances[1, :s] = 4.0
-        if spec.scenario == SCENARIO_TWO:
-            return p, n, means, np.array([0.02, 0.48, 0.5]), variances, None
-        return p, n, means, np.array([0.2, 0.4, 0.4]), variances, 5.0
-    if spec.scenario == CUSTOM:
+        if spec.scenario == SCENARIO_ONE:
+            means = _scenario_one_means(p, spec.k_star, s)
+            weights = np.array([0.3, 0.3, 0.4]) if spec.k_star == 3 else np.full(5, 0.2)
+            variances, t_dof = np.ones((means.shape[1], p)), None
+        else:
+            means = _scenario_two_means(p, s)
+            variances = np.ones((3, p))
+            variances[1, :s] = 4.0
+            weights, t_dof = ((np.array([0.02, 0.48, 0.5]), None) if spec.scenario == SCENARIO_TWO
+                              else (np.array([0.2, 0.4, 0.4]), 5.0))
+    elif spec.scenario == CUSTOM:
         if spec.means is None or spec.weights is None:
             raise ConfigError("custom scenario requires means and weights")
-        means = np.asarray(spec.means, dtype=float) * spec.mean_scale
+        means = np.asarray(spec.means, dtype=float)
         weights = np.asarray(spec.weights, dtype=float)
         if means.ndim != 2 or weights.ndim != 1 or means.shape[1] != weights.size:
             raise ConfigError("means must be p x K with one weight per cluster")
@@ -124,15 +124,20 @@ def _resolve(spec: ScenarioSpec):
         p = means.shape[0]
         if spec.p is not None and spec.p != p:
             raise ConfigError("explicit p conflicts with means dimension")
-        n = 200 if spec.n is None else spec.n
         if spec.diag_variances is None:
             variances = np.ones((weights.size, p))
         else:
             variances = np.asarray(spec.diag_variances, dtype=float)
             if variances.shape != (weights.size, p):
                 raise ConfigError("diag_variances must be K x p")
-        return p, n, means, weights, variances, spec.t_dof
-    raise ConfigError(f"unknown scenario {spec.scenario!r}")
+        t_dof = spec.t_dof
+    else:
+        raise ConfigError(f"unknown scenario {spec.scenario!r}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = means * spec.mean_scale
+    if not np.isfinite(means).all():
+        raise ConfigError(f"the means scaled by mean_scale {spec.mean_scale} are not finite")
+    return p, 200 if spec.n is None else spec.n, means, weights, variances, t_dof
 
 
 def generate(spec: ScenarioSpec) -> tuple[DataMatrix, np.ndarray, np.ndarray]:

@@ -30,9 +30,8 @@ import sparsegmm as sg
 from sparsegmm.cmle import CmleConfig, fit_cmle
 from sparsegmm.core import DataMatrix, Hyperparams, ModelState, Snapshot
 from sparsegmm.distributions import sample_gig_half_vector
-from sparsegmm.gibbs import sweep
 from sparsegmm.metrics import min_hamming, nmi
-from sparsegmm.priorsim import batch_means_se, forward_prior_state, regenerate_data
+from sparsegmm.priorsim import geweke, geweke_z, k_probability_z
 from sparsegmm.ssl import build_context, update_mu
 from sparsegmm.summarize import align_labels, point_estimates, psrf, psrf_report
 from sparsegmm.urn import build_vn_table
@@ -159,44 +158,14 @@ def test_criterion_2b_conjugate_stationarity_ks():
 
 
 def test_criterion_2c_geweke_joint_test():
-    hyper = Hyperparams(
-        lambda0=4.0, lambda1=1.0, beta_theta=2.0, alpha=1.5,
-        poisson_lambda=2.0, k_max=3,
-    )
-    n, p, rounds = 5, 2, 100_000
-
-    rng_f = np.random.default_rng(606)
-    fwd = np.empty((rounds, 2))
-    for r in range(rounds):
-        st = forward_prior_state(n, p, hyper, rng_f)
-        fwd[r] = (st.theta, st.k_active)
-
-    rng_c = np.random.default_rng(707)
-    st = forward_prior_state(n, p, hyper, rng_c)
-    vn = build_vn_table(n, hyper)
-    chain = np.empty((rounds, 2))
-    for r in range(rounds):
-        data = regenerate_data(st, rng_c)
-        sweep(st, data, vn, hyper, rng_c)
-        chain[r] = (st.theta, st.k_active)
-
-    ok = True
-    details = []
-    for j, name in enumerate(("theta", "K")):
-        se = math.hypot(fwd[:, j].std(ddof=1) / math.sqrt(rounds),
-                        batch_means_se(chain[:, j]))
-        z = abs(fwd[:, j].mean() - chain[:, j].mean()) / se
-        details.append(f"{name} |z|={z:.2f}")
-        ok &= z < 4.0
-    for k in (1, 2, 3):
-        pf = (fwd[:, 1] == k).mean()
-        se = math.hypot(math.sqrt(pf * (1 - pf) / rounds),
-                        batch_means_se((chain[:, 1] == k).astype(float)))
-        z = abs(pf - (chain[:, 1] == k).mean()) / se
-        details.append(f"P(K={k}) |z|={z:.2f}")
-        ok &= z < 4.0
+    hyper = Hyperparams(lambda0=4.0, lambda1=1.0, beta_theta=2.0, alpha=1.5,
+                        poisson_lambda=2.0, k_max=3)
+    fwd, chain = geweke(5, 2, hyper, 100_000, lambda st: (st.theta, st.k_active), (606, 707))
+    z = [*geweke_z(fwd, chain), *k_probability_z(fwd[:, 1], chain[:, 1], 3)]
+    names = ("theta", "K", "P(K=1)", "P(K=2)", "P(K=3)")
     assert report("2c: Geweke forward vs successive-conditional (1e5 rounds)",
-                  ok, "; ".join(details))
+                  all(v < 4.0 for v in z),
+                  "; ".join(f"{name} |z|={v:.2f}" for name, v in zip(names, z)))
 
 
 # -------------------------------------------------------------------------

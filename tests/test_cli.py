@@ -16,10 +16,11 @@ def run_cli(*args):
 
 
 def _fails_with(capsys, code, *args):
-    """Run the CLI on bad input: the exit code, and one stderr line."""
+    """Run the CLI on bad input: the exit code, and one stderr line (returned)."""
     assert run_cli(*args) == code, args
     err = capsys.readouterr().err.strip()
     assert err and "\n" not in err, err
+    return err
 
 
 def test_simulate_writes_data_and_truth(tmp_path):
@@ -297,6 +298,26 @@ def test_bad_config_exits_2(tmp_path, capsys):
     _fails_with(capsys, 2, "fit", "--data", data, "--n-chains", 2, "--n-keep", 1,
                 "--n-burn", 0, "--out", tmp_path / "short")
     assert not list(tmp_path.rglob("trace_chain*.ndjson"))
+
+
+def test_out_of_range_values_exit_2_naming_the_field(tmp_path, capsys):
+    csv = str(tmp_path / "absent.csv")  # seeds are refused before the data is read
+    # means that are not finite (1e308 is finite, but the scaled means overflow)
+    cases = [(("simulate", "--mean-scale", v), "mean_scale") for v in ("nan", "inf", "1e308")]
+    # a seed below 0, from a flag or a config section
+    cases += [(("simulate", "--seed", -1), "seed"), (("fit", "--data", csv, "--seed", -5), "seed")]
+    custom = {"scenario": "custom", "means": [[0, 1], [1, 0]], "weights": [0.5, 0.5], "n": 10}
+    configs = [({"scenario": {"scenario": "one", "p": 20, "n": 30, "s": 4, "seed": -1}}, "seed"),
+               ({"data_path": csv, "method": "kmeans", "cmle": {"k": 2, "seed": -1}}, "seed")]
+    # a custom scenario's t_dof or weights out of their range
+    configs += [({"scenario": {**custom, key: v}, "method": "kmeans", "cmle": {"k": 2}}, key)
+                for key, v in (("t_dof", -1), ("t_dof", 0), ("weights", [1.5, -0.5]))]
+    for i, (cfg, field) in enumerate(configs):
+        (tmp_path / f"c{i}.json").write_text(json.dumps(cfg))
+        cases.append((("report", "--config", tmp_path / f"c{i}.json"), field))
+    for args, field in cases:
+        assert field in _fails_with(capsys, 2, *args, "--out", tmp_path / "out"), args
+        assert not (tmp_path / "out").exists(), args
 
 
 def test_report_kmeans_needs_only_k(tmp_path, capsys):

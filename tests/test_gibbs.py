@@ -19,7 +19,7 @@ from sparsegmm.gibbs import (
     run_chains,
     sweep,
 )
-from sparsegmm.priorsim import batch_means_se, forward_prior_state, regenerate_data
+from sparsegmm.priorsim import batch_means_se, geweke, geweke_z
 from sparsegmm.urn import build_vn_table
 
 
@@ -482,28 +482,23 @@ def test_geweke_column_mode_joint_distribution():
     """Successive-conditional vs forward prior statistics, per-cluster indicators."""
     hyper = Hyperparams(lambda0=4.0, lambda1=1.0, beta_theta=2.0, alpha=1.5,
                         poisson_lambda=2.0, k_max=3, ssl_mode=COLUMN_SSL)
-    n, p, rounds = 5, 2, 20_000
+    z = geweke_z(*geweke(5, 2, hyper, 20_000, lambda st: (st.theta, st.k_active, st.mu[0, 0]),
+                         (50, 60)))
+    assert (z < 5).all(), z
 
-    rng_f = np.random.default_rng(50)
-    fwd = np.empty((rounds, 3))
-    for r in range(rounds):
-        st = forward_prior_state(n, p, hyper, rng_f)
-        fwd[r] = (st.theta, st.k_active, st.mu[0, 0])
 
-    rng_c = np.random.default_rng(60)
-    st = forward_prior_state(n, p, hyper, rng_c)
-    vn = build_vn_table(n, hyper)
-    chain = np.empty((rounds, 3))
-    for r in range(rounds):
-        data = regenerate_data(st, rng_c)
-        sweep(st, data, vn, hyper, rng_c)
-        chain[r] = (st.theta, st.k_active, st.mu[0, 0])
+@pytest.mark.parametrize("ssl_mode", ["joint", COLUMN_SSL])
+def test_geweke_harness_catches_a_wrong_theta_update(monkeypatch, ssl_mode):
+    """Negative control: a theta update that drops the off-indicator count
+    from its Beta shapes reads far beyond criterion 2c's |z| < 4."""
+    def wrong_theta(state, hyper, rng):
+        xi = state.xi[0] if hyper.ssl_mode == "joint" else state.xi
+        state.theta = float(rng.beta(1.0 + xi.sum(), hyper.beta_theta))
 
-    for j in range(3):
-        se = math.hypot(
-            fwd[:, j].std(ddof=1) / math.sqrt(rounds), batch_means_se(chain[:, j])
-        )
-        assert abs(fwd[:, j].mean() - chain[:, j].mean()) < 5 * se
+    monkeypatch.setattr(gibbs, "update_theta", wrong_theta)
+    hyper = Hyperparams(lambda0=4.0, lambda1=1.0, beta_theta=2.0, alpha=1.5,
+                        poisson_lambda=2.0, k_max=3, ssl_mode=ssl_mode)
+    assert geweke_z(*geweke(5, 2, hyper, 5_000, lambda st: (st.theta,), (606, 707)))[0] > 4.0
 
 
 @pytest.mark.parametrize("ssl_mode", ["joint", "column"])
