@@ -1,18 +1,24 @@
 #!/usr/bin/env python3
-"""Paired in-process timing of two checkouts' sampler fits.
+"""Paired in-process timing of two checkouts' sampler fits and their
+post-processing.
 
 Loads ``<checkout>/src/sparsegmm`` of two checkouts into one process, as
 the packages ``sparsegmm_a`` and ``sparsegmm_b``, and times their fits of
 each workload named, one after another, in alternating pairs (a first in
 even pairs, b first in odd ones).  Both sides fit data each generated
-itself from the same seed.
-Every pair must give byte-identical NDJSON traces on both sides, so the
-script only compares versions that make the same draws; it exits 1 on
-the first difference.
+itself from the same seed.  After each fit the same side post-processes
+its traces, timed apart, as the benchmark's ``post_s`` does: an NDJSON
+round trip of every trace, ``align_labels`` and ``point_estimates`` on
+the pooled snapshots, and ``psrf_report`` when there are two chains or
+more.
+Every pair must give byte-identical NDJSON traces and canonical JSON of
+the estimate (and of the PSRF table) on both sides, so the script only
+compares versions that make the same draws and the same summaries; it
+exits 1 on the first difference.
 
 One process sees the same machine load, allocator and BLAS threads on
 both sides, so the ratios spread less than those of separate benchmark
-runs; they time the fit alone, without import or post-processing.
+runs; they time the fit and the post-processing without the import.
 Before the timed pairs, each side makes one untimed fit under
 ``tracemalloc``, whose peak (the most memory the fit held at once, data
 aside) the script prints.  Then each side makes three untimed fits with
@@ -37,6 +43,7 @@ Example (compare the parent commit's checkout with this one):
 """
 
 import argparse
+import importlib
 import importlib.util
 import statistics
 import sys
@@ -72,6 +79,7 @@ class Side:
 
     def __init__(self, sg, w):
         self.sg = sg
+        self.experiment = importlib.import_module(".experiment", self.sg.__name__)
         spec = sg.ScenarioSpec(scenario=w["scenario"], p=w["p"], n=w["n"], s=w["s"],
                                mean_scale=w["mean_scale"], seed=w["seed"])
         self.data = sg.generate(spec)[0]
@@ -79,12 +87,30 @@ class Side:
         self.config = sg.RunConfig(n_burn=w["n_burn"], n_keep=w["n_keep"],
                                    n_chains=w["n_chains"], seed=w["seed"])
 
-    def fit(self) -> tuple[float, str]:
-        """(seconds, NDJSON of the traces) of one fit."""
+    def fit(self) -> list:
+        """The traces of one fit."""
+        return self.sg.run_chains(self.data, self.hyper, self.config)
+
+    def post(self, traces: list) -> tuple:
+        """Post-process the traces: the estimate of the pooled snapshots,
+        and the PSRF table if there are two chains or more (else None)."""
+        sg = self.sg
+        restored = [sg.trace_from_ndjson(sg.trace_to_ndjson(t)) for t in traces]
+        pooled = [s for t in restored for s in t.snapshots]
+        est = sg.point_estimates(sg.align_labels(pooled, self.data))
+        return est, sg.psrf_report(restored, self.data) if len(restored) > 1 else None
+
+    def timed(self) -> tuple[float, float, str, str]:
+        """(fit seconds, post-processing seconds, NDJSON of the traces,
+        canonical JSON of ``post``'s estimate and table) of one fit."""
         t0 = time.perf_counter()
-        traces = self.sg.run_chains(self.data, self.hyper, self.config)
-        seconds = time.perf_counter() - t0
-        return seconds, "".join(self.sg.trace_to_ndjson(t) for t in traces)
+        traces = self.fit()
+        t1 = time.perf_counter()
+        est, report = self.post(traces)
+        t2 = time.perf_counter()
+        summary = self.experiment.canonical_json(
+            {"estimate": self.experiment.estimate_to_dict(est), "psrf": report})
+        return t1 - t0, t2 - t1, "".join(self.sg.trace_to_ndjson(t) for t in traces), summary
 
 
 def traced_peak_mb(side: Side) -> float:
@@ -139,12 +165,13 @@ def stage_ms(sides: dict) -> dict:
 
 
 def compare(name: str, packages: dict, pairs: int) -> bool:
-    """Time ``pairs`` alternating pairs of fits of workload ``name`` by the
-    packages ``{"a": ..., "b": ...}`` and print the ratios; False at the
-    first pair whose traces differ."""
+    """Time ``pairs`` alternating pairs of fits of workload ``name``, and
+    of their post-processing, by the packages ``{"a": ..., "b": ...}`` and
+    print the ratios; False at the first pair whose traces or estimates
+    differ."""
     sides = {key: Side(sg, WORKLOADS[name]) for key, sg in packages.items()}
     for side in sides.values():  # warm caches and lazy imports, untimed
-        side.fit()
+        side.timed()
     peaks = {key: traced_peak_mb(side) for key, side in sides.items()}
     print(f"{name}: tracemalloc peak of one fit: a {peaks['a']:.1f} MB  "
           f"b {peaks['b']:.1f} MB", flush=True)
@@ -153,22 +180,26 @@ def compare(name: str, packages: dict, pairs: int) -> bool:
           f"b {stages['b']['sweep']:.2f} ms; k-means start a "
           f"{stages['a']['fit_kmeans']:.1f} ms  b {stages['b']['fit_kmeans']:.1f} ms",
           flush=True)
-    ratios = []
+    ratios = {"fit": [], "post": []}
     for pair in range(pairs):
         order = "ab" if pair % 2 == 0 else "ba"
-        out = {key: sides[key].fit() for key in order}
-        if out["a"][1] != out["b"][1]:
-            print(f"{name}, pair {pair + 1}: the traces differ", flush=True)
-            return False
-        ratio = out["b"][0] / out["a"][0]
-        ratios.append(ratio)
-        print(f"pair {pair + 1:2d} ({order} first): a {out['a'][0]:.4f} s  "
-              f"b {out['b'][0]:.4f} s  b/a {ratio:.3f}", flush=True)
-    q1, med, q3 = (statistics.quantiles(ratios, n=4) if len(ratios) > 1
-                   else (ratios[0],) * 3)
-    wins = sum(r < 1.0 for r in ratios)
-    print(f"{name}: median b/a {med:.3f} (quartiles {q1:.3f}-{q3:.3f}), "
-          f"b faster in {wins} of {len(ratios)} pairs; traces identical", flush=True)
+        out = {key: sides[key].timed() for key in order}
+        for what, i in (("traces", 2), ("estimates", 3)):
+            if out["a"][i] != out["b"][i]:
+                print(f"{name}, pair {pair + 1}: the {what} differ", flush=True)
+                return False
+        cells = []
+        for stage, i in (("fit", 0), ("post", 1)):
+            ratio = out["b"][i] / out["a"][i]
+            ratios[stage].append(ratio)
+            cells.append(f"{stage} a {out['a'][i]:.4f} s  b {out['b'][i]:.4f} s  b/a {ratio:.3f}")
+        print(f"pair {pair + 1:2d} ({order} first): {'; '.join(cells)}", flush=True)
+    for stage, rs in ratios.items():
+        q1, med, q3 = statistics.quantiles(rs, n=4) if len(rs) > 1 else (rs[0],) * 3
+        wins = sum(r < 1.0 for r in rs)
+        print(f"{name}: {stage} median b/a {med:.3f} (quartiles {q1:.3f}-{q3:.3f}), "
+              f"b faster in {wins} of {len(rs)} pairs", flush=True)
+    print(f"{name}: traces and estimates identical", flush=True)
     return True
 
 

@@ -28,7 +28,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 import numpy as np
 from scipy.sparse import csc_array
 
-from .errors import DataError, SparseGmmError
+from .errors import ConfigError, DataError, SparseGmmError
 
 JOINT_SSL = "joint"
 COLUMN_SSL = "column"
@@ -227,11 +227,23 @@ def residual_score(sums: np.ndarray, mu: np.ndarray, z: np.ndarray) -> float:
     first appearance in z, so every labelling of one partition and its
     means scores bit for bit the same, as their residuals do.
     """
+    return ordered_residual_score(sums, mu, *first_appearance(z))
+
+
+def first_appearance(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 0-based labels that z uses, in order of first appearance, and
+    the size of each of those clusters."""
     labels, first, counts = np.unique(z, return_index=True, return_counts=True)
     order = np.argsort(first)
-    rows = labels[order] - 1
+    return labels[order] - 1, counts[order]
+
+
+def ordered_residual_score(sums: np.ndarray, mu: np.ndarray, rows: np.ndarray,
+                           counts: np.ndarray) -> float:
+    """:func:`residual_score` of labels whose clusters ``first_appearance``
+    gave as ``rows`` and ``counts``: labels of one partition share them."""
     m, s = mu[rows], sums[rows]
-    return float(np.sum(counts[order] * np.sum(m * m, axis=1)) - 2.0 * np.sum(s * m))
+    return float(np.sum(counts * np.sum(m * m, axis=1)) - 2.0 * np.sum(s * m))
 
 
 @dataclass
@@ -407,22 +419,29 @@ def trace_from_ndjson(text: str, where: str = "trace") -> ChainTrace:
     if head.pop("type", None) != "meta":
         raise DataError(f"{where} must start with a meta record")
     meta = _section(TraceMeta, head, f"the meta record on {line}", DataError)
-    whole = functools.partial(json_numbers, ndim=1, whole=True)
-    convert = {
-        "z": whole,
-        "k": lambda v: int(json_numbers(v, 0, whole=True)),
-        "theta": lambda v: float(json_numbers(v, 0)),
-        "support": whole,
-        "mu_support": functools.partial(json_numbers, ndim=2),
-        "mu_dense": lambda v: None if v is None else json_numbers(v, 2),
-    }
+
+    def converters(check_bools: bool) -> dict:
+        numbers = functools.partial(_numbers, check_bools=check_bools)
+        return {
+            "z": functools.partial(numbers, ndim=1, whole=True),
+            "k": lambda v: int(numbers(v, 0, whole=True)),
+            "theta": lambda v: float(numbers(v, 0)),
+            "support": functools.partial(numbers, ndim=1, whole=True),
+            "mu_support": functools.partial(numbers, ndim=2),
+            "mu_dense": lambda v: None if v is None else numbers(v, 2),
+        }
+
+    # a record whose text holds no true or false literal holds no boolean,
+    # so only the others pay for a check of every label
+    convert = {check: converters(check) for check in (False, True)}
     required, snaps = ("z", "k", "theta", "support", "mu_support"), []
     for lineno, ln in lines[1:]:
         line = f"{where} line {lineno}"
         rec = parse_json_object(ln, line)
         if rec.pop("type", None) != "snapshot":
             raise DataError(f"{line} is not a snapshot record")
-        f = json_fields(rec, convert, f"the snapshot on {line}", DataError, required)
+        f = json_fields(rec, convert["true" in ln or "false" in ln],
+                        f"the snapshot on {line}", DataError, required)
         shape = (f["k"], f["support"].size)
         if f["mu_support"].shape != shape:
             raise DataError(f"the snapshot on {line} has support means of shape "
@@ -459,6 +478,16 @@ def json_numbers(value, ndim: int | None = None, whole: bool = False) -> np.ndar
     dimensions (any number if None), or an int array if ``whole``; ValueError
     on a boolean, a string, ragged lists, a number that is not finite, or,
     if ``whole``, one that is not integral (2.0 is whole) or not an int64."""
+    return _numbers(value, ndim, whole, check_bools=True)
+
+
+def _numbers(value, ndim: int | None = None, whole: bool = False, *,
+             check_bools: bool) -> np.ndarray:
+    """:func:`json_numbers`, with every check in the same order, except that
+    it looks for a boolean among numbers (numpy reads one as 0 or 1) only if
+    ``check_bools``.  Pass False only for a value parsed from text that
+    holds neither ``true`` nor ``false``, the only literals a JSON boolean
+    comes from."""
     try:
         arr = np.asarray(value)
     except ValueError:  # nested lists of unequal lengths
@@ -466,7 +495,7 @@ def json_numbers(value, ndim: int | None = None, whole: bool = False) -> np.ndar
     if ndim is not None and arr.ndim != ndim:
         raise ValueError(f"expected numbers in {ndim} dimension(s), got {arr.ndim}")
     kind = arr.dtype.kind
-    if arr.size and (kind not in "iuf" or _has_bool(value, arr.ndim)):
+    if arr.size and (kind not in "iuf" or check_bools and _has_bool(value, arr.ndim)):
         raise ValueError("expected JSON numbers, not booleans, strings or null")
     if kind == "f" and not (np.isfinite(arr).all() if arr.ndim else math.isfinite(arr)):
         raise ValueError("expected finite numbers, not NaN or Infinity")
@@ -545,5 +574,5 @@ def _section(cls: type, d, where: str, error: type[SparseGmmError], partial: boo
         return checked
     try:
         return cls(**checked)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ConfigError) as exc:
         raise error(f"bad {where}: {exc}") from None

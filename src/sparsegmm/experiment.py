@@ -327,8 +327,6 @@ def run_experiment(
     available), psrf.json (multi-chain Bayesian runs), per-chain trace
     files, and manifest.json into the output directory.
     """
-    out_dir = output_dir(config.output_dir)
-
     z_true = mu_true = None
     if config.scenario is not None:
         data, z_true, mu_true = generate(config.scenario)
@@ -339,6 +337,8 @@ def run_experiment(
     validate_dataset(data)
     if config.scenario is None and config.truth_path:
         _check_truth(z_true, mu_true, data, config.truth_path)
+    # made once the inputs are known good, and before any fit
+    out_dir = output_dir(config.output_dir)
 
     if config.method == METHOD_BAYESIAN:
         defaults = asdict(default_hyperparams(data.p))

@@ -32,8 +32,9 @@ from .core import (
     ClusterEstimate,
     DataMatrix,
     Snapshot,
-    cluster_sums,
-    residual_score,
+    first_appearance,
+    ordered_residual_score,
+    stacked_cluster_sums,
 )
 from .errors import DataError, SparseGmmError
 
@@ -66,29 +67,65 @@ class AlignedTrace:
         return len(self.snapshots)
 
 
-def reconstruction_error(snapshot: Snapshot, data: DataMatrix,
-                         obs: np.ndarray | None = None) -> float:
+def reconstruction_error(snapshot: Snapshot, data: DataMatrix) -> float:
     """||Y - mu L^T||_F^2 - ||Y||_F^2 for one snapshot, from its cluster sums.
 
     The dropped ||Y||_F^2 is the same for every snapshot, so this orders
-    snapshots exactly as the reconstruction error does.  ``obs`` is the
-    (n, |support|) block of ``data.obs`` that a support-only snapshot
-    reads; pass it to gather the support's columns once for the snapshots
-    that share it.
+    snapshots exactly as the reconstruction error does.  It is the
+    reference search's score, run on one snapshot.
     """
-    if snapshot.mu_dense is not None:
-        obs, mu = data.obs, snapshot.mu_dense
+    return float(_scores([snapshot], data)[0])
+
+
+# cluster sums plus indicator entries that one ``stacked_cluster_sums`` pass
+# of the reference search may hold (8 MB a block of doubles), so that
+# 4000 dense draws at p=2000 are summed in passes, not in one 256 MB block
+SUMS_BUDGET = 2**20
+
+
+def _scores(snaps: list[Snapshot], data: DataMatrix) -> np.ndarray:
+    """:func:`reconstruction_error` of each of the snapshots, which share K.
+
+    The observations' columns are gathered once, on the union of the
+    supports (every column if a snapshot stores dense means), and each
+    distinct partition is summed once on them.  A column's cluster sums
+    add its observations in ascending order on every path of
+    ``cluster_sums``, so a snapshot's columns of these sums are bit for
+    bit those of its own support, and its score is ``residual_score``'s.
+    """
+    k = snaps[0].k
+    by_partition: dict[bytes, list[int]] = {}
+    for b, s in enumerate(snaps):
+        by_partition.setdefault(s.z.tobytes(), []).append(b)
+    members = list(by_partition.values())
+    zs = [snaps[m[0]].z for m in members]
+    if any(s.mu_dense is not None for s in snaps):
+        cols, obs = np.arange(data.p), data.obs
     else:
-        if obs is None:
-            obs = _support_obs(data, snapshot.support)
-        mu = snapshot.mu_support
-    return residual_score(cluster_sums(obs, snapshot.z, snapshot.k), mu, snapshot.z)
+        cols = np.unique(np.concatenate([s.support for s in snaps])) - 1
+        obs = _support_obs(data, cols)
+
+    scores = np.empty(len(snaps))
+    step = max(SUMS_BUDGET // (k * cols.size + data.n), 1)
+    for start in range(0, len(zs), step):
+        sums = stacked_cluster_sums(obs, zs[start : start + step], k)
+        for a in range(start, min(start + step, len(zs))):
+            part = sums[(a - start) * k : (a - start + 1) * k]
+            order = first_appearance(zs[a])
+            for b in members[a]:
+                s = snaps[b]
+                if s.mu_dense is not None:
+                    scores[b] = ordered_residual_score(part, s.mu_dense, *order)
+                else:
+                    pos = np.searchsorted(cols, s.support - 1)
+                    scores[b] = ordered_residual_score(part[:, pos], s.mu_support, *order)
+    return scores
 
 
-def _support_obs(data: DataMatrix, support: np.ndarray) -> np.ndarray:
-    """The support's columns of ``data.obs``, C-ordered: a strided gather,
-    each observation's row read once."""
-    return np.take(data.obs, support - 1, axis=1)
+def _support_obs(data: DataMatrix, cols: np.ndarray) -> np.ndarray:
+    """Columns ``cols`` (0-based) of ``data.obs``, C-ordered: a strided
+    gather, each observation's row read once."""
+    return np.take(data.obs, cols, axis=1)
 
 
 def _check_fits(snaps: list[Snapshot], data: DataMatrix) -> None:
@@ -121,18 +158,8 @@ def _modal_k(snaps: list[Snapshot]) -> int:
 def _reference_index(snaps: list[Snapshot], data: DataMatrix) -> int:
     """Index of the best-reconstructing snapshot among those with the modal K."""
     k_mode = _modal_k(snaps)
-    errors = np.full(len(snaps), np.inf)
-    # snapshots with the same support share one gather of its columns
-    by_support: dict[bytes | None, list[int]] = {}
-    for b, s in enumerate(snaps):
-        if s.k == k_mode:
-            key = None if s.mu_dense is not None else s.support.tobytes()
-            by_support.setdefault(key, []).append(b)
-    for key, members in by_support.items():
-        args = (data,) if key is None else (data, _support_obs(data, snaps[members[0]].support))
-        for b in members:
-            errors[b] = reconstruction_error(snaps[b], *args)
-    return int(np.argmin(errors))
+    modal = [b for b, s in enumerate(snaps) if s.k == k_mode]
+    return modal[int(np.argmin(_scores([snaps[b] for b in modal], data)))]
 
 
 def _match_to_reference(mu_ref: np.ndarray, mu: np.ndarray) -> np.ndarray:

@@ -307,17 +307,30 @@ def test_out_of_range_values_exit_2_naming_the_field(tmp_path, capsys):
     # a seed below 0, from a flag or a config section
     cases += [(("simulate", "--seed", -1), "seed"), (("fit", "--data", csv, "--seed", -5), "seed")]
     custom = {"scenario": "custom", "means": [[0, 1], [1, 0]], "weights": [0.5, 0.5], "n": 10}
-    configs = [({"scenario": {"scenario": "one", "p": 20, "n": 30, "s": 4, "seed": -1}}, "seed"),
-               ({"data_path": csv, "method": "kmeans", "cmle": {"k": 2, "seed": -1}}, "seed")]
+    # a section's own check names the section, as the run section's does
+    configs = [({"scenario": {"scenario": "one", "p": 20, "n": 30, "s": 4, "seed": -1}},
+                "bad config.scenario: seed must be at least 0, got -1"),
+               ({"data_path": csv, "method": "kmeans", "cmle": {"k": 2, "seed": -1}},
+                "bad config.cmle: seed must be at least 0, got -1")]
     # a custom scenario's t_dof or weights out of their range
     configs += [({"scenario": {**custom, key: v}, "method": "kmeans", "cmle": {"k": 2}}, key)
                 for key, v in (("t_dof", -1), ("t_dof", 0), ("weights", [1.5, -0.5]))]
+    # scaled means that overflow, refused once the scenario is generated
+    configs.append(({"scenario": {"scenario": "one", "p": 20, "n": 30, "s": 4,
+                                  "mean_scale": 1e308}, "method": "kmeans", "cmle": {"k": 2}},
+                    "mean_scale"))
     for i, (cfg, field) in enumerate(configs):
         (tmp_path / f"c{i}.json").write_text(json.dumps(cfg))
         cases.append((("report", "--config", tmp_path / f"c{i}.json"), field))
     for args, field in cases:
         assert field in _fails_with(capsys, 2, *args, "--out", tmp_path / "out"), args
         assert not (tmp_path / "out").exists(), args
+    # nor does data that fails its checks (exit 3) leave an output directory
+    nan = tmp_path / "nan.csv"
+    nan.write_text("1.0,2.0\nnan,3.0\n")
+    assert "non-finite entry" in _fails_with(capsys, 3, "fit", "--data", nan, "--method",
+                                             "kmeans", "--k", 2, "--out", tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 def test_report_kmeans_needs_only_k(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sparsegmm import core
 from sparsegmm.core import (
     ChainTrace,
     DataMatrix,
@@ -184,3 +186,51 @@ def test_snapshot_dense_mu_scatters_support():
     dense = snap.dense_mu(5)
     expected = np.array([[0, 1.0, 0, 2.0, 0], [0, 3.0, 0, 4.0, 0]])
     assert np.array_equal(dense, expected)
+
+
+def _record_text(**fields) -> str:
+    """A one-snapshot trace (n=3, p=2) whose snapshot record holds ``fields``
+    over valid ones, as raw JSON text."""
+    meta = TraceMeta(n=3, p=2, n_burn=0, thin=1, seed=0, chain_id=0, hyper_digest="",
+                     ssl_mode="joint")
+    head = trace_to_ndjson(ChainTrace(snapshots=[], meta=meta))
+    rec = {"type": "snapshot", "z": [1, 2, 1], "k": 2, "theta": 0.5, "support": [1],
+           "mu_support": [[0.5], [-0.5]], "mu_dense": [[0.5, 0.0], [-0.5, 0.0]], **fields}
+    return head + json.dumps(rec) + "\n"
+
+
+@pytest.mark.parametrize("field, value", [
+    ("z", [1, True, 1]), ("z", [1, 2, False]), ("k", True), ("theta", False),
+    ("support", [1, True]), ("mu_support", [[0.5], [True]]),
+    ("mu_dense", [[0.5, 0.0], [False, 0.0]]),
+])
+def test_trace_reader_refuses_a_boolean_in_every_numeric_field(field, value):
+    # a wider support gets means that fit it, so only the boolean is wrong
+    fit = {"mu_support": [[0.5, 0.0], [-0.5, 0.0]]} if field == "support" else {}
+    text = _record_text(**fit, **{field: value})
+    with pytest.raises(DataError, match=rf"^the snapshot on trace line 2: field {field} is "
+                                        r"malformed: expected JSON numbers, not booleans, "
+                                        r"strings or null$"):
+        trace_from_ndjson(text)
+
+
+def test_trace_reader_names_an_unknown_field_that_holds_a_boolean():
+    with pytest.raises(DataError, match=r"^unknown field\(s\) in the snapshot on trace "
+                                        r"line 2: flag$"):
+        trace_from_ndjson(_record_text(flag=True))
+
+
+def test_trace_reader_looks_for_booleans_only_in_records_with_a_literal(monkeypatch):
+    calls = []
+    has_bool = core._has_bool
+    monkeypatch.setattr(core, "_has_bool", lambda v, d: calls.append(d) or has_bool(v, d))
+    text = _record_text()
+    trace_from_ndjson(text.splitlines()[0])
+    meta = list(calls)  # the meta record's numbers are always checked
+    calls.clear()
+    assert trace_from_ndjson(text).snapshots[0].z.tolist() == [1, 2, 1]
+    assert calls == meta  # and the snapshot's are not
+    calls.clear()
+    with pytest.raises(DataError, match="field z is malformed"):
+        trace_from_ndjson(_record_text(z=[1, True, 1]))  # numpy reads it as 1
+    assert calls == meta + [1]  # the record with a literal takes the full check

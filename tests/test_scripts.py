@@ -93,12 +93,17 @@ def test_ab_fit_lists_the_north_star_workload():
 
 
 def test_ab_fit_prints_the_pair_ratios():
-    # one checkout against itself: the traces must be identical
+    # one checkout against itself: the traces and estimates must be identical
     out = _run("ab_fit.py", "--a", ROOT, "--b", ROOT, "--workload", "chains_column",
                "--pairs", 1)
     assert re.search(r"^chains_column: tracemalloc peak of one fit: a [\d.]+ MB  b [\d.]+ MB$",
                      out, re.M), out
     assert re.search(r"^chains_column: median sweep a [\d.]+ ms  b [\d.]+ ms; "
                      r"k-means start a [\d.]+ ms  b [\d.]+ ms$", out, re.M), out
-    assert re.search(r"^pair  1 \(ab first\): a \S+ s  b \S+ s  b/a \S+$", out, re.M), out
-    assert re.search(r"^chains_column: median b/a \S+ .* traces identical$", out, re.M), out
+    # each pair times the fit and, apart, its post-processing
+    assert re.search(r"^pair  1 \(ab first\): fit a \S+ s  b \S+ s  b/a \S+; "
+                     r"post a \S+ s  b \S+ s  b/a \S+$", out, re.M), out
+    for stage in ("fit", "post"):
+        assert re.search(rf"^chains_column: {stage} median b/a \S+ \(quartiles \S+\), "
+                         r"b faster in \d of 1 pairs$", out, re.M), out
+    assert re.search(r"^chains_column: traces and estimates identical$", out, re.M), out

@@ -11,7 +11,15 @@ from oracles import (
     reference_index,
     reference_psrf_report,
 )
-from sparsegmm.core import ChainTrace, DataMatrix, Snapshot, TraceMeta, default_hyperparams
+from sparsegmm.core import (
+    ChainTrace,
+    DataMatrix,
+    Snapshot,
+    TraceMeta,
+    cluster_sums,
+    default_hyperparams,
+    residual_score,
+)
 from sparsegmm.errors import DataError, SparseGmmError
 from sparsegmm.gibbs import RunConfig, run_chains
 from sparsegmm.summarize import (
@@ -226,53 +234,110 @@ def test_reconstruction_error_is_dense_error_less_data_norm(fixed_traces):
             assert reconstruction_error(variant, data) + y_norm == pytest.approx(dense, rel=1e-12)
 
 
-def test_reference_and_psrf_table_match_dense_oracle(fixed_traces, monkeypatch):
+def test_reference_and_psrf_table_match_dense_oracle(fixed_traces):
     data, traces = fixed_traces
     pooled = [s for t in traces for s in t.snapshots]
     for snaps in (pooled, [_support_only(s) for s in pooled], traces[1].snapshots):
         ks = [s.k for s in snaps]
         assert max(ks.count(k) for k in ks) >= 2  # the search has candidates to rank
         assert align_labels(snaps, data).ref_index == reference_index(snaps, data)
-    report = psrf_report(traces, data)
-    monkeypatch.setattr(summarize, "reconstruction_error", dense_reconstruction_error)
-    assert report == psrf_report(traces, data)
+    # the oracle picks its reference by the dense p x n residual
+    assert psrf_report(traces, data) == reference_psrf_report(traces, data, psrf)
 
 
-def test_reference_search_gathers_each_support_once(fixed_traces, monkeypatch):
-    data, traces = fixed_traces
-    pooled = [s for t in traces for s in t.snapshots]
-    # widen the supports (the added features at mean 0): a third keep their
-    # own, a third share the union of all, a third share every feature;
-    # every fourth snapshot keeps its dense means
+def _own_score(snap, data):
+    """The score from the snapshot's own gather of its support and its own
+    cluster sums, as each snapshot was once scored alone."""
+    obs = data.obs if snap.mu_dense is not None else np.take(data.obs, snap.support - 1, axis=1)
+    mu = snap.mu_support if snap.mu_dense is None else snap.mu_dense
+    return residual_score(cluster_sums(obs, snap.z, snap.k), mu, snap.z)
+
+
+def _mixed_snapshots(data, pooled, dense_every):
+    """The pooled snapshots with their supports varied (the added features
+    at mean 0): a third keep their own, a third take the union of all and
+    a third none; every ``dense_every``-th keeps its dense means.  Then
+    each of the first two partitions again under the other supports, and
+    two snapshots of a K that is not modal, one split off each of them."""
     union = np.unique(np.concatenate([s.support for s in pooled]))
-    snaps = []
-    for b, s in enumerate(pooled):
-        support = (s.support, union, np.arange(1, data.p + 1))[b % 3]
-        snaps.append(replace(s, support=support, mu_support=s.dense_mu(data.p)[:, support - 1],
-                             mu_dense=s.mu_dense if b % 4 == 0 else None))
-    gathers, errors = [], {}
-    gather, score = summarize._support_obs, summarize.reconstruction_error
+    supports = lambda s: (s.support, union, np.zeros(0, dtype=int))
 
-    def spy(snap, *args):
-        errors[id(snap)] = score(snap, *args)
-        return errors[id(snap)]
+    def with_support(s, support, dense):
+        return replace(s, support=support, mu_support=s.dense_mu(data.p)[:, support - 1],
+                       mu_dense=s.mu_dense if dense else None)
 
-    monkeypatch.setattr(summarize, "_support_obs", lambda d, sup: gathers.append(sup) or gather(d, sup))
-    monkeypatch.setattr(summarize, "reconstruction_error", spy)
+    snaps = [with_support(s, supports(s)[b % 3], dense_every and b % dense_every == 0)
+             for b, s in enumerate(pooled)]
+    for s in snaps[:2]:
+        snaps += [with_support(s, sup, False) for sup in supports(s)]
+        z = s.z.copy()
+        z[0] = s.k + 1
+        mu = np.vstack([s.mu_support, s.mu_support[s.z[0] - 1]])
+        snaps.append(replace(s, z=z, k=s.k + 1, mu_support=mu, mu_dense=None))
+    return snaps
+
+
+@pytest.mark.parametrize("dense_every", [None, 4])
+def test_reference_search_gathers_the_union_once_and_sums_each_partition_once(
+        fixed_traces, monkeypatch, dense_every):
+    data, traces = fixed_traces
+    snaps = _mixed_snapshots(data, [s for t in traces for s in t.snapshots], dense_every)
+    k_mode = summarize._modal_k(snaps)
+    modal = [s for s in snaps if s.k == k_mode]
+    assert len(modal) < len(snaps)  # some snapshots are not scored
+    supports_of = {}
+    for s in modal:
+        supports_of.setdefault(s.z.tobytes(), set()).add(s.support.tobytes())
+    assert max(map(len, supports_of.values())) >= 2  # a partition under several supports
+    assert any(s.support.size == 0 for s in modal)
+
+    gathers, sums_calls = [], []
+    gather, stacked = summarize._support_obs, summarize.stacked_cluster_sums
+    monkeypatch.setattr(summarize, "_support_obs",
+                        lambda d, cols: gathers.append(cols) or gather(d, cols))
+    monkeypatch.setattr(summarize, "stacked_cluster_sums",
+                        lambda obs, z, k: sums_calls.append((obs.shape, list(z), k))
+                        or stacked(obs, z, k))
     ref = summarize._reference_index(snaps, data)
     monkeypatch.undo()
 
     assert ref == reference_index(snaps, data)
-    k_mode = summarize._modal_k(snaps)
-    modal = [s for s in snaps if s.k == k_mode]
-    shared = {s.support.tobytes() for s in modal if s.mu_dense is None}
-    assert sorted(g.tobytes() for g in gathers) == sorted(shared)
-    assert len(shared) < sum(s.mu_dense is None for s in modal)  # some gathers are shared
-    assert errors.keys() == {id(s) for s in modal}
+    # one pass of the search: the union gathered once (no gather when a
+    # snapshot stores dense means, which read every column) and each
+    # distinct modal partition summed once, in order of first appearance
+    if dense_every:
+        assert gathers == [] and sums_calls[0][0] == (data.n, data.p)
+    else:
+        union = np.unique(np.concatenate([s.support for s in modal])) - 1
+        assert len(gathers) == 1 and np.array_equal(gathers[0], union)
+        assert sums_calls[0][0] == (data.n, union.size)
+    assert len(sums_calls) == 1 and sums_calls[0][2] == k_mode
+    assert [z.tobytes() for z in sums_calls[0][1]] == list(supports_of)
+    # the search's scores, each bit for bit the snapshot's score alone
     y_norm = float(np.sum(data.values * data.values))
-    for s in modal:
-        assert errors[id(s)] == reconstruction_error(s, data)  # bit for bit, gathered alone
-        assert errors[id(s)] + y_norm == pytest.approx(dense_reconstruction_error(s, data), rel=1e-12)
+    for s, score in zip(modal, summarize._scores(modal, data)):
+        assert score == reconstruction_error(s, data) == _own_score(s, data)  # bit for bit
+        assert score + y_norm == pytest.approx(dense_reconstruction_error(s, data), rel=1e-12)
+
+
+@pytest.mark.parametrize("step", [1, 2])
+def test_reference_search_sums_in_passes_under_its_budget(fixed_traces, monkeypatch, step):
+    data, traces = fixed_traces
+    snaps = _mixed_snapshots(data, [s for t in traces for s in t.snapshots], 4)
+    modal = [s for s in snaps if s.k == summarize._modal_k(snaps)]
+    whole = summarize._scores(modal, data)
+    distinct = len({s.z.tobytes() for s in modal})
+    assert distinct > step  # more than one pass
+    calls = []
+    stacked = summarize.stacked_cluster_sums
+    # a budget of ``step`` partitions' dense sums and indicator entries
+    monkeypatch.setattr(summarize, "SUMS_BUDGET", step * (modal[0].k * data.p + data.n))
+    monkeypatch.setattr(summarize, "stacked_cluster_sums",
+                        lambda obs, z, k: calls.append(len(z)) or stacked(obs, z, k))
+    parts = summarize._scores(modal, data)
+    assert calls == [min(step, distinct - a) for a in range(0, distinct, step)]
+    assert np.array_equal(parts, whole)  # bit for bit
+    assert summarize._reference_index(snaps, data) == reference_index(snaps, data)
 
 
 @pytest.mark.parametrize("variant", ["dense", "support_only"])
