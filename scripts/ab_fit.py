@@ -22,10 +22,12 @@ runs; they time the fit and the post-processing without the import.
 Before the timed pairs, each side makes one untimed fit under
 ``tracemalloc``, whose peak (the most memory the fit held at once, data
 aside) the script prints.  Then each side makes three untimed fits with
-``gibbs.sweep`` and ``gibbs.fit_kmeans`` wrapped in timers, in the order
-a b b a a b, and the script prints the median over all their sweeps and
-over all their k-means starts (one per chain), so no one slow fit
-decides the line.
+``gibbs.sweep``, the reseat pass and ``gibbs.fit_kmeans`` wrapped in
+timers, in the order a b b a a b, and the script prints the median over
+all their sweeps, over all their reseat passes (one per sweep: the
+workspace build, its blocks, the scalar steps and ``finish``) and over
+all their k-means starts (one per chain), so no one slow fit decides the
+line.
 
 Workloads (the first two are the data and chains of perfbench's
 workloads of that name):
@@ -123,15 +125,20 @@ def traced_peak_mb(side: Side) -> float:
         tracemalloc.stop()
 
 
-# the sides' order of the untimed fits that time the sweeps and starts
+# the sides' order of the untimed fits that time the sweeps, passes and starts
 STAGE_ORDER = "abbaab"
+STAGES = ("sweep", "reseat_pass", "fit_kmeans")
 
 
 def time_stages(side: Side, times: dict) -> None:
-    """Make one untimed fit with ``gibbs.sweep`` and ``gibbs.fit_kmeans``
-    wrapped in timers, and append each call's seconds to ``times[stage]``."""
+    """Make one untimed fit with timers around ``gibbs.sweep``, each reseat
+    pass (from the workspace's build to its ``finish``) and
+    ``gibbs.fit_kmeans``, and append each one's seconds to ``times[stage]``."""
     gibbs = side.sg.gibbs
-    originals = {stage: getattr(gibbs, stage) for stage in times}
+    workspace = side.sg.urn.ReseatWorkspace
+    build, finish = workspace.__init__, workspace.finish
+    originals = {stage: getattr(gibbs, stage) for stage in ("sweep", "fit_kmeans")}
+    started = {}  # the pass's start by workspace: chains may run on threads
 
     def timed(stage):
         func, out = originals[stage], times[stage]
@@ -144,19 +151,30 @@ def time_stages(side: Side, times: dict) -> None:
                 out.append(time.perf_counter() - t0)
         return wrapper
 
-    for stage in times:
+    def timed_build(ws, *args, **kwargs):
+        started[id(ws)] = time.perf_counter()
+        build(ws, *args, **kwargs)
+
+    def timed_finish(ws):
+        finish(ws)
+        times["reseat_pass"].append(time.perf_counter() - started.pop(id(ws)))
+
+    for stage in originals:
         setattr(gibbs, stage, timed(stage))
+    workspace.__init__, workspace.finish = timed_build, timed_finish
     try:
         side.fit()
     finally:
         for stage, func in originals.items():
             setattr(gibbs, stage, func)
+        workspace.__init__, workspace.finish = build, finish
 
 
 def stage_ms(sides: dict) -> dict:
-    """Per side, the median time of a sweep and of a chain's k-means start,
-    in ms, over the untimed fits of ``STAGE_ORDER``."""
-    times = {key: {"sweep": [], "fit_kmeans": []} for key in sides}
+    """Per side, the median time of a sweep, of a sweep's reseat pass and
+    of a chain's k-means start, in ms, over the untimed fits of
+    ``STAGE_ORDER``."""
+    times = {key: {stage: [] for stage in STAGES} for key in sides}
     for key in STAGE_ORDER:
         time_stages(sides[key], times[key])
     return {key: {stage: 1e3 * statistics.median(t) if t else float("nan")
@@ -177,7 +195,8 @@ def compare(name: str, packages: dict, pairs: int) -> bool:
           f"b {peaks['b']:.1f} MB", flush=True)
     stages = stage_ms(sides)
     print(f"{name}: median sweep a {stages['a']['sweep']:.2f} ms  "
-          f"b {stages['b']['sweep']:.2f} ms; k-means start a "
+          f"b {stages['b']['sweep']:.2f} ms; reseat pass a {stages['a']['reseat_pass']:.2f} ms  "
+          f"b {stages['b']['reseat_pass']:.2f} ms; k-means start a "
           f"{stages['a']['fit_kmeans']:.1f} ms  b {stages['b']['fit_kmeans']:.1f} ms",
           flush=True)
     ratios = {"fit": [], "post": []}

@@ -9,23 +9,25 @@ reduces to ordinary k-means.
 
 The restarts run in lockstep: each Lloyd round reads the data twice for
 all of them together, once in one distance product over every live
-restart's stacked centers and once in one sparse product that sums every
-live restart's clusters.  Each restart still keeps its own assignment,
-empty-cluster reseeds, stopping round and best iterate.  The sums feed the
-centers and are bitwise those of ``core.cluster_sums``.  The distances and
-the reseed's residual sums only choose an argmin or an argmax, so they
-keep no bits for their own sake: the distances leave out each
-observation's squared norm, the same for every center, and their last
-bits can differ from those of a product per restart.
+restart's stacked centers and once in one sparse product that sums the
+clusters of each distinct partition among them.  Each restart still keeps
+its own assignment, empty-cluster reseeds, stopping round and best
+iterate.  The sums feed the centers and are bitwise those of
+``core.cluster_sums``.  The distances and the reseed's residual sums only
+choose an argmin or an argmax, so they keep no bits for their own sake:
+the distances leave out each observation's squared norm, the same for
+every center, and their last bits can differ from those of a product per
+restart.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DataMatrix, residual_score, stacked_cluster_sums
+from .core import DataMatrix, first_appearance, ordered_residual_score, stacked_cluster_sums
 from .errors import ConfigError
 
 
@@ -203,14 +205,13 @@ def _best_of_restarts(data: DataMatrix, config: CmleConfig) -> tuple[np.ndarray,
                 moved.append((r, z, sizes))
         if not moved:
             break
-        sums = stacked_cluster_sums(data.obs, [z for _, z, _ in moved], k)
-        for j, (r, z, sizes) in enumerate(moved):
-            run_sums = sums[j * k:(j + 1) * k]
+        sums = _partition_sums(data.obs, [z for _, z, _ in moved], k)
+        for (r, z, sizes), (run_sums, order) in zip(moved, sums):
             nonempty = sizes > 0
             new_mu = mus[r].copy()
             new_mu[:, nonempty] = run_sums.T[:, nonempty] / sizes[nonempty][None, :]
             mus[r] = sparsify_rows(new_mu, s, sizes)
-            score = residual_score(run_sums, mus[r].T, z)
+            score = ordered_residual_score(run_sums, mus[r].T, order, sizes[order])
             if score < best[r][2]:
                 best[r] = (mus[r].copy(), z.copy(), score)
             z_prev[r] = z
@@ -218,6 +219,33 @@ def _best_of_restarts(data: DataMatrix, config: CmleConfig) -> tuple[np.ndarray,
     # the first restart with the strictly smallest score
     mu, z, _ = min(best, key=lambda run: run[2])
     return mu, z
+
+
+def _partition_sums(obs: np.ndarray, labellings: list, k: int) -> Iterator[tuple]:
+    """Per labelling, in turn, its (k, p) cluster sums and its 0-based
+    labels in order of first appearance, from one ``stacked_cluster_sums``
+    call over the distinct partitions among the labellings.
+
+    Each labelling is renumbered by first appearance, so labellings of one
+    partition under different labels share one entry of that call.  Its
+    rows add the same observations in ascending order, so they are bit
+    for bit each labelling's own sums; label c takes its partition's row
+    perm[c], and a label left empty the last row, which that partition
+    leaves empty too.
+    """
+    distinct: dict[bytes, int] = {}
+    canonical, mapped = [], []
+    for z in labellings:
+        order = first_appearance(z)[0]
+        perm = np.full(k, k - 1)
+        perm[order] = np.arange(order.size)
+        relabelled = perm[z - 1] + 1
+        a = distinct.setdefault(relabelled.tobytes(), len(canonical))
+        if a == len(canonical):
+            canonical.append(relabelled)
+        mapped.append((a, perm, order))
+    sums = stacked_cluster_sums(obs, canonical, k)
+    return ((sums[a * k:(a + 1) * k][perm], order) for a, perm, order in mapped)
 
 
 def fit_kmeans(

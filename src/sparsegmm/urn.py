@@ -11,7 +11,9 @@ one block per pass.  Most observations stay where they are, so
 ``ReseatWorkspace.advance`` reseats whole blocks of observations in one
 numpy pass and hands every observation it cannot prove exact (an open, a
 close, a near-tie) to the scalar ``reseat_observation``, the reference
-step.  Both take their weights from one method,
+step.  A block works on its columns of the cluster-major inner products
+in place, so each numpy call runs along the block's contiguous
+observations.  Both take their weights from one method,
 ``ReseatWorkspace.weights``, on the workspace's numpy rows, so a pass
 makes the same draws and the same choices either way.  The urn does not
 know the SSL mode: a new cluster's indicators come from
@@ -130,8 +132,10 @@ class UniformBlock:
 
 
 # ``ReseatWorkspace.advance`` weighs this many observations per numpy pass,
-# and redraws them from refined guesses at most this many times.
-_BLOCK = 256
+# and redraws them from refined guesses at most this many times.  A
+# p=2000, n=3000 pass spent less time in blocks of 1024 than of 256, 512
+# or 4096.
+_BLOCK = 1024
 _ROUNDS = 4
 # The share of a CDF's total within which an entry is a near-tie with
 # u * total: np.exp differs from math.exp by an ulp, far less than this.
@@ -169,7 +173,12 @@ class ReseatWorkspace:
     ``advance`` reseats the observations that stay in, or move between,
     existing clusters a block at a time, and stops at each one it cannot
     show to make the scalar step's choice; the pass reseats that one with
-    the scalar step and calls ``advance`` again.
+    the scalar step and calls ``advance`` again.  A block of b
+    observations reads G's rows 0..m-1 in place as an (m, b) array, a
+    column per observation, and weighs it with a (K, b) array of sizes, so
+    its maxima and counts run down the m choices for all b observations at
+    once, and its cumulative sums add one row of b at a time; the scalar
+    step weighs one column.
 
     The categorical uniforms of the pass come from one ``UniformBlock``
     sized for the observations left, so a pass of n reseats draws exactly
@@ -245,16 +254,17 @@ class ReseatWorkspace:
 
     def weights(self, sizes: np.ndarray, g: np.ndarray) -> np.ndarray:
         """Log-weights of the choices, given the K cluster sizes that
-        exclude the observation and its m G entries (or a (b, K) and a
-        (b, m) array for b observations): log_size[n_k] - ||mu_k||^2 / 2
-        for a cluster and log_open[K] - ||a||^2 / 2 for the auxiliary,
-        plus G."""
+        exclude the observation and its m G entries (or a (K, b) and an
+        (m, b) array for b observations, a column each): log_size[n_k] -
+        ||mu_k||^2 / 2 for a cluster and log_open[K] - ||a||^2 / 2 for the
+        auxiliary, plus G."""
         t = self.k
         w = np.empty(g.shape)
-        # a size from wrong guesses may leave the table; its row is not exact
-        np.subtract(self.log_size.take(sizes, mode="clip"), self.half_sq[:t], out=w[..., :t])
-        if g.shape[-1] > t:
-            w[..., t] = self.log_open[t] - self.half_sq[t]
+        half_sq = self.half_sq[:t, None] if g.ndim > 1 else self.half_sq[:t]
+        # a size from wrong guesses may leave the table; its column is not exact
+        np.subtract(self.log_size.take(sizes, mode="clip"), half_sq, out=w[:t])
+        if len(g) > t:
+            w[t] = self.log_open[t] - self.half_sq[t]
         w += g
         return w
 
@@ -300,13 +310,14 @@ class ReseatWorkspace:
 
         A block guesses each observation's choice, first that it stays.  It
         weighs every observation with the cluster sizes those guesses imply
-        and draws each choice from the cumulative sums of np.exp and that
-        observation's next uniform; then it redraws from the drawn choices,
-        while they change, up to ``_ROUNDS`` draws.  A choice is the scalar
-        step's when every earlier choice of the block equals its guess, so
-        that its sizes are exact, and no CDF entry lies within
-        ``_TIE`` * total of u * total: the weights are the scalar step's bit
-        for bit and np.exp differs from math.exp by an ulp at most.  The
+        and draws each choice from the cumulative sums of np.exp down its
+        column and that observation's next uniform; then it redraws from
+        the drawn choices, while they change, up to ``_ROUNDS`` draws.  A
+        choice is the scalar step's when every earlier choice of the block
+        equals its guess, so that its sizes are exact, and no CDF entry lies
+        within ``_TIE`` * total of u * total: the weights are the scalar
+        step's bit for bit, the cumulative sums add in the scalar step's
+        order, and np.exp differs from math.exp by an ulp at most.  The
         block accepts the longest run of such choices that opens and closes
         no cluster; an open, a close or a near-tie ends it, as does a run of
         moves that the guesses have not caught up with.
@@ -314,25 +325,25 @@ class ReseatWorkspace:
         n = z.size
         t = self.k
         m = self.m
-        clusters = np.arange(t)
+        clusters = np.arange(t)[:, None]
         blocks = self.uniforms
         while start < n:
             stop = min(start + _BLOCK, n)
             old = z[start:stop] - 1
             u = blocks.values[blocks.served : blocks.served + stop - start]
-            g = self.g[:m, start:stop].T
-            own = old[:, None] == clusters
-            left = self.sizes[:t] - own  # each size without the observation
-            rows = np.arange(old.size)
+            g = self.g[:m, start:stop]
+            own = clusters == old
+            left = self.sizes[:t, None] - own  # each size without the observation
+            cols = np.arange(old.size)
             guess = old
             for rnd in range(_ROUNDS):
                 if guess is old:
                     sizes = left
                 else:
-                    delta = (guess[:, None] == clusters).astype(int) - own
-                    sizes = left + (np.cumsum(delta, axis=0) - delta)
+                    delta = (clusters == guess).astype(int) - own
+                    sizes = left + (np.cumsum(delta, axis=1) - delta)
                 choice, clear = self._draw(sizes, g, u)
-                clear &= (choice < t) & (sizes[rows, old] > 0)
+                clear &= (choice < t) & (sizes[old, cols] > 0)
                 exact = clear & (choice == guess)
                 if exact.all():
                     accepted = old.size
@@ -351,16 +362,18 @@ class ReseatWorkspace:
 
     def _draw(self, sizes: np.ndarray, g: np.ndarray,
               u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Each row's categorical choice given the (b, K) cluster sizes that
-        exclude it, its (b, m) G entries and its uniform, and whether no CDF
-        entry is a near-tie."""
+        """Each column's categorical choice given the (K, b) cluster sizes
+        that exclude its observation, the (m, b) G block and its uniform,
+        and whether no CDF entry is a near-tie."""
         w = self.weights(sizes, g)
-        w -= w.max(axis=1, keepdims=True)
-        cdf = np.cumsum(np.exp(w, out=w), axis=1)
-        total = cdf[:, -1:]
-        x = u[:, None] * total
-        choice = (cdf <= x).sum(axis=1)
-        clear = (np.abs(cdf - x) > _TIE * total).all(axis=1)
+        w -= w.max(axis=0)
+        cdf = np.exp(w, out=w)
+        for j in range(1, len(cdf)):  # np.cumsum's adds down axis 0, without its slow loop
+            cdf[j] += cdf[j - 1]
+        total = cdf[-1]
+        x = u * total
+        choice = (cdf <= x).sum(axis=0)
+        clear = (np.abs(cdf - x) > _TIE * total).all(axis=0)
         return choice, clear
 
     def _accept(self, z: np.ndarray, start: int, old: np.ndarray, choice: np.ndarray) -> None:

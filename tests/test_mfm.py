@@ -309,6 +309,30 @@ def test_finish_leaves_the_generator_after_the_uniforms_served(monkeypatch):
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
+@pytest.mark.parametrize("k_max", [5, 3], ids=["auxiliary", "at_k_max"])
+def test_block_weights_equal_the_scalar_weights_column_by_column(k_max):
+    """One ``weights`` call on a (K, b) size block and the (m, b) G block
+    gives, in each column, the scalar step's 1-D call on that observation
+    bit for bit, a size clipped to the table's end included; at K = k_max
+    no auxiliary is weighed."""
+    rng = np.random.default_rng(11)
+    p, n, k = 4, 9, 3
+    data = DataMatrix(rng.standard_normal((p, n)))
+    state = ModelState(z=np.array([1, 2, 3, 1, 2, 3, 1, 1, 2]), mu=rng.standard_normal((k, p)),
+                       phi=np.ones((k, p)), xi=np.ones((k, p), dtype=np.int8), theta=0.5)
+    hyper = _hyper(k_max=k_max)
+    ws = ReseatWorkspace(state, data, build_vn_table(n, hyper), hyper, rng)
+    assert ws.m == (k + 1 if k_max > k else k)
+    sizes = rng.integers(0, n, size=(k, n))
+    sizes[1, 4] = n + 3  # beyond the table: clipped to log(n + alpha)
+    g = ws.g[: ws.m]
+    block = ws.weights(sizes, g)
+    assert block.shape == (ws.m, n)
+    for i in range(n):
+        assert np.array_equal(block[:, i], ws.weights(sizes[:, i], g[:, i])), i
+    assert block[1, 4] == ws.log_size[n] - ws.half_sq[1] + g[1, 4]
+
+
 @pytest.mark.parametrize("u,tie", [(0.5, True), (0.5 + 1e-12, True), (0.49, False)])
 def test_near_tie_goes_to_the_scalar_step(u, tie):
     """Observation 2 sits halfway between two clusters of equal size without

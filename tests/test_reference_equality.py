@@ -19,8 +19,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import sparsegmm.cmle as cmle
 import sparsegmm.distributions as distributions
 import sparsegmm.gibbs as gibbs
+import sparsegmm.urn as urn
 from oracles import reference_generate, reference_kmeans, reference_sweep, reference_update_phi
 from sparsegmm.cmle import CmleConfig, fit_cmle, fit_kmeans
 from sparsegmm.core import (SPARSE_SUMS_MIN, DataMatrix, Hyperparams, ModelState, cluster_sums,
@@ -79,9 +81,17 @@ def _churning_start(data, hyper):
                       np.random.default_rng(1))
 
 
-@pytest.mark.parametrize("ssl_mode", ["joint", "column"])
-def test_sweep_matches_reference_sweep_bitwise(ssl_mode, monkeypatch):
+# each mode in blocks of the default size, and of 7 observations, so that
+# passes span several blocks and their boundaries fall on every kind of step
+_MODES_AND_BLOCKS = pytest.mark.parametrize(
+    "ssl_mode,block", [("joint", urn._BLOCK), ("column", urn._BLOCK), ("joint", 7), ("column", 7)],
+    ids=["joint", "column", "joint-block7", "column-block7"])
+
+
+@_MODES_AND_BLOCKS
+def test_sweep_matches_reference_sweep_bitwise(ssl_mode, block, monkeypatch):
     """40 sweeps of the kernel and of the reference from equal streams."""
+    monkeypatch.setattr(urn, "_BLOCK", block)
     data, hyper = _churning_design(ssl_mode)
     vn = build_vn_table(data.n, hyper)
     state = _churning_start(data, hyper)
@@ -104,11 +114,12 @@ def test_sweep_matches_reference_sweep_bitwise(ssl_mode, monkeypatch):
     assert moves["at_k_max"] >= 50, moves
 
 
-@pytest.mark.parametrize("ssl_mode", ["joint", "column"])
-def test_sweep_matches_reference_sweep_bitwise_under_dense_moves(ssl_mode, monkeypatch):
+@_MODES_AND_BLOCKS
+def test_sweep_matches_reference_sweep_bitwise_under_dense_moves(ssl_mode, block, monkeypatch):
     """Three overlapping groups at p=2, n=200 and K = k_max = 3: about half
     the observations change cluster in every pass, and the blocks, not the
     scalar step, must make those moves with the reference's draws."""
+    monkeypatch.setattr(urn, "_BLOCK", block)
     rng = np.random.default_rng(3)
     lab = rng.integers(0, 3, size=200)
     centres = np.array([[1.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
@@ -329,6 +340,52 @@ def test_fit_kmeans_matches_reference_through_empty_cluster_reseed():
     assert np.array_equal(mu, mu_ref)
     assert np.array_equal(z, z_ref)
     assert obj == obj_ref
+
+
+def _duplicated_observations():
+    # three points, four copies each: reseeding a fifth centre is futile,
+    # so every run keeps two labels empty
+    values = np.repeat(np.array([[0.0, 5.0, 10.0]]), 4, axis=1)
+    return DataMatrix(np.vstack([values, values])), 5
+
+
+def _first_appearance_key(z):
+    seen = {}
+    return tuple(seen.setdefault(c, len(seen)) for c in z.tolist())
+
+
+@pytest.mark.parametrize("case", ["scenario_two", "empty_labels"])
+def test_lockstep_start_sums_each_distinct_partition_once(case, monkeypatch):
+    """Each Lloyd round passes ``stacked_cluster_sums`` one labelling per
+    distinct partition among the restarts that moved, whatever labels they
+    use, and the start stays the reference's bit for bit."""
+    if case == "scenario_two":
+        spec = ScenarioSpec(scenario="two", p=60, n=120, s=6, mean_scale=1.5, seed=1)
+        data, k = generate(spec)[0], 2
+    else:
+        data, k = _duplicated_observations()
+    rounds = []  # per sums call: [labellings passed, restarts that moved]
+    sums, sparsify = cmle.stacked_cluster_sums, cmle.sparsify_rows
+
+    def counting_sums(obs, z, k):
+        rounds.append([list(z), 0])
+        return sums(obs, z, k)
+
+    def counting_sparsify(*args):
+        rounds[-1][1] += 1
+        return sparsify(*args)
+
+    monkeypatch.setattr(cmle, "stacked_cluster_sums", counting_sums)
+    monkeypatch.setattr(cmle, "sparsify_rows", counting_sparsify)
+    mu, z = fit_kmeans(data, k, seed=0)
+    mu_ref, z_ref, _, _ = reference_kmeans(data.values, k, seed=0)
+    assert np.array_equal(mu, mu_ref) and np.array_equal(z, z_ref)
+    lloyd = [(labellings, moved) for labellings, moved in rounds if moved]  # not the start's
+    for labellings, moved in lloyd:
+        keys = {_first_appearance_key(labels) for labels in labellings}
+        assert len(keys) == len(labellings) <= moved
+    passed = sum(len(labellings) for labellings, _ in lloyd)
+    assert passed < sum(moved for _, moved in lloyd) / 1.5, lloyd
 
 
 @pytest.mark.parametrize("scenario,seed,s", [("one", 1, 6), ("one", 2, 10), ("two", 1, 8),

@@ -99,6 +99,7 @@ def test_ab_fit_prints_the_pair_ratios():
     assert re.search(r"^chains_column: tracemalloc peak of one fit: a [\d.]+ MB  b [\d.]+ MB$",
                      out, re.M), out
     assert re.search(r"^chains_column: median sweep a [\d.]+ ms  b [\d.]+ ms; "
+                     r"reseat pass a [\d.]+ ms  b [\d.]+ ms; "
                      r"k-means start a [\d.]+ ms  b [\d.]+ ms$", out, re.M), out
     # each pair times the fit and, apart, its post-processing
     assert re.search(r"^pair  1 \(ab first\): fit a \S+ s  b \S+ s  b/a \S+; "
